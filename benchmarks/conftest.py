@@ -10,11 +10,11 @@ output capture.
 
 The harness also records wall times -- the expensive builds (traffic,
 census, cloud attribution) via the session fixtures and every bench's
-analysis+render via the pytest report hook -- and writes them to
-``benchmarks/results/BENCH_results.json`` at session end.  Committed (or
-CI-archived) snapshots of that file give every future PR a perf
-trajectory to compare against; see the README's Performance section for
-how to read it.
+analysis+render via the pytest report hook -- and prints them as a
+phase table in the terminal summary.  It writes no file: the tracked
+``benchmarks/results/BENCH_results.json`` belongs to
+``benchmarks/perf_smoke.py``, and calibrated comparisons come from
+``perfbench/``.
 
 Scale note: the paper measures 273 days of traffic and crawls 100k sites;
 the bench scale (154 days, 4000 sites) reproduces every qualitative shape
@@ -24,11 +24,7 @@ permits.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -39,28 +35,12 @@ from repro.api import Study, StudyConfig
 T = TypeVar("T")
 
 RESULTS_DIR = Path(__file__).parent / "results"
-BENCH_RESULTS = RESULTS_DIR / "BENCH_results.json"
 
 #: One session at the bench scale; every bench shares its builds.
 SESSION = Study(StudyConfig())
 
-#: Phase name -> wall seconds, written to BENCH_results.json at exit.
+#: Phase name -> wall seconds, printed in the terminal summary.
 PHASES: dict[str, float] = {}
-
-#: Historical reference: the record-loop implementation measured on the
-#: 1-CPU dev container right before the columnar FlowFrame rewrite
-#: (PR 2), bench scale, full `Study(StudyConfig())` + all 26 artifacts.
-#: Kept in every snapshot so the trajectory has a fixed origin.
-PRE_COLUMNAR_BASELINE = {
-    "label": "pre-FlowFrame record loops (PR 2 baseline, 1 CPU)",
-    "build:traffic": 34.2,
-    "build:census": 32.4,
-    "artifact:fig17": 28.0,
-    "artifact:fig4": 16.9,
-    "artifact:heavydays": 6.9,
-    "artifact:longitudinal": 66.5,
-    "end_to_end_all_artifacts": 196.5,
-}
 
 
 def record_phase(name: str, thunk: Callable[[], T]) -> T:
@@ -138,26 +118,15 @@ def pytest_runtest_logreport(report):
         PHASES[f"bench:{report.nodeid}"] = report.duration
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """Persist the phase timings so future PRs can compare against them."""
+def pytest_terminal_summary(terminalreporter):
+    """Print the phase timings (wall seconds, one run, this machine)."""
     if not PHASES:
         return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "schema": 1,
-        "recorded_at": datetime.now(timezone.utc).isoformat(),
-        "config": {
-            "days": SESSION.config.days,
-            "sites": SESSION.config.sites,
-            "seed": SESSION.config.seed,
-        },
-        "machine": {
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "phases": {name: round(seconds, 4) for name, seconds in sorted(PHASES.items())},
-        "total_wall_s": round(sum(PHASES.values()), 3),
-        "reference": PRE_COLUMNAR_BASELINE,
-    }
-    BENCH_RESULTS.write_text(json.dumps(payload, indent=2) + "\n")
+    config = SESSION.config
+    terminalreporter.section(
+        f"bench phases (days={config.days}, sites={config.sites}, seed={config.seed})"
+    )
+    width = max(len(name) for name in PHASES)
+    for name, seconds in sorted(PHASES.items()):
+        terminalreporter.write_line(f"{name:<{width}}  {seconds:9.3f} s")
+    terminalreporter.write_line(f"{'total':<{width}}  {sum(PHASES.values()):9.3f} s")

@@ -187,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     paths = [p for p in args.paths.split(",") if p]
     serve_block = asyncio.run(run_benchmark(args, paths))
 
-    # Merge into the shared results file (perf_smoke/conftest write the
+    # Merge into the shared results file (perf_smoke writes the
     # envelope; this benchmark owns only the "serve" block).
     payload: dict = {}
     if args.output.is_file():

@@ -7,14 +7,17 @@ byte accounting (``nf_conntrack_acct``), identifies flows by their 5-tuple
 (plus ICMP type/code/id), logs them daily, and uploads CryptoPAN-anonymized
 records to the collection server.
 
-Two representations of the same log coexist: the record-oriented daily
-lists the monitor appends to (the measurement path), and the columnar
-:class:`~repro.flowmon.frame.FlowFrame` -- a NumPy structured array (day,
-scope, family, protocol, bytes in/out, packets, duration, interned peer /
-AS / domain ids) built once per monitor via :meth:`FlowMonitor.frame` and
-consumed by the vectorized analysis layer.  The frame's rows follow the
-canonical ``records()`` order, so record-loop and columnar analyses agree
-bit-for-bit.
+There is one log with two views.  The log is :class:`FlowLog`, an
+append-only set of NumPy columns (one row per finished flow, addresses
+interned), which the traffic generator fills directly and the conntrack
+path fills through :meth:`FlowMonitor.observe`.  The views derive from it
+on first use: the columnar :class:`~repro.flowmon.frame.FlowFrame`
+(:meth:`FlowMonitor.frame`; day, scope, family, protocol, bytes, packets,
+duration, interned peer / AS / domain ids) that the vectorized analyses
+read, and the :class:`FlowRecord` projection (:meth:`FlowMonitor.records`)
+for the exporter.  Both follow the canonical order -- days ascending,
+scopes in declaration order, appends within -- so record-loop and
+columnar analyses agree bit-for-bit.
 """
 
 from repro.flowmon.conntrack import (
@@ -28,7 +31,7 @@ from repro.flowmon.conntrack import (
 )
 from repro.flowmon.export import AnonymizedRecord, FlowExporter
 from repro.flowmon.frame import FLOW_DTYPE, FlowFrame
-from repro.flowmon.monitor import FlowMonitor, FlowScope, RouterConfig
+from repro.flowmon.monitor import LOG_DTYPE, FlowLog, FlowMonitor, FlowScope, RouterConfig
 
 __all__ = [
     "ConntrackEvent",
@@ -37,8 +40,10 @@ __all__ = [
     "FLOW_DTYPE",
     "FlowFrame",
     "FlowKey",
+    "FlowLog",
     "FlowRecord",
     "IcmpInfo",
+    "LOG_DTYPE",
     "Protocol",
     "AnonymizedRecord",
     "FlowExporter",

@@ -87,6 +87,12 @@ class FlowKey:
         return self.family is Family.V6
 
 
+def default_packets(byte_count: int) -> int:
+    """Packets for a direction when only bytes are known: a rough
+    bytes/1400 estimate, at least one packet if any byte moved."""
+    return max(1, byte_count // 1400) if byte_count else 0
+
+
 class ConntrackEventType(enum.Enum):
     NEW = "NEW"
     DESTROY = "DESTROY"
@@ -230,13 +236,13 @@ class ConntrackTable:
     ) -> FlowRecord:
         """Convenience: run a whole flow through NEW/account/DESTROY.
 
-        Packet counts default to a rough bytes/1400 estimate with a minimum
-        of one packet per direction that carried bytes.
+        Packet counts default to :func:`default_packets` of each
+        direction's bytes.
         """
         if packets_out is None:
-            packets_out = max(1, bytes_out // 1400) if bytes_out else 0
+            packets_out = default_packets(bytes_out)
         if packets_in is None:
-            packets_in = max(1, bytes_in // 1400) if bytes_in else 0
+            packets_in = default_packets(bytes_in)
         self.new(key, start_time)
         self.account(
             key,

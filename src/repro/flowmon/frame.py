@@ -1,15 +1,14 @@
-"""FlowFrame: a columnar (NumPy structured-array) view of a flow log.
+"""FlowFrame: the analysis view of a flow log, as NumPy columns.
 
-The record-oriented :class:`~repro.flowmon.monitor.FlowMonitor` mirrors
-what the paper's router monitor uploads: per-day lists of
-:class:`~repro.flowmon.conntrack.FlowRecord` objects.  That shape is
-right for the measurement path but wrong for the analysis path, where
-every table and figure re-aggregates the same nine months of flows.
-``FlowFrame`` converts the log once into parallel NumPy columns (day,
-scope, family, protocol, bytes in/out, packets, duration, start time,
-interned external-peer id) so every downstream group-by is a
-``np.bincount``/``np.add.at`` over integer codes instead of a Python
-loop over dataclasses.
+The :class:`~repro.flowmon.monitor.FlowMonitor` stores what the
+paper's router monitor sees: one row per finished flow, keyed by its
+5-tuple.  The analyses want something else -- every table and figure
+re-aggregates the same nine months of flows by day, scope and family.
+``FlowFrame`` derives that shape from the log once, with array
+operations only: parallel columns (day, scope, family, protocol, bytes
+in/out, packets, duration, start time, interned external-peer id), so
+every downstream group-by is a ``np.bincount``/``np.add.at`` over
+integer codes instead of a Python loop over dataclasses.
 
 Attribution (``peer -> origin AS``, ``peer -> rDNS eTLD+1 domain``) is
 computed once per *unique* external peer rather than once per record --
@@ -31,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.flowmon.monitor import FlowScope
+from repro.flowmon.monitor import SCOPE_CODES, FlowScope
 from repro.net.addr import IpAddress
 from repro.net.psl import PublicSuffixList, default_psl
 
@@ -39,10 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flowmon.monitor import FlowMonitor
     from repro.net.bgp import RoutingTable
     from repro.net.rdns import ReverseDns
-
-#: Integer codes for :class:`FlowScope`, in declaration order.
-SCOPE_CODES: dict[FlowScope, int] = {s: i for i, s in enumerate(FlowScope)}
-SCOPES_BY_CODE: tuple[FlowScope, ...] = tuple(FlowScope)
 
 #: The columnar layout.  ``bytes`` is the precomputed in+out total since
 #: every analysis consumes it; ``peer`` indexes :attr:`FlowFrame.peers`
@@ -96,69 +91,40 @@ class FlowFrame:
 
     @classmethod
     def from_monitor(cls, monitor: "FlowMonitor") -> "FlowFrame":
-        """Build the core columns from a monitor's daily logs (one pass).
+        """Derive the core columns from a monitor's column log.
 
         Prefer :meth:`FlowMonitor.frame`, which caches the result and
-        invalidates it when new flows are observed.
+        rebuilds it when the log grows.
         """
-        config = monitor.config
-        n = sum(
-            len(records)
-            for per_scope in monitor.daily_logs.values()
-            for records in per_scope.values()
+        order, scope, src_local = monitor.layout()
+        rows = monitor.log.rows[order]
+        scope, src_local = scope[order], src_local[order]
+        addresses = monitor.log.addresses
+        family = np.fromiter(
+            (a.family.value for a in addresses), dtype=np.int8, count=len(addresses)
         )
-        data = np.empty(n, dtype=FLOW_DTYPE)
-        peer_ids: dict[IpAddress, int] = {}
-        peers: list[IpAddress] = []
-
-        day_col = data["day"]
-        hour_col = data["hour"]
-        scope_col = data["scope"]
-        family_col = data["family"]
-        proto_col = data["protocol"]
-        bytes_col = data["bytes"]
-        bin_col = data["bytes_in"]
-        bout_col = data["bytes_out"]
-        pkts_col = data["packets"]
-        dur_col = data["duration"]
-        start_col = data["start_time"]
-        peer_col = data["peer"]
-
-        external = SCOPE_CODES[FlowScope.EXTERNAL]
-        is_local = config.is_local
-        i = 0
-        for day in sorted(monitor.daily_logs):
-            per_scope = monitor.daily_logs[day]
-            for scope in FlowScope:
-                scope_code = SCOPE_CODES[scope]
-                for record in per_scope.get(scope, ()):
-                    key = record.key
-                    start = record.start_time
-                    bytes_in = record.bytes_in
-                    bytes_out = record.bytes_out
-                    day_col[i] = int(start // _DAY)
-                    hour_col[i] = int(start // _HOUR)
-                    scope_col[i] = scope_code
-                    family_col[i] = key.src.family.value
-                    proto_col[i] = key.protocol.value
-                    bytes_col[i] = bytes_in + bytes_out
-                    bin_col[i] = bytes_in
-                    bout_col[i] = bytes_out
-                    pkts_col[i] = record.packets_in + record.packets_out
-                    dur_col[i] = record.end_time - start
-                    start_col[i] = start
-                    if scope_code == external:
-                        peer = key.dst if is_local(key.src) else key.src
-                        peer_id = peer_ids.get(peer)
-                        if peer_id is None:
-                            peer_id = peer_ids[peer] = len(peers)
-                            peers.append(peer)
-                        peer_col[i] = peer_id
-                    else:
-                        peer_col[i] = -1
-                    i += 1
-        assert i == n, "daily logs changed during frame construction"
-        return cls(data=data, peers=tuple(peers))
+        start = rows["start"]
+        data = np.empty(rows.size, dtype=FLOW_DTYPE)
+        data["day"] = start // _DAY
+        data["hour"] = start // _HOUR
+        data["scope"] = scope
+        data["family"] = family[rows["src"]]
+        data["protocol"] = rows["protocol"]
+        data["bytes"] = rows["bytes_in"] + rows["bytes_out"]
+        data["bytes_in"] = rows["bytes_in"]
+        data["bytes_out"] = rows["bytes_out"]
+        data["packets"] = rows["packets_in"] + rows["packets_out"]
+        data["duration"] = rows["end"] - start
+        data["start_time"] = start
+        # The external peer is whichever endpoint is not local; peers are
+        # interned in the order they first appear.
+        external = scope == SCOPE_CODES[FlowScope.EXTERNAL]
+        peer_ids, inverse = first_appearance(
+            np.where(src_local, rows["dst"], rows["src"])[external]
+        )
+        data["peer"] = -1
+        data["peer"][external] = inverse
+        return cls(data=data, peers=tuple(addresses[i] for i in peer_ids.tolist()))
 
     def with_attribution(
         self,
@@ -291,6 +257,18 @@ class FlowFrame:
 
     # -- selection ---------------------------------------------------------
 
+    def rows_matching(
+        self, scope: FlowScope | None = None, day: int | None = None
+    ) -> np.ndarray | None:
+        """The boolean row mask of a scope/day filter (``None``: no filter)."""
+        mask = None
+        if scope is not None:
+            mask = self.data["scope"] == SCOPE_CODES[scope]
+        if day is not None:
+            day_mask = self.data["day"] == day
+            mask = day_mask if mask is None else (mask & day_mask)
+        return mask
+
     def select(
         self, scope: FlowScope | None = None, day: int | None = None
     ) -> "FlowFrame":
@@ -299,22 +277,8 @@ class FlowFrame:
         Mirrors ``FlowMonitor.records(scope=..., day=...)``: rows keep
         their canonical order, so first-appearance semantics survive.
         """
-        mask = None
-        if scope is not None:
-            mask = self.data["scope"] == SCOPE_CODES[scope]
-        if day is not None:
-            day_mask = self.data["day"] == day
-            mask = day_mask if mask is None else (mask & day_mask)
-        if mask is None:
-            return self
-        sub = FlowFrame(
-            data=self.data[mask],
-            peers=self.peers,
-            peer_asn=self.peer_asn,
-            peer_domain=self.peer_domain,
-            domains=self.domains,
-        )
-        return sub
+        mask = self.rows_matching(scope, day)
+        return self if mask is None else self.mask(mask)
 
     def mask(self, mask: np.ndarray) -> "FlowFrame":
         """A boolean-mask view sharing this frame's interning tables."""
@@ -325,6 +289,20 @@ class FlowFrame:
             peer_domain=self.peer_domain,
             domains=self.domains,
         )
+
+
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intern 1-D integer keys in the order they first appear.
+
+    Returns ``(unique_keys, inverse)``: the distinct keys in
+    first-appearance order (the insertion order of a ``dict``-based
+    loop) and each row's index into them.
+    """
+    uniq, first_index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first_index, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return uniq[order], rank[inverse]
 
 
 def group_sums(
@@ -349,20 +327,14 @@ def group_sums(
             np.zeros(0, dtype=np.int64),
             [np.zeros(0, dtype=np.int64) for _ in values],
         )
-    uniq, first_index, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_index, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    inverse = rank[inverse]
-    counts = np.bincount(inverse, minlength=order.size).astype(np.int64)
+    uniq, inverse = first_appearance(keys)
+    counts = np.bincount(inverse, minlength=uniq.size).astype(np.int64)
     sums: list[np.ndarray] = []
     for column in values:
-        out = np.zeros(order.size, dtype=np.int64)
+        out = np.zeros(uniq.size, dtype=np.int64)
         np.add.at(out, inverse, column.astype(np.int64, copy=False))
         sums.append(out)
-    return uniq[order], counts, sums
+    return uniq, counts, sums
 
 
 def day_sums(

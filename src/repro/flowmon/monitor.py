@@ -1,8 +1,9 @@
 """The router-resident flow monitor.
 
-Subscribes to conntrack DESTROY events, classifies each finished flow by
-scope (external LAN<->WAN vs. internal LAN<->LAN, the split of the paper's
-Table 1) and address family, and appends it to a per-day log, mirroring the
+Logs every finished flow into one append-only column log
+(:class:`FlowLog`), classifies flows by scope (external LAN<->WAN vs.
+internal LAN<->LAN, the split of the paper's Table 1) and address
+family, and serves the log as per-day record batches, mirroring the
 daily upload cadence of section 3.1.
 """
 
@@ -10,15 +11,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.flowmon.conntrack import (
     ConntrackEvent,
     ConntrackEventType,
     ConntrackTable,
+    FlowKey,
     FlowRecord,
+    IcmpInfo,
+    Protocol,
 )
 from repro.net.addr import Family, IpAddress, Prefix
-from repro.util.timeutil import day_index
+from repro.util.timeutil import DAY, day_index
 
 
 class FlowScope(enum.Enum):
@@ -28,6 +35,11 @@ class FlowScope(enum.Enum):
     INTERNAL = "internal"  # LAN <-> LAN
     TRANSIT = "transit"  # neither endpoint local (should not occur at a
     # home router; kept so misconfigurations surface in tests)
+
+
+#: Integer codes for :class:`FlowScope`, in declaration order.
+SCOPE_CODES: dict[FlowScope, int] = {s: i for i, s in enumerate(FlowScope)}
+SCOPES_BY_CODE: tuple[FlowScope, ...] = tuple(FlowScope)
 
 
 @dataclass(frozen=True)
@@ -56,30 +68,189 @@ class RouterConfig:
         return self.lan_v6 is not None and self.lan_v6.contains(address)
 
 
+#: One row per finished flow: the flow key (``src``/``dst`` as ids into
+#: :attr:`FlowLog.addresses`, ``icmp_type`` -1 when the flow carries no
+#: ICMP info), its start and end, and the per-direction counters.
+LOG_DTYPE = np.dtype(
+    [
+        ("protocol", np.uint8),
+        ("src", np.int32),
+        ("dst", np.int32),
+        ("sport", np.uint16),
+        ("dport", np.uint16),
+        ("icmp_type", np.int16),
+        ("icmp_code", np.uint8),
+        ("icmp_id", np.uint16),
+        ("start", np.float64),
+        ("end", np.float64),
+        ("bytes_out", np.int64),
+        ("bytes_in", np.int64),
+        ("packets_out", np.int64),
+        ("packets_in", np.int64),
+    ]
+)
+
+#: The integer fields, in the order :meth:`FlowLog.append` buffers them.
+_INT_FIELDS = tuple(name for name in LOG_DTYPE.names if name not in ("start", "end"))
+_NO_ICMP = (-1, 0, 0)
+
+
+class FlowLog:
+    """The append-only column log every finished flow lands in.
+
+    Appends go into two flat Python lists; :meth:`seal` validates the
+    pending rows and moves them into one :data:`LOG_DTYPE` array.  That
+    array, with the interned address table, is the whole log: frames,
+    records, the warehouse payload and worker transfers derive from it.
+    """
+
+    def __init__(
+        self, addresses: Sequence[IpAddress] = (), rows: np.ndarray | None = None
+    ) -> None:
+        self.addresses: list[IpAddress] = list(addresses)
+        self._ids = {address: index for index, address in enumerate(self.addresses)}
+        self._rows = np.empty(0, dtype=LOG_DTYPE) if rows is None else rows
+        self._ints: list[int] = []
+        self._floats: list[float] = []
+
+    def __reduce__(self):
+        return (FlowLog, (self.addresses, self.rows))
+
+    def __len__(self) -> int:
+        return self._rows.size + len(self._floats) // 2
+
+    def _intern(self, address: IpAddress) -> int:
+        index = self._ids[address] = len(self.addresses)
+        self.addresses.append(address)
+        return index
+
+    def append(
+        self,
+        protocol: int,
+        src: IpAddress,
+        dst: IpAddress,
+        sport: int,
+        dport: int,
+        start: float,
+        end: float,
+        bytes_out: int,
+        bytes_in: int,
+        packets_out: int,
+        packets_in: int,
+        icmp: tuple[int, int, int] | None = None,
+    ) -> None:
+        """Log one finished flow (``protocol`` is a :class:`Protocol`
+        value; ``icmp`` the (type, code, id) of ICMP flows).  Checked when
+        the log is sealed."""
+        ids = self._ids
+        src_id = ids.get(src)
+        if src_id is None:
+            src_id = self._intern(src)
+        dst_id = ids.get(dst)
+        if dst_id is None:
+            dst_id = self._intern(dst)
+        self._ints.extend(
+            (protocol, src_id, dst_id, sport, dport, *(icmp or _NO_ICMP),
+             bytes_out, bytes_in, packets_out, packets_in)
+        )
+        self._floats.extend((start, end))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The sealed log (seals pending appends first)."""
+        if self._floats:
+            self.seal()
+        return self._rows
+
+    def seal(self) -> np.ndarray:
+        """Validate the pending appends and move them into the array."""
+        ints = np.array(self._ints, dtype=np.int64).reshape(-1, len(_INT_FIELDS))
+        floats = np.array(self._floats, dtype=np.float64).reshape(-1, 2)
+        family = np.array([a.family.value for a in self.addresses], dtype=np.int8)
+        _check_rows(ints, floats, family)
+        new = np.empty(len(floats), dtype=LOG_DTYPE)
+        for column, name in enumerate(_INT_FIELDS):
+            new[name] = ints[:, column]
+        new["start"], new["end"] = floats[:, 0], floats[:, 1]
+        self._rows = np.concatenate((self._rows, new)) if self._rows.size else new
+        self._ints, self._floats = [], []
+        return self._rows
+
+
+def _check_rows(ints: np.ndarray, floats: np.ndarray, family: np.ndarray) -> None:
+    """The checks of ``IcmpInfo``, ``FlowKey``, ``FlowRecord`` and the
+    monitor's day binning, vectorized; raises the same ``ValueError``."""
+    protocol, src, dst, sport, dport, icmp_type, icmp_code, icmp_id = ints[:, :8].T
+    start, end = floats.T
+    icmp = protocol == Protocol.ICMP.value
+    has_info = icmp_type != _NO_ICMP[0]
+    ports = ints[:, 3:5]
+    bad_ports = ports[~icmp[:, None] & ((ports < 0) | (ports > 0xFFFF))]
+    checks = (
+        (
+            has_info & ((icmp_type < 0) | (icmp_type > 255) | (icmp_code < 0) | (icmp_code > 255)),
+            "ICMP type and code must fit in one byte",
+        ),
+        (has_info & ((icmp_id < 0) | (icmp_id > 0xFFFF)), "ICMP id must fit in two bytes"),
+        (family[src] != family[dst], "flow endpoints must share an address family"),
+        (icmp & ~has_info, "ICMP flows must carry IcmpInfo"),
+        (icmp & ((sport != 0) | (dport != 0)), "ICMP flows have no ports"),
+        (~icmp & has_info, "only ICMP flows carry IcmpInfo"),
+        (end < start, "flow cannot end before it starts"),
+        ((ints[:, 8:] < 0).any(axis=1), "counters cannot be negative"),
+        (start < 0, "timestamps before the sim epoch are not allowed"),
+    )
+    for bad, message in checks:
+        if bad.any():
+            raise ValueError(message)
+    if bad_ports.size:
+        raise ValueError(f"port {bad_ports[0]} out of range")
+
+
 @dataclass
 class FlowMonitor:
-    """Collects finished flows into per-day logs, split by scope.
+    """Collects finished flows into one append-only column log.
 
-    Wire it to a :class:`ConntrackTable` with :meth:`attach`; every DESTROY
-    event lands in ``daily_logs[day][scope]``.
+    :attr:`log` is the monitor's only storage.  The traffic generator
+    appends to it directly; the measurement path enters through
+    :meth:`observe`, or :meth:`attach` to a :class:`ConntrackTable`,
+    whose DESTROY events land in the same log.
 
-    Reads are cached: :meth:`records` memoizes each ``(scope, day)``
-    concatenation (the analysis layer's 26 artifacts used to pay a full
-    O(total flows) list rebuild per call) and :meth:`frame` memoizes the
-    columnar :class:`~repro.flowmon.frame.FlowFrame` view.  Both caches
-    are invalidated whenever :meth:`observe` logs a new flow.
+    Two views derive from the log, each built on first use and dropped
+    when the log grows: the columnar :class:`~repro.flowmon.frame.
+    FlowFrame` (:meth:`frame`) the analyses read, and the
+    :class:`FlowRecord` projection (:meth:`records`, :attr:`daily_logs`)
+    for the exporter and record-level tests.  Both follow the canonical
+    order: days ascending, scopes in :class:`FlowScope` declaration
+    order, appends within.
     """
 
     config: RouterConfig
-    daily_logs: dict[int, dict[FlowScope, list[FlowRecord]]] = field(default_factory=dict)
-    records_seen: int = 0
-    #: Bumped on every :meth:`observe`; cheap staleness stamp for callers
-    #: (e.g. ``ResidenceDataset``) holding derived views of this log.
-    version: int = 0
-    _records_cache: dict[tuple, list[FlowRecord]] = field(
+    log: FlowLog = field(default_factory=FlowLog, repr=False)
+    _frame_cache: object = field(default=None, repr=False, compare=False)
+    _projection: dict[tuple, list[FlowRecord]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _frame_cache: object = field(default=None, repr=False, compare=False)
+    _views_at: int = field(default=0, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # The record projection is rebuilt on demand, never persisted.
+        return {**self.__dict__, "_projection": {}}
+
+    @property
+    def version(self) -> int:
+        """Flows logged so far.  The log is append-only, so the count is
+        also the staleness stamp of any view derived from it."""
+        return len(self.log)
+
+    records_seen = version
+
+    def _fresh(self) -> None:
+        """Drop the derived views if the log grew since they were built."""
+        if self._views_at != len(self.log):
+            self._views_at = len(self.log)
+            self._frame_cache = None
+            self._projection = {}
 
     def attach(self, table: ConntrackTable) -> None:
         table.subscribe(self._on_event)
@@ -91,16 +262,17 @@ class FlowMonitor:
         self.observe(event.record)
 
     def observe(self, record: FlowRecord) -> FlowScope:
-        """Classify and log one finished flow; returns its scope."""
-        scope = self.classify(record)
-        day = day_index(record.start_time)
-        self.daily_logs.setdefault(day, {}).setdefault(scope, []).append(record)
-        self.records_seen += 1
-        self.version += 1
-        if self._records_cache:
-            self._records_cache.clear()
-        self._frame_cache = None
-        return scope
+        """Log one finished flow; returns its scope."""
+        day_index(record.start_time)  # refuse pre-epoch flows up front
+        key = record.key
+        icmp = key.icmp
+        self.log.append(
+            key.protocol.value, key.src, key.dst, key.sport, key.dport,
+            record.start_time, record.end_time,
+            record.bytes_out, record.bytes_in, record.packets_out, record.packets_in,
+            None if icmp is None else (icmp.icmp_type, icmp.icmp_code, icmp.icmp_id),
+        )
+        return self.classify(record)
 
     def classify(self, record: FlowRecord) -> FlowScope:
         src_local = self.config.is_local(record.key.src)
@@ -111,40 +283,91 @@ class FlowMonitor:
             return FlowScope.EXTERNAL
         return FlowScope.TRANSIT
 
-    def records(
-        self, scope: FlowScope | None = None, day: int | None = None
-    ) -> list[FlowRecord]:
-        """All logged records, optionally filtered by scope and/or day.
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """How the log maps onto the canonical order.
 
-        The returned list is a cached view -- treat it as read-only.  It
-        is rebuilt automatically after the next :meth:`observe`.
+        Returns ``(order, scope, src_local)``: the permutation from log
+        rows to canonical rows (a stable sort on (day, scope)), then each
+        log row's scope code and whether its source is local.  The
+        router config is asked once per distinct address.
         """
-        key = (scope, day)
-        cached = self._records_cache.get(key)
-        if cached is not None:
-            return cached
-        days = [day] if day is not None else sorted(self.daily_logs)
-        found: list[FlowRecord] = []
-        for d in days:
-            per_scope = self.daily_logs.get(d, {})
-            scopes = [scope] if scope is not None else list(FlowScope)
-            for s in scopes:
-                found.extend(per_scope.get(s, []))
-        self._records_cache[key] = found
-        return found
+        rows = self.log.rows
+        addresses = self.log.addresses
+        local = np.fromiter(
+            map(self.config.is_local, addresses), dtype=bool, count=len(addresses)
+        )
+        src_local = local[rows["src"]]
+        dst_local = local[rows["dst"]]
+        scope = np.full(rows.size, SCOPE_CODES[FlowScope.TRANSIT], dtype=np.int8)
+        scope[src_local | dst_local] = SCOPE_CODES[FlowScope.EXTERNAL]
+        scope[src_local & dst_local] = SCOPE_CODES[FlowScope.INTERNAL]
+        day = (rows["start"] // DAY).astype(np.int32)
+        return np.lexsort((scope, day)), scope, src_local
 
     def frame(self):
         """The columnar :class:`~repro.flowmon.frame.FlowFrame` view of
         this log (core columns only, no attribution), built once and
-        invalidated on :meth:`observe`."""
+        rebuilt after the log grows."""
+        self._fresh()
         if self._frame_cache is None:
             from repro.flowmon.frame import FlowFrame
 
             self._frame_cache = FlowFrame.from_monitor(self)
         return self._frame_cache
 
+    def records(
+        self, scope: FlowScope | None = None, day: int | None = None
+    ) -> list[FlowRecord]:
+        """All logged flows as records, optionally filtered by scope and/or day.
+
+        Records are a projection of the log, built on first use (sharing
+        the log's interned addresses) and kept until the log grows --
+        treat the returned list as read-only.
+        """
+        self._fresh()
+        key = (scope, day)
+        found = self._projection.get(key)
+        if found is None:
+            if key == (None, None):
+                found = self._project()
+            else:
+                everything = self.records()
+                rows = np.flatnonzero(self.frame().rows_matching(scope, day))
+                found = [everything[i] for i in rows.tolist()]
+            self._projection[key] = found
+        return found
+
+    def _project(self) -> list[FlowRecord]:
+        order, _, _ = self.layout()
+        rows = self.log.rows[order]
+        addresses = self.log.addresses
+        protocols = {p.value: p for p in Protocol}
+        return [
+            FlowRecord(
+                FlowKey(
+                    protocols[protocol], addresses[src], addresses[dst], sport, dport,
+                    IcmpInfo(icmp_type, icmp_code, icmp_id) if icmp_type >= 0 else None,
+                ),
+                start, end, bytes_out, bytes_in, packets_out, packets_in,
+            )
+            for (
+                protocol, src, dst, sport, dport, icmp_type, icmp_code, icmp_id,
+                start, end, bytes_out, bytes_in, packets_out, packets_in,
+            ) in zip(*(rows[name].tolist() for name in LOG_DTYPE.names))
+        ]
+
+    @property
+    def daily_logs(self) -> dict[int, dict[FlowScope, list[FlowRecord]]]:
+        """``{day: {scope: [records]}}``: the per-day upload batches,
+        projected from the log in canonical order."""
+        frame = self.frame()
+        logs: dict[int, dict[FlowScope, list[FlowRecord]]] = {}
+        for record, day, scope in zip(self.records(), frame.day.tolist(), frame.scope.tolist()):
+            logs.setdefault(day, {}).setdefault(SCOPES_BY_CODE[scope], []).append(record)
+        return logs
+
     def observed_days(self) -> list[int]:
-        return sorted(self.daily_logs)
+        return np.unique(self.frame().day).tolist()
 
     def external_peer(self, record: FlowRecord) -> IpAddress | None:
         """The non-local endpoint of an external flow (the "service" side)."""

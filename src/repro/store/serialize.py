@@ -2,10 +2,11 @@
 
 Layer values (:class:`~repro.datasets.scenarios.ResidenceStudy`, the
 census, the observatory, a whatif sweep) are arbitrary dataclass graphs
-whose *weight* is almost entirely NumPy -- the columnar frames and
-their interning tables.  Persisting them as one opaque pickle would
-bury those columns inside an unauditable byte stream; persisting only
-the columns would lose the graph.  This codec splits the difference:
+whose *weight* is almost entirely NumPy -- the flow monitors' column
+logs, the columnar frames and their interning tables.  Persisting them
+as one opaque pickle would bury those columns inside an unauditable
+byte stream; persisting only the columns would lose the graph.  This
+codec splits the difference:
 
 * every non-object-dtype :class:`numpy.ndarray` reachable from the
   value is **externalized** into a single ``.npz`` member (named
@@ -35,15 +36,7 @@ ARRAYS_FILE = "arrays.npz"
 
 
 class _ExternalizingPickler(pickle.Pickler):
-    """Pickler that swaps ndarrays for persistent ids into an npz dict.
-
-    It also lowers :class:`~repro.flowmon.monitor.FlowMonitor` record
-    logs into packed columns (:mod:`repro.flowmon.pack`): the store's
-    copy of a traffic layer carries its millions of ``FlowRecord``
-    objects as a few NumPy columns in the ``.npz``, and a warm-started
-    session only rebuilds them if something actually reads records --
-    the analyses read the (equally persisted) frames instead.
-    """
+    """Pickler that swaps ndarrays for persistent ids into an npz dict."""
 
     def __init__(self, buffer: io.BytesIO, arrays: dict[str, np.ndarray]) -> None:
         super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
@@ -62,14 +55,6 @@ class _ExternalizingPickler(pickle.Pickler):
                 self._arrays[name] = obj
             return name
         return None
-
-    def reducer_override(self, obj: Any):
-        from repro.flowmon.monitor import FlowMonitor
-        from repro.flowmon.pack import reduce_monitor
-
-        if type(obj) is FlowMonitor:
-            return reduce_monitor(obj)
-        return NotImplemented
 
 
 class _ExternalizedUnpickler(pickle.Unpickler):

@@ -48,8 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bump when the on-disk layout or the key derivation changes; entries
 #: stamped with another schema are invisible to this code (and ``gc``
-#: removes them).
-STORE_SCHEMA = 1
+#: removes them).  2: traffic layers store each monitor's column log;
+#: schema-1 payloads referenced the removed ``repro.flowmon.pack``.
+STORE_SCHEMA = 2
 
 #: The payload filename of rendered-artifact entries.
 ARTIFACT_FILE = "artifact.json"
@@ -360,11 +361,10 @@ class ArtifactStore:
     ) -> StoreEntry:
         """Persist one built session layer under its cache key.
 
-        Traffic layers get their per-residence frames built first: the
-        codec lowers the record log to lazy packed columns, so the
-        frames must be in the payload for a warm-started session to
-        analyze without ever rebuilding a record (the frames are what
-        the analyses read; building them is idempotent).
+        Traffic layers get their per-residence attributed frames built
+        first, so a warm-started session analyzes without deriving a
+        frame or resolving a peer (the frames are what the analyses
+        read; building them is idempotent).
 
         ``overwrite=True`` forces re-encoding and replacement of an
         existing entry -- the session's repair path after a failed load.

@@ -1,12 +1,21 @@
-"""Flow synthesis: from household schedules to conntrack records.
+"""Flow synthesis: from household schedules to the router's flow log.
 
 :class:`TrafficGenerator` turns a :class:`ResidenceProfile` plus the
-:class:`ServiceUniverse` into nine months of flow records, pushed through
-the real measurement path: every connection runs Happy Eyeballs against
-the chosen server's addresses, every resulting flow (including cancelled
-extra SYNs) enters the :class:`ConntrackTable`, and the
-:class:`FlowMonitor` files it into daily logs -- exactly what the paper's
-router monitor records.
+:class:`ServiceUniverse` into nine months of flows, as the paper's router
+monitor would record them: every connection runs Happy Eyeballs against
+the chosen server's addresses, and every resulting flow (including
+cancelled extra SYNs) is appended to the :class:`FlowMonitor`'s column
+log with its 5-tuple, timing and per-direction counters.
+
+Flows do not pass through a :class:`~repro.flowmon.conntrack.
+ConntrackTable` on the way.  That path built five objects per flow that
+no analysis read, and it checked nothing the log does not: sealing the
+log at the end of :meth:`TrafficGenerator.generate` runs the key, record
+and timestamp checks over every row at once.  The table's one extra
+check, a duplicate live key, cannot fire here: each flow would be
+created and destroyed in a single call, so the table is empty whenever
+a flow starts.  Packet counts use the table's estimate,
+:func:`~repro.flowmon.conntrack.default_packets`.
 
 Protocol choice is *emergent*, not assigned: a flow is IPv6 when the
 device has IPv6, the server fleet member is dual-stack, and IPv6 wins the
@@ -18,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.flowmon.conntrack import ConntrackTable, FlowKey, IcmpInfo, Protocol
-from repro.flowmon.monitor import FlowMonitor, FlowScope, RouterConfig
+from repro.flowmon.conntrack import Protocol, default_packets
+from repro.flowmon.monitor import FlowLog, FlowMonitor, FlowScope, RouterConfig
 from repro.happyeyeballs.algorithm import (
     HappyEyeballs,
     HappyEyeballsConfig,
@@ -88,6 +97,9 @@ INTERNAL_SHAPE = TrafficShape(
     udp_fraction=0.05,
 )
 
+#: Wire protocol numbers, as the flow log stores them.
+TCP, UDP, ICMP = Protocol.TCP.value, Protocol.UDP.value, Protocol.ICMP.value
+
 #: Size of the token exchange left behind by a cancelled/duplicate SYN race.
 ABORTED_FLOW_BYTES = (300, 1500)
 
@@ -113,7 +125,7 @@ class ResidenceDataset:
 
     Attributes:
         profile: the residence's study configuration.
-        monitor: the flow monitor holding daily logs.
+        monitor: the flow monitor holding the residence's flow log.
         universe: service-side attribution data (shared across residences).
         num_days: length of the observation window in days.
     """
@@ -178,11 +190,8 @@ class TrafficGenerator:
             raise ValueError("num_days must be >= 1")
         self._sport = self.SPORT_BASE
         devices = profile.build_devices()
-        monitor = FlowMonitor(
-            RouterConfig(name=profile.name, lan_v4=profile.lan_v4, lan_v6=profile.lan_v6)
-        )
-        table = ConntrackTable()
-        monitor.attach(table)
+        monitor = FlowMonitor(_router_config(profile))
+        log = monitor.log
         activity = profile.activity_model()
         rng = RngStream(self.seed, f"residence:{profile.name}")
 
@@ -197,13 +206,14 @@ class TrafficGenerator:
             for start in activity.human_session_times(day, day_rng):
                 device = self._pick_device(interactive, day_rng)
                 service = day_rng.weighted_choice(*human_services)
-                self._run_session(table, profile, device, service, start, day_rng)
+                self._run_session(log, profile, device, service, start, day_rng)
             for start in activity.background_session_times(day, day_rng):
                 device = self._pick_device(devices, day_rng)
                 service = day_rng.weighted_choice(*background_services)
-                self._run_session(table, profile, device, service, start, day_rng)
-            self._run_internal_sessions(table, profile, devices, day, day_rng)
+                self._run_session(log, profile, device, service, start, day_rng)
+            self._run_internal_sessions(log, profile, devices, day, day_rng)
 
+        log.seal()  # every key and record check, over all rows at once
         return ResidenceDataset(
             profile=profile,
             monitor=monitor,
@@ -247,13 +257,13 @@ class TrafficGenerator:
         if results is None:
             return {p.name: self.generate(p, num_days) for p in profiles}
         datasets: dict[str, ResidenceDataset] = {}
-        for profile, (name, monitor, devices) in zip(profiles, results):
+        for profile, (name, log, devices) in zip(profiles, results):
             # Workers rebuild an identical universe from the catalog;
             # rebind to the parent's so every dataset shares one
             # attribution substrate (registry identity included).
             datasets[name] = ResidenceDataset(
                 profile=profile,
-                monitor=monitor,
+                monitor=FlowMonitor(_router_config(profile), log),
                 universe=self.universe,
                 num_days=num_days,
                 devices=devices,
@@ -294,7 +304,7 @@ class TrafficGenerator:
 
     def _run_session(
         self,
-        table: ConntrackTable,
+        log: FlowLog,
         profile: ResidenceProfile,
         device: Device,
         service: ServiceProfile,
@@ -302,7 +312,7 @@ class TrafficGenerator:
         rng: RngStream,
     ) -> None:
         if rng.bernoulli(ICMP_PROBE_PROB) and service.kind is ApplicationKind.BACKGROUND:
-            self._run_icmp_probe(table, device, service, start, rng)
+            self._run_icmp_probe(log, device, service, start, rng)
             return
         shape = service.shape
         flow_count = max(1, rng.poisson(shape.flows_per_session))
@@ -310,11 +320,11 @@ class TrafficGenerator:
         for _ in range(flow_count):
             flow_start = start + offset
             offset += rng.exponential(5.0)
-            self._run_connection(table, profile, device, service, flow_start, rng)
+            self._run_connection(log, profile, device, service, flow_start, rng)
 
     def _run_connection(
         self,
-        table: ConntrackTable,
+        log: FlowLog,
         profile: ResidenceProfile,
         device: Device,
         service: ServiceProfile,
@@ -328,9 +338,9 @@ class TrafficGenerator:
         inbound = INBOUND_FRACTION[service.kind]
         low, high = DURATION_RANGE[service.kind]
         duration = rng.uniform(low, high)
-        protocol = Protocol.UDP if rng.bernoulli(shape.udp_fraction) else Protocol.TCP
+        protocol = UDP if rng.bernoulli(shape.udp_fraction) else TCP
         self._record_flow(
-            table,
+            log,
             device=device,
             server=server,
             family=family,
@@ -347,11 +357,11 @@ class TrafficGenerator:
             if rng.bernoulli(profile.dual_syn_probability):
                 other = Family.V4 if family is Family.V6 else Family.V6
                 self._record_flow(
-                    table,
+                    log,
                     device=device,
                     server=server,
                     family=other,
-                    protocol=Protocol.TCP,
+                    protocol=TCP,
                     dport=SERVICE_PORT[service.kind],
                     start=start,
                     duration=rng.uniform(0.1, 1.0),
@@ -384,11 +394,11 @@ class TrafficGenerator:
 
     def _record_flow(
         self,
-        table: ConntrackTable,
+        log: FlowLog,
         device: Device,
         server: ServerEndpoint,
         family: Family | None,
-        protocol: Protocol,
+        protocol: int,
         dport: int,
         start: float,
         duration: float,
@@ -401,18 +411,14 @@ class TrafficGenerator:
         dst = server.v4 if family is Family.V4 else server.v6
         if src is None or dst is None:  # pragma: no cover - guarded upstream
             return
-        key = FlowKey(protocol, src, dst, self._next_sport(), dport)
-        table.observe_flow(
-            key,
-            start_time=start,
-            end_time=start + duration,
-            bytes_out=bytes_out,
-            bytes_in=bytes_in,
+        log.append(
+            protocol, src, dst, self._next_sport(), dport, start, start + duration,
+            bytes_out, bytes_in, default_packets(bytes_out), default_packets(bytes_in),
         )
 
     def _run_icmp_probe(
         self,
-        table: ConntrackTable,
+        log: FlowLog,
         device: Device,
         service: ServiceProfile,
         start: float,
@@ -424,24 +430,16 @@ class TrafficGenerator:
         dst = server.v6 if use_v6 else server.v4
         if src is None or dst is None:
             return
-        key = FlowKey(
-            Protocol.ICMP, src, dst,
-            icmp=IcmpInfo(icmp_type=8, icmp_code=0, icmp_id=rng.randint(0, 0xFFFF)),
-        )
+        icmp = (8, 0, rng.randint(0, 0xFFFF))  # echo request: type 8, code 0
         probes = rng.randint(1, 5)
-        table.observe_flow(
-            key,
-            start_time=start,
-            end_time=start + probes,
-            bytes_out=64 * probes,
-            bytes_in=64 * probes,
-            packets_out=probes,
-            packets_in=probes,
+        log.append(
+            ICMP, src, dst, 0, 0, start, start + probes,
+            64 * probes, 64 * probes, probes, probes, icmp,
         )
 
     def _run_internal_sessions(
         self,
-        table: ConntrackTable,
+        log: FlowLog,
         profile: ResidenceProfile,
         devices: list[Device],
         day: int,
@@ -462,43 +460,44 @@ class TrafficGenerator:
             start = (day + rng.random()) * DAY
             for _ in range(max(1, rng.poisson(INTERNAL_SHAPE.flows_per_session))):
                 volume = INTERNAL_SHAPE.draw_flow_bytes(rng)
-                protocol = (
-                    Protocol.UDP
-                    if rng.bernoulli(INTERNAL_SHAPE.udp_fraction)
-                    else Protocol.TCP
-                )
+                protocol = UDP if rng.bernoulli(INTERNAL_SHAPE.udp_fraction) else TCP
                 src = first.address(family)
                 dst = second.address(family)
                 if src is None or dst is None:  # pragma: no cover
                     continue
-                key = FlowKey(protocol, src, dst, self._next_sport(), 445)
-                table.observe_flow(
-                    key,
-                    start_time=start,
-                    end_time=start + rng.uniform(5.0, 300.0),
-                    bytes_out=volume // 2,
-                    bytes_in=volume - volume // 2,
+                sport = self._next_sport()
+                end = start + rng.uniform(5.0, 300.0)
+                bytes_out = volume // 2
+                bytes_in = volume - bytes_out
+                log.append(
+                    protocol, src, dst, sport, 445, start, end, bytes_out, bytes_in,
+                    default_packets(bytes_out), default_packets(bytes_in),
                 )
                 start += rng.exponential(10.0)
+
+
+def _router_config(profile: ResidenceProfile) -> RouterConfig:
+    return RouterConfig(name=profile.name, lan_v4=profile.lan_v4, lan_v6=profile.lan_v6)
 
 
 def _generate_residence(
     task: tuple[
         list[ServiceProfile], int, HappyEyeballsConfig | None, ResidenceProfile, int
     ],
-) -> tuple[str, FlowMonitor, list[Device]]:
+) -> tuple[str, FlowLog, list[Device]]:
     """Worker-process entry: generate one residence from first principles.
 
     Rebuilds the (deterministic) service universe from the pickled
     catalog, so only the catalog, profile, and scalars cross the process
-    boundary on the way in and only the monitor and devices on the way
-    out.  Because every residence draws from the RNG substream
-    ``(seed, "residence:<name>")``, the result is bit-identical to the
-    sequential path.
+    boundary on the way in and only the sealed flow log (its column
+    array and address table) and the devices on the way out.  Because
+    every residence draws from the RNG substream ``(seed,
+    "residence:<name>")``, the result is bit-identical to the sequential
+    path.
     """
     catalog, seed, he_config, profile, num_days = task
     generator = TrafficGenerator(
         ServiceUniverse(catalog), seed=seed, he_config=he_config
     )
     dataset = generator.generate(profile, num_days)
-    return profile.name, dataset.monitor, dataset.devices
+    return profile.name, dataset.monitor.log, dataset.devices

@@ -6,10 +6,14 @@ Scenario`'s interventions say they must.  The mechanics ride the
 session's layer-key/builder methods:
 
 * for every layer the scenario **perturbs**, the overlay extends the
-  baseline cache key with the scenario's canonical spec and swaps in a
-  builder that applies the interventions' transforms (a mutated web
-  universe, a policy-transformed vantage fleet, a patched service
-  catalog / residence fleet / Happy Eyeballs config);
+  baseline cache key with the spec of the interventions that declare
+  that layer (in scenario order) and swaps in a builder that applies
+  exactly those interventions' transforms (a mutated web universe, a
+  policy-transformed vantage fleet, a patched service catalog /
+  residence fleet / Happy Eyeballs config) -- so key and build agree by
+  construction, and a composed scenario shares each layer with the
+  sub-scenario that perturbs it the same way (``dualstack:Amazon+ispv6``
+  reuses ``dualstack:Amazon``'s census and observatory);
 * for every **untouched** layer, keys and builders are inherited
   verbatim, so the overlay is a cache *hit* against the baseline --
   a sweep of twenty scenarios rebuilds zero censuses it didn't change.
@@ -74,7 +78,6 @@ class OverlayStudy(Study):
         #: baseline cache hit.  ``census`` perturbation implicitly
         #: re-derives cloud/dependencies/observatory via key cascade.
         self.perturbed: frozenset[str] = self.scenario.layers()
-        self._sig = ("whatif", self.scenario.spec())
 
     # -- key extension -----------------------------------------------------
 
@@ -94,19 +97,25 @@ class OverlayStudy(Study):
         }
         return f"whatif:{layer}" if perturbs.get(layer, True) else layer
 
+    def _acting_on(self, layer: str) -> list[Intervention]:
+        """The scenario's interventions that declare ``layer``, in order."""
+        return [iv for iv in self.scenario.interventions if layer in iv.LAYERS]
+
+    def _sig(self, layer: str) -> tuple:
+        """The key extension of ``layer``: the spec of its interventions."""
+        acting = self._acting_on(layer)
+        return ("whatif", "+".join(iv.spec() for iv in acting)) if acting else ()
+
     def _traffic_key(self) -> tuple:
-        key = super()._traffic_key()
-        return key + self._sig if "traffic" in self.perturbed else key
+        return super()._traffic_key() + self._sig("traffic")
 
     def _census_key(self) -> tuple:
-        key = super()._census_key()
-        return key + self._sig if "census" in self.perturbed else key
+        return super()._census_key() + self._sig("census")
 
     def _observatory_key(self) -> tuple:
         # Already includes _census_key(), so a census perturbation
         # cascades even when the fleet itself is untouched.
-        key = super()._observatory_key()
-        return key + self._sig if "observatory" in self.perturbed else key
+        return super()._observatory_key() + self._sig("observatory")
 
     # -- perturbed builders ------------------------------------------------
 
@@ -117,7 +126,7 @@ class OverlayStudy(Study):
         catalog: list[Any] = build_service_catalog()
         profiles: list[Any] = build_paper_residences()
         he_config = None
-        for intervention in self.scenario.interventions:
+        for intervention in self._acting_on("traffic"):
             catalog = intervention.transform_catalog(catalog)
             profiles = intervention.transform_profiles(profiles)
             he_config = intervention.transform_he_config(he_config)
@@ -133,7 +142,7 @@ class OverlayStudy(Study):
 
     def _build_census(self) -> CensusStudy:
         def mutate(ecosystem) -> None:
-            for intervention in self.scenario.interventions:
+            for intervention in self._acting_on("census"):
                 intervention.transform_ecosystem(ecosystem)
 
         return build_census(
@@ -155,7 +164,7 @@ class OverlayStudy(Study):
             seed=self.config.seed,
             parallel=self.config.parallel,
         )
-        for intervention in self.scenario.interventions:
+        for intervention in self._acting_on("observatory"):
             fleet = intervention.transform_fleet(fleet)
             obs_config = intervention.transform_observatory_config(obs_config)
         return run_observatory(census.ecosystem, obs_config, fleet=fleet)

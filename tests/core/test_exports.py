@@ -14,6 +14,7 @@ AGGREGATORS = [
     "repro.core",
     "repro.api",
     "repro.datasets",
+    "repro.flowmon",
     "repro.observatory",
     "repro.whatif",
     "repro.store",

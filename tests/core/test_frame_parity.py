@@ -6,6 +6,10 @@ The reference implementations below are the pre-columnar bodies of the
 :mod:`repro.core.client` functions, kept verbatim (record loops over
 ``monitor.records()``) so any numerical or ordering drift in the
 vectorized rewrites fails loudly.
+
+Records and frames are both views of one column log, so these tests
+pin the analyses, not generation: the generated frames themselves are
+pinned by digest in ``tests/traffic/test_generate_parallel.py``.
 """
 
 import numpy as np

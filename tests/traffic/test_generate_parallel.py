@@ -4,18 +4,33 @@ Determinism rests on two properties the tests below pin down: every
 residence draws from its own seeded RNG substream (so generation order
 cannot matter), and each residence allocates source ports from its own
 range (so a worker process starts from the same state as the sequential
-path).
+path).  The frames themselves are pinned too: a SHA-256 per residence of
+the attributed frame generated at seed 5 over 5 days.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from repro.flowmon.monitor import FlowLog, FlowMonitor
 from repro.traffic.apps import build_service_catalog
 from repro.traffic.generate import TrafficGenerator, _generate_residence
 from repro.traffic.residences import build_paper_residences
 from repro.traffic.universe import ServiceUniverse
 
 DAYS = 5
+
+#: Residence -> SHA-256 of its attributed frame (see ``_frame_digest``)
+#: at seed 5 over 5 days, as produced by the object-graph generator
+#: (conntrack events into record lists) this columnar one replaced.
+FRAME_SHA256 = {
+    "A": "d46b9a9f40946c6c4796dfd172f4cdc8efb0dd755b21758dcb8d541261ec46f5",
+    "B": "2c001cc04b9a4b8e6589ae39536724bcc7c9bcc7ad5890d7556bd1fa2917054c",
+    "C": "75d3b36c8fe38e91d70dd8b214ccb1af02752df27338470ec259a2e53e848467",
+    "D": "fbc2d8fe1d32c87360cbc525b2cd2c2092d46a64bb06dd43921b55feb94049ea",
+    "E": "beebfdc08452335f6b6e8586eeb92c2273148fec8505d3bb2c14c44db95f036d",
+}
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +50,27 @@ def _fingerprint(dataset):
     )
 
 
+def _frame_digest(frame) -> str:
+    digest = hashlib.sha256(frame.data.tobytes())
+    for peer in frame.peers:
+        digest.update(str(peer).encode() + b"\0")
+    digest.update(frame.peer_asn.tobytes())
+    digest.update(frame.peer_domain.tobytes())
+    for domain in frame.domains:
+        digest.update(domain.encode() + b"\0")
+    return digest.hexdigest()
+
+
+class TestFramePins:
+    def test_frames_match_the_pinned_digests(self, universe):
+        datasets = TrafficGenerator(universe, seed=5).generate_all(
+            build_paper_residences(), num_days=DAYS, parallel=False
+        )
+        assert {
+            name: _frame_digest(dataset.frame()) for name, dataset in datasets.items()
+        } == FRAME_SHA256
+
+
 class TestParallelDeterminism:
     def test_parallel_equals_sequential(self, universe):
         profiles = build_paper_residences()
@@ -51,13 +87,15 @@ class TestParallelDeterminism:
     def test_worker_entry_matches_inline(self, universe):
         profile = build_paper_residences()[0]
         inline = TrafficGenerator(universe, seed=5).generate(profile, num_days=DAYS)
-        name, monitor, devices = _generate_residence(
+        name, log, devices = _generate_residence(
             (universe.catalog, 5, None, profile, DAYS)
         )
         assert name == profile.name
         assert len(devices) == len(inline.devices)
-        assert monitor.records_seen == inline.monitor.records_seen
-        got = monitor.frame()
+        assert type(log) is FlowLog
+        assert log.rows.tobytes() == inline.monitor.log.rows.tobytes()
+        assert log.addresses == inline.monitor.log.addresses
+        got = FlowMonitor(inline.monitor.config, log).frame()
         want = inline.monitor.frame()
         assert got.data.tobytes() == want.data.tobytes()
         assert tuple(str(p) for p in got.peers) == tuple(

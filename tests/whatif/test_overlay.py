@@ -83,6 +83,84 @@ class TestCacheReuseAccounting:
         assert first is not second
 
 
+class TestComposedScenarioSharing:
+    #: A world no other test builds, so the deltas below are exact.
+    COMPOSED = StudyConfig(
+        days=3, sites=105, seed=1313, probe_targets=40, probe_interval_days=2,
+    )
+
+    def test_composition_reuses_its_sub_scenario_layers(self):
+        from repro.whatif import run_sweep
+
+        baseline = Study(self.COMPOSED)
+        baseline.traffic, baseline.census, baseline.observatory
+        before = BUILD_COUNTS.copy()
+        run_sweep(baseline, ("dualstack:Amazon", "dualstack:Amazon+ispv6"), parallel=False)
+        # Both scenarios regenerate traffic, but only dualstack touches
+        # the census, so the composition reuses its census and observatory.
+        assert _deltas(before) == {
+            "whatif:traffic": 2,
+            "whatif:census": 1,
+            "whatif:observatory": 1,
+        }
+
+    def test_layer_keys_carry_only_the_declaring_interventions(self):
+        single = OverlayStudy(self.COMPOSED, "dualstack:Amazon")
+        composed = OverlayStudy(self.COMPOSED, "dualstack:Amazon+ispv6")
+        assert composed._census_key() == single._census_key()
+        assert composed._observatory_key() == single._observatory_key()
+        assert composed._traffic_key() != single._traffic_key()
+        assert composed._traffic_key()[-1] == "dualstack:Amazon+ispv6"
+
+
+#: Each perturbable layer's transform hooks.
+LAYER_HOOKS = {
+    "traffic": ("transform_profiles", "transform_catalog", "transform_he_config"),
+    "census": ("transform_ecosystem",),
+    "observatory": ("transform_fleet", "transform_observatory_config"),
+}
+
+
+class TestUndeclaredHooksAreIdentity:
+    """Builders apply only the interventions declaring their layer; that
+    is output-neutral because every other hook is the identity."""
+
+    def test_hooks_cover_the_perturbable_layers(self):
+        from repro.whatif.spec import PERTURBABLE_LAYERS
+
+        assert set(LAYER_HOOKS) == PERTURBABLE_LAYERS
+
+    @pytest.mark.parametrize("kind", ["ispv6", "dualstack", "nat64", "block", "accelerate", "hetimer"])
+    def test_undeclared_layers_keep_the_base_hooks(self, kind):
+        from repro.whatif.spec import INTERVENTION_TYPES, Intervention
+
+        cls = INTERVENTION_TYPES[kind]
+        for layer, hooks in LAYER_HOOKS.items():
+            if layer not in cls.LAYERS:
+                for hook in hooks:
+                    assert getattr(cls, hook) is getattr(Intervention, hook), (kind, hook)
+
+    def test_base_hooks_return_their_input(self):
+        from repro.happyeyeballs.algorithm import HappyEyeballsConfig
+        from repro.observatory.rounds import ObservatoryConfig
+        from repro.observatory.vantage import build_vantage_fleet
+        from repro.traffic.apps import build_service_catalog
+        from repro.traffic.residences import build_paper_residences
+        from repro.whatif.spec import Intervention
+
+        base = Intervention()
+        for hook, value in (
+            ("transform_profiles", build_paper_residences()),
+            ("transform_catalog", build_service_catalog()),
+            ("transform_he_config", HappyEyeballsConfig()),
+            ("transform_he_config", None),
+            ("transform_fleet", build_vantage_fleet()),
+            ("transform_observatory_config", ObservatoryConfig(num_days=3)),
+        ):
+            assert getattr(base, hook)(value) is value, hook
+        assert base.transform_ecosystem(object()) is None  # mutates nothing
+
+
 class TestOverlaySemantics:
     def test_nat64_raises_availability_in_that_country_only(self, baseline):
         from repro.whatif.sweep import availability_by_country
