@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 
 from repro.crawler.crawl import CensusConfig, WebCensus
 from repro.crawler.records import CrawlDataset
-from repro.traffic.apps import build_service_catalog
-from repro.traffic.generate import ResidenceDataset, TrafficGenerator
-from repro.traffic.residences import build_paper_residences
+from repro.flowmon.monitor import FlowMonitor
+from repro.happyeyeballs.algorithm import HappyEyeballsConfig
+from repro.traffic.apps import ServiceProfile, build_service_catalog
+from repro.traffic.draws import realize
+from repro.traffic.generate import ResidenceDataset, TrafficGenerator, router_config
+from repro.traffic.residences import ResidenceProfile, build_paper_residences
 from repro.traffic.universe import ServiceUniverse
 from repro.web.ecosystem import WebEcosystem, WebEcosystemConfig
 
@@ -93,9 +96,6 @@ def build_residence_study(
     seed: int = 42,
     residences: tuple[str, ...] | None = None,
     parallel: bool | int | None = None,
-    catalog: list | None = None,
-    profiles: list | None = None,
-    he_config=None,
 ) -> ResidenceStudy:
     """Generate the five-residence traffic study (paper section 3).
 
@@ -105,17 +105,10 @@ def build_residence_study(
         residences: restrict to a subset of "A".."E" (all by default).
         parallel: fan residences out over worker processes (``None``
             auto-detects; results are identical to the sequential path).
-        catalog: replacement service catalog (what-if overlays hand in a
-            transformed copy; default :func:`build_service_catalog`).
-        profiles: replacement residence profiles (what-if overlays;
-            default :func:`build_paper_residences`), filtered by
-            ``residences`` either way.
-        he_config: Happy Eyeballs timer overrides for the client stacks
-            (``None`` keeps the RFC 8305 defaults).
     """
-    universe = ServiceUniverse(catalog if catalog is not None else build_service_catalog())
-    generator = TrafficGenerator(universe, seed=seed, he_config=he_config)
-    profiles = list(profiles) if profiles is not None else build_paper_residences()
+    universe = ServiceUniverse(build_service_catalog())
+    generator = TrafficGenerator(universe, seed=seed)
+    profiles = build_paper_residences()
     if residences is not None:
         wanted = set(residences)
         profiles = [p for p in profiles if p.name in wanted]
@@ -123,6 +116,43 @@ def build_residence_study(
             raise ValueError(f"no residences match {residences!r}")
     datasets = generator.generate_all(profiles, num_days=num_days, parallel=parallel)
     return ResidenceStudy(universe=universe, datasets=datasets, num_days=num_days)
+
+
+def realize_residence_study(
+    baseline: ResidenceStudy,
+    catalog: list[ServiceProfile],
+    profiles: list[ResidenceProfile],
+    he_config: HappyEyeballsConfig | None = None,
+) -> ResidenceStudy:
+    """Re-run IPv6 negotiation over a baseline study's recorded draws.
+
+    Every residence of ``baseline`` is realized
+    (:func:`~repro.traffic.draws.realize`) from its draws, with the
+    devices of its profile in ``profiles``, a universe built from
+    ``catalog`` and the Happy Eyeballs timers ``he_config``.  Only what
+    negotiation reads may differ from the baseline's inputs -- device
+    WAN capability, a service's IPv6 support, the timers -- so the
+    result keeps the baseline's households, sessions, servers, sizes
+    and timings (the what-if overlays' common random numbers).  The
+    realized datasets carry no draws of their own.
+    """
+    universe = ServiceUniverse(catalog)
+    by_name = {profile.name: profile for profile in profiles}
+    datasets: dict[str, ResidenceDataset] = {}
+    for name, base in baseline.datasets.items():
+        if base.draws is None:
+            raise ValueError(f"residence {name} carries no draws to realize")
+        profile = by_name[name]
+        devices = profile.build_devices()
+        log = realize(base.draws, devices, universe, he_config)
+        datasets[name] = ResidenceDataset(
+            profile=profile,
+            monitor=FlowMonitor(router_config(profile), log),
+            universe=universe,
+            num_days=baseline.num_days,
+            devices=devices,
+        )
+    return ResidenceStudy(universe=universe, datasets=datasets, num_days=baseline.num_days)
 
 
 def build_census(

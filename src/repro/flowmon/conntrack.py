@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.net.addr import Family, IpAddress
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class Protocol(enum.Enum):
@@ -87,10 +90,18 @@ class FlowKey:
         return self.family is Family.V6
 
 
-def default_packets(byte_count: int) -> int:
+#: Bytes per packet in the :func:`default_packets` estimate.
+PACKET_BYTES = 1400
+
+
+def default_packets(byte_count: int | np.ndarray) -> int | np.ndarray:
     """Packets for a direction when only bytes are known: a rough
-    bytes/1400 estimate, at least one packet if any byte moved."""
-    return max(1, byte_count // 1400) if byte_count else 0
+    bytes/1400 estimate, at least one packet if any byte moved.
+
+    Takes one count or an integer array of them (elementwise), so the
+    traffic generator's vectorized flows share this one definition.
+    """
+    return byte_count // PACKET_BYTES + ((0 < byte_count) & (byte_count < PACKET_BYTES))
 
 
 class ConntrackEventType(enum.Enum):

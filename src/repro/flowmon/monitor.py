@@ -162,19 +162,44 @@ class FlowLog:
             self.seal()
         return self._rows
 
+    @classmethod
+    def from_columns(
+        cls, addresses: Sequence[IpAddress], columns: dict[str, np.ndarray]
+    ) -> "FlowLog":
+        """A sealed log of whole columns, one per :data:`LOG_DTYPE`
+        field (``icmp_type`` -1 where a flow carries no ICMP info) with
+        ``src``/``dst`` as ids into ``addresses``; checked like
+        :meth:`seal` checks appends."""
+        ints = np.column_stack([columns[name] for name in _INT_FIELDS]).astype(
+            np.int64, copy=False
+        )
+        floats = np.column_stack((columns["start"], columns["end"])).astype(
+            np.float64, copy=False
+        )
+        return cls(addresses, _checked_rows(ints, floats, addresses))
+
     def seal(self) -> np.ndarray:
         """Validate the pending appends and move them into the array."""
         ints = np.array(self._ints, dtype=np.int64).reshape(-1, len(_INT_FIELDS))
         floats = np.array(self._floats, dtype=np.float64).reshape(-1, 2)
-        family = np.array([a.family.value for a in self.addresses], dtype=np.int8)
-        _check_rows(ints, floats, family)
-        new = np.empty(len(floats), dtype=LOG_DTYPE)
-        for column, name in enumerate(_INT_FIELDS):
-            new[name] = ints[:, column]
-        new["start"], new["end"] = floats[:, 0], floats[:, 1]
+        new = _checked_rows(ints, floats, self.addresses)
         self._rows = np.concatenate((self._rows, new)) if self._rows.size else new
         self._ints, self._floats = [], []
         return self._rows
+
+
+def _checked_rows(
+    ints: np.ndarray, floats: np.ndarray, addresses: Sequence[IpAddress]
+) -> np.ndarray:
+    """Validate rows given as an integer and a float matrix (fields in
+    :data:`LOG_DTYPE` order) and pack them into :data:`LOG_DTYPE`."""
+    family = np.array([a.family.value for a in addresses], dtype=np.int8)
+    _check_rows(ints, floats, family)
+    rows = np.empty(len(floats), dtype=LOG_DTYPE)
+    for column, name in enumerate(_INT_FIELDS):
+        rows[name] = ints[:, column]
+    rows["start"], rows["end"] = floats[:, 0], floats[:, 1]
+    return rows
 
 
 def _check_rows(ints: np.ndarray, floats: np.ndarray, family: np.ndarray) -> None:

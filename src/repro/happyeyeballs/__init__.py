@@ -17,6 +17,7 @@ from repro.happyeyeballs.algorithm import (
     HappyEyeballsResult,
     StaticConnectivity,
     interleave_addresses,
+    race_winners,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "HappyEyeballsResult",
     "StaticConnectivity",
     "interleave_addresses",
+    "race_winners",
 ]

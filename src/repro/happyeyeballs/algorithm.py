@@ -19,6 +19,11 @@ cancelled IPv4 attempt still shows up as a flow at the router -- exactly
 the effect the paper blames for flow counts overstating IPv4 use
 (section 3.2: "Happy Eyeballs may result in both IPv4 and IPv6 flows being
 recorded, even when nearly all bytes are sent over just one").
+
+:class:`HappyEyeballs` races one connection at a time, with every attempt
+it made.  :func:`race_winners` is its closed form for the case the
+residential traffic needs -- one address per family, only the winning
+family -- over whole arrays of connections at once.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
+
+import numpy as np
 
 from repro.net.addr import Family, IpAddress
 
@@ -36,6 +43,12 @@ DEFAULT_FIRST_FAMILY_COUNT = 1
 
 #: Give up entirely after this long without any successful handshake.
 DEFAULT_OVERALL_TIMEOUT = 10.0
+
+#: When the A answer arrives, relative to query start, unless told otherwise.
+DEFAULT_RESOLUTION_TIME = 0.010
+
+#: :func:`race_winners`' code for "no attempt completed in time".
+NO_FAMILY = 0
 
 
 class Connectivity(Protocol):
@@ -175,8 +188,8 @@ class HappyEyeballs:
         v4_addresses: Sequence[IpAddress],
         v6_addresses: Sequence[IpAddress],
         connectivity: Connectivity,
-        v4_resolution_time: float = 0.010,
-        v6_resolution_time: float = 0.010,
+        v4_resolution_time: float = DEFAULT_RESOLUTION_TIME,
+        v6_resolution_time: float = DEFAULT_RESOLUTION_TIME,
     ) -> HappyEyeballsResult:
         """Race connections to the resolved addresses.
 
@@ -311,3 +324,59 @@ class HappyEyeballs:
         return interleave_addresses(
             v4_addresses, [], Family.V4, cfg.first_address_family_count
         ) + list(v6_addresses)
+
+
+def race_winners(
+    v4_latency: np.ndarray,
+    v6_latency: np.ndarray,
+    v6_resolution_time: np.ndarray,
+    config: HappyEyeballsConfig | None = None,
+    v4_resolution_time: float = DEFAULT_RESOLUTION_TIME,
+) -> np.ndarray:
+    """The winning family of many one-address-per-family races at once.
+
+    The closed form of :meth:`HappyEyeballs.connect` when each family
+    resolved to exactly one reachable address: attempts start when
+    connect's schedule starts them, the earlier completion wins (the
+    first attempt on a tie), and a completion after ``overall_timeout``
+    counts for nothing.  With a single address per family the
+    interleaving never depends on ``first_address_family_count``.
+
+    Args:
+        v4_latency / v6_latency: each connection's handshake latencies.
+        v6_resolution_time: when each connection's AAAA answer arrived.
+        config: the timers (``None`` keeps the RFC 8305 defaults).
+        v4_resolution_time: when the A answers arrived.
+
+    Returns:
+        An ``int8`` array of :class:`Family` values (4 or 6), with
+        :data:`NO_FAMILY` where no attempt completed in time.
+    """
+    cfg = config or HappyEyeballsConfig()
+    v4_latency = np.asarray(v4_latency, dtype=np.float64)
+    v6_latency = np.asarray(v6_latency, dtype=np.float64)
+    r6 = np.asarray(v6_resolution_time, dtype=np.float64)
+    r4 = v4_resolution_time
+    # Section 3: an AAAA in hand first starts the race at once; after
+    # the A answer, the race waits up to the resolution delay for it.
+    start = np.where(r6 <= r4, r6, np.minimum(r6, r4 + cfg.resolution_delay))
+    # Section 4: a family whose answer is still missing at the start
+    # goes second; with both known, the preferred family leads.
+    both_known = (r6 <= start) & (r4 <= start)
+    v6_first = (r6 < r4) | (both_known & (cfg.preferred_family is Family.V6))
+    # Section 5: the second attempt waits one attempt delay, and no
+    # attempt starts before its family's answer arrived.
+    first_end = np.maximum(start, np.where(v6_first, r6, r4)) + np.where(
+        v6_first, v6_latency, v4_latency
+    )
+    second_end = np.maximum(start + cfg.attempt_delay, np.where(v6_first, r4, r6)) + (
+        np.where(v6_first, v4_latency, v6_latency)
+    )
+    deadline = start + cfg.overall_timeout
+    first_ok = first_end <= deadline
+    second_ok = second_end <= deadline
+    second_wins = second_ok & (~first_ok | (second_end < first_end))
+    v6_wins = np.where(second_wins, ~v6_first, v6_first)
+    winner = np.where(v6_wins, Family.V6.value, Family.V4.value).astype(np.int8)
+    winner[~(first_ok | second_ok)] = NO_FAMILY
+    return winner

@@ -50,7 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: stamped with another schema are invisible to this code (and ``gc``
 #: removes them).  2: traffic layers store each monitor's column log;
 #: schema-1 payloads referenced the removed ``repro.flowmon.pack``.
-STORE_SCHEMA = 2
+#: 3: traffic layers carry each residence's draws, which every traffic
+#: what-if re-races; a schema-2 payload would load without them.
+STORE_SCHEMA = 3
 
 #: The payload filename of rendered-artifact entries.
 ARTIFACT_FILE = "artifact.json"

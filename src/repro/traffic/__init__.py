@@ -24,6 +24,7 @@ from repro.traffic.apps import (
     build_service_catalog,
 )
 from repro.traffic.devices import Device, DeviceKind
+from repro.traffic.draws import TrafficDraws, realize
 from repro.traffic.generate import ResidenceDataset, TrafficGenerator
 from repro.traffic.residences import ResidenceProfile, build_paper_residences
 from repro.traffic.universe import ServerEndpoint, ServiceUniverse
@@ -38,6 +39,8 @@ __all__ = [
     "build_service_catalog",
     "Device",
     "DeviceKind",
+    "TrafficDraws",
+    "realize",
     "ResidenceDataset",
     "TrafficGenerator",
     "ResidenceProfile",

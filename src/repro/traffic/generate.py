@@ -2,20 +2,31 @@
 
 :class:`TrafficGenerator` turns a :class:`ResidenceProfile` plus the
 :class:`ServiceUniverse` into nine months of flows, as the paper's router
-monitor would record them: every connection runs Happy Eyeballs against
-the chosen server's addresses, and every resulting flow (including
-cancelled extra SYNs) is appended to the :class:`FlowMonitor`'s column
-log with its 5-tuple, timing and per-direction counters.
+monitor would record them, in two steps:
+
+* **draw** (:meth:`TrafficGenerator.draw`): the session loop walks each
+  day's sessions and makes every random draw -- devices, services,
+  servers, sizes, timings, and the variates of each connection's Happy
+  Eyeballs race and dual-SYN exchange -- recording them as a
+  :class:`~repro.traffic.draws.TrafficDraws` column table instead of
+  racing connection by connection;
+* **realize** (:func:`~repro.traffic.draws.realize`): one vectorized
+  pass decides every race with the closed form of RFC 8305 and builds
+  the monitor's column log, cancelled extra SYNs included, with each
+  flow's 5-tuple, timing and per-direction counters.
+
+A baseline build is draw + realize.  The traffic what-ifs re-realize a
+baseline's draws under transformed devices, servers or timers, without
+drawing again (:mod:`repro.whatif.overlay`).
 
 Flows do not pass through a :class:`~repro.flowmon.conntrack.
 ConntrackTable` on the way.  That path built five objects per flow that
-no analysis read, and it checked nothing the log does not: sealing the
-log at the end of :meth:`TrafficGenerator.generate` runs the key, record
-and timestamp checks over every row at once.  The table's one extra
-check, a duplicate live key, cannot fire here: each flow would be
-created and destroyed in a single call, so the table is empty whenever
-a flow starts.  Packet counts use the table's estimate,
-:func:`~repro.flowmon.conntrack.default_packets`.
+no analysis read, and it checked nothing the log does not: the realized
+log runs the key, record and timestamp checks over every row at once.
+The table's one extra check, a duplicate live key, cannot fire here:
+each flow would be created and destroyed in a single call, so the table
+is empty whenever a flow starts.  Packet counts use the table's
+estimate, :func:`~repro.flowmon.conntrack.default_packets`.
 
 Protocol choice is *emergent*, not assigned: a flow is IPv6 when the
 device has IPv6, the server fleet member is dual-stack, and IPv6 wins the
@@ -27,14 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.flowmon.conntrack import Protocol, default_packets
 from repro.flowmon.monitor import FlowLog, FlowMonitor, FlowScope, RouterConfig
-from repro.happyeyeballs.algorithm import (
-    HappyEyeballs,
-    HappyEyeballsConfig,
-    StaticConnectivity,
-)
-from repro.net.addr import Family
 from repro.traffic.apps import (
     ApplicationKind,
     ServiceProfile,
@@ -42,8 +46,23 @@ from repro.traffic.apps import (
     build_service_catalog,
 )
 from repro.traffic.devices import Device
+from repro.traffic.draws import (
+    ABORTED_FLOW_BYTES,
+    DUAL_SYN_BYTES_OUT,
+    DUAL_SYN_DURATION,
+    ICMP_V6_PROB,
+    MIN_LATENCY,
+    SLOW_AAAA_PROB,
+    TCP,
+    UDP,
+    V4_LATENCY,
+    V6_LATENCY,
+    DrawLog,
+    TrafficDraws,
+    realize,
+)
 from repro.traffic.residences import ResidenceProfile
-from repro.traffic.universe import ServerEndpoint, ServiceUniverse
+from repro.traffic.universe import ServiceUniverse
 from repro.util.procpool import map_in_pool, resolve_worker_count
 from repro.util.rng import RngStream
 from repro.util.timeutil import DAY
@@ -97,12 +116,6 @@ INTERNAL_SHAPE = TrafficShape(
     udp_fraction=0.05,
 )
 
-#: Wire protocol numbers, as the flow log stores them.
-TCP, UDP, ICMP = Protocol.TCP.value, Protocol.UDP.value, Protocol.ICMP.value
-
-#: Size of the token exchange left behind by a cancelled/duplicate SYN race.
-ABORTED_FLOW_BYTES = (300, 1500)
-
 #: Machine-traffic diet shared by all residences (updates, telemetry).
 BACKGROUND_WEIGHTS: dict[str, float] = {
     "Microsoft Updates": 3.0,
@@ -114,10 +127,6 @@ BACKGROUND_WEIGHTS: dict[str, float] = {
 #: Probability a background session is an ICMP health probe.
 ICMP_PROBE_PROB = 0.05
 
-#: Probability the AAAA answer arrives too late for the resolution delay.
-SLOW_AAAA_PROB = 0.08
-SLOW_AAAA_LATENCY = 0.200
-
 
 @dataclass
 class ResidenceDataset:
@@ -128,6 +137,10 @@ class ResidenceDataset:
         monitor: the flow monitor holding the residence's flow log.
         universe: service-side attribution data (shared across residences).
         num_days: length of the observation window in days.
+        devices: the residence's device fleet.
+        draws: the draws the log was realized from; a what-if overlay
+            re-realizes them.  ``None`` for datasets that are themselves
+            realizations of another dataset's draws, which never fork.
     """
 
     profile: ResidenceProfile
@@ -135,6 +148,7 @@ class ResidenceDataset:
     universe: ServiceUniverse
     num_days: int
     devices: list[Device] = field(default_factory=list)
+    draws: TrafficDraws | None = field(default=None, repr=False, compare=False)
     _frame: "FlowFrame | None" = field(default=None, repr=False, compare=False)
     _frame_version: int = field(default=-1, repr=False, compare=False)
 
@@ -164,62 +178,81 @@ class ResidenceDataset:
 class TrafficGenerator:
     """Synthesizes flow datasets for residences against one universe."""
 
-    #: Ephemeral source-port range; reset per residence so a residence's
-    #: flows are identical whether it is generated alone, sequentially
-    #: after others, or on a worker process.
-    SPORT_BASE = 20000
-
-    def __init__(
-        self,
-        universe: ServiceUniverse | None = None,
-        seed: int = 0,
-        he_config: HappyEyeballsConfig | None = None,
-    ) -> None:
+    def __init__(self, universe: ServiceUniverse | None = None, seed: int = 0) -> None:
         self.universe = universe or ServiceUniverse(build_service_catalog())
         self.seed = seed
-        self._he_config = he_config
-        self._he = HappyEyeballs(he_config)
-        self._services = {s.name: s for s in self.universe.catalog}
-        self._sport = self.SPORT_BASE
+        self._index = {s.name: i for i, s in enumerate(self.universe.catalog)}
+        self._fleets = [self.universe.servers_of(s) for s in self.universe.catalog]
+        #: Per catalog index: what the session loop reads of the service.
+        self._plans = [
+            (
+                s.kind,
+                s.shape,
+                INBOUND_FRACTION[s.kind],
+                DURATION_RANGE[s.kind],
+                SERVICE_PORT[s.kind],
+            )
+            for s in self.universe.catalog
+        ]
 
     # -- public API -----------------------------------------------------
 
     def generate(self, profile: ResidenceProfile, num_days: int) -> ResidenceDataset:
-        """Generate ``num_days`` of traffic for one residence."""
+        """Generate ``num_days`` of traffic for one residence: its draws,
+        realized."""
+        devices = profile.build_devices()
+        draws = self.draw(profile, devices, num_days)
+        return ResidenceDataset(
+            profile=profile,
+            monitor=FlowMonitor(router_config(profile), realize(draws, devices, self.universe)),
+            universe=self.universe,
+            num_days=num_days,
+            devices=devices,
+            draws=draws,
+        )
+
+    def draw(
+        self, profile: ResidenceProfile, devices: list[Device], num_days: int
+    ) -> TrafficDraws:
+        """Every random draw of ``num_days`` of one residence's traffic.
+
+        Draws come from the residence's own substream ``(seed,
+        "residence:<name>")`` in session order, so they do not depend
+        on which residences were drawn before.  The table is completed
+        (:meth:`TrafficDraws.completed`) against this generator's
+        universe and ``devices``.
+        """
         if num_days < 1:
             raise ValueError("num_days must be >= 1")
-        self._sport = self.SPORT_BASE
-        devices = profile.build_devices()
-        monitor = FlowMonitor(_router_config(profile))
-        log = monitor.log
         activity = profile.activity_model()
         rng = RngStream(self.seed, f"residence:{profile.name}")
 
         human_services = self._weighted_services(profile.service_weights, human=True)
         background_services = self._weighted_services(BACKGROUND_WEIGHTS, human=False)
-        interactive = [d for d in devices if d.kind.interactive]
+        interactive = [i for i, d in enumerate(devices) if d.kind.interactive]
         if not interactive:
             raise ValueError(f"residence {profile.name} has no interactive devices")
+        everyone = list(range(len(devices)))
+        interactive_weights = [devices[i].activity_weight for i in interactive]
+        everyone_weights = [d.activity_weight for d in devices]
 
+        days: list[TrafficDraws] = []
         for day in range(num_days):
+            log = DrawLog()
             day_rng = rng.substream(f"day:{day}")
             for start in activity.human_session_times(day, day_rng):
-                device = self._pick_device(interactive, day_rng)
+                device = day_rng.weighted_choice(interactive, interactive_weights)
                 service = day_rng.weighted_choice(*human_services)
-                self._run_session(log, profile, device, service, start, day_rng)
+                self._run_session(log, profile, devices, device, service, start, day_rng)
             for start in activity.background_session_times(day, day_rng):
-                device = self._pick_device(devices, day_rng)
+                device = day_rng.weighted_choice(everyone, everyone_weights)
                 service = day_rng.weighted_choice(*background_services)
-                self._run_session(log, profile, device, service, start, day_rng)
+                self._run_session(log, profile, devices, device, service, start, day_rng)
             self._run_internal_sessions(log, profile, devices, day, day_rng)
+            days.append(log.seal())  # columnized daily: no run of row tuples builds up
 
-        log.seal()  # every key and record check, over all rows at once
-        return ResidenceDataset(
-            profile=profile,
-            monitor=monitor,
-            universe=self.universe,
-            num_days=num_days,
-            devices=devices,
+        return TrafficDraws.concatenate(days).completed(
+            devices, self.universe, profile.dual_syn_probability, rng
         )
 
     def generate_all(
@@ -248,8 +281,7 @@ class TrafficGenerator:
         """
         workers = self._resolve_workers(parallel, len(profiles))
         tasks = [
-            (self.universe.catalog, self.seed, self._he_config, profile, num_days)
-            for profile in profiles
+            (self.universe.catalog, self.seed, profile, num_days) for profile in profiles
         ]
         results = map_in_pool(
             _generate_residence, tasks, workers, "traffic generation"
@@ -257,16 +289,17 @@ class TrafficGenerator:
         if results is None:
             return {p.name: self.generate(p, num_days) for p in profiles}
         datasets: dict[str, ResidenceDataset] = {}
-        for profile, (name, log, devices) in zip(profiles, results):
+        for profile, (name, log, devices, draws) in zip(profiles, results):
             # Workers rebuild an identical universe from the catalog;
             # rebind to the parent's so every dataset shares one
             # attribution substrate (registry identity included).
             datasets[name] = ResidenceDataset(
                 profile=profile,
-                monitor=FlowMonitor(_router_config(profile), log),
+                monitor=FlowMonitor(router_config(profile), log),
                 universe=self.universe,
                 num_days=num_days,
                 devices=devices,
+                draws=draws,
             )
         return datasets
 
@@ -278,168 +311,108 @@ class TrafficGenerator:
 
     def _weighted_services(
         self, weights: dict[str, float], human: bool
-    ) -> tuple[list[ServiceProfile], list[float]]:
-        services: list[ServiceProfile] = []
+    ) -> tuple[list[int], list[float]]:
+        """Catalog indices of a diet's services, with their weights."""
+        services: list[int] = []
         values: list[float] = []
         for name, weight in sorted(weights.items()):
-            service = self._services.get(name)
-            if service is None:
+            index = self._index.get(name)
+            if index is None:
                 raise KeyError(f"unknown service in diet: {name!r}")
-            if service.human_driven != human:
+            if self.universe.catalog[index].human_driven != human:
                 continue
-            services.append(service)
+            services.append(index)
             values.append(weight)
         if not services:
             raise ValueError("service diet selects no services")
         return services, values
 
-    def _pick_device(self, devices: list[Device], rng: RngStream) -> Device:
-        return rng.weighted_choice(devices, [d.activity_weight for d in devices])
-
-    def _next_sport(self) -> int:
-        self._sport += 1
-        if self._sport > 60000:
-            self._sport = 20000
-        return self._sport
-
     def _run_session(
         self,
-        log: FlowLog,
+        log: DrawLog,
         profile: ResidenceProfile,
-        device: Device,
-        service: ServiceProfile,
+        devices: list[Device],
+        device: int,
+        service: int,
         start: float,
         rng: RngStream,
     ) -> None:
-        if rng.bernoulli(ICMP_PROBE_PROB) and service.kind is ApplicationKind.BACKGROUND:
-            self._run_icmp_probe(log, device, service, start, rng)
+        kind, shape = self._plans[service][:2]
+        if rng.bernoulli(ICMP_PROBE_PROB) and kind is ApplicationKind.BACKGROUND:
+            self._run_icmp_probe(log, devices, device, service, start, rng)
             return
-        shape = service.shape
         flow_count = max(1, rng.poisson(shape.flows_per_session))
         offset = 0.0
         for _ in range(flow_count):
             flow_start = start + offset
             offset += rng.exponential(5.0)
-            self._run_connection(log, profile, device, service, flow_start, rng)
+            self._run_connection(log, profile, devices, device, service, flow_start, rng)
 
     def _run_connection(
         self,
-        log: FlowLog,
+        log: DrawLog,
         profile: ResidenceProfile,
-        device: Device,
-        service: ServiceProfile,
+        devices: list[Device],
+        device: int,
+        service: int,
         start: float,
         rng: RngStream,
     ) -> None:
-        server = rng.choice(self.universe.servers_of(service))
-        family = self._negotiate_family(device, server, rng)
-        shape = service.shape
+        fleet = self._fleets[service]
+        server = rng.randint(0, len(fleet) - 1)  # the draw of rng.choice(fleet)
+        raced = devices[device].ipv6_capable and fleet[server].dual_stack
+        v4_latency = v6_latency = 0.0
+        slow_aaaa = False
+        if raced:
+            v6_latency = max(MIN_LATENCY, rng.normal(*V6_LATENCY))
+            v4_latency = max(MIN_LATENCY, rng.normal(*V4_LATENCY))
+            slow_aaaa = rng.bernoulli(SLOW_AAAA_PROB)
+        _kind, shape, inbound_fraction, (low, high), dport = self._plans[service]
         volume = shape.draw_flow_bytes(rng)
-        inbound = INBOUND_FRACTION[service.kind]
-        low, high = DURATION_RANGE[service.kind]
+        inbound = int(volume * inbound_fraction)
         duration = rng.uniform(low, high)
         protocol = UDP if rng.bernoulli(shape.udp_fraction) else TCP
-        self._record_flow(
-            log,
-            device=device,
-            server=server,
-            family=family,
-            protocol=protocol,
-            dport=SERVICE_PORT[service.kind],
-            start=start,
-            duration=duration,
-            bytes_in=int(volume * inbound),
-            bytes_out=volume - int(volume * inbound),
-        )
         # Aggressive Happy Eyeballs implementations leave a second-family
-        # SYN exchange behind (section 3.2's flow-count inflation).
-        if family is not None and device.ipv6_capable and server.dual_stack:
-            if rng.bernoulli(profile.dual_syn_probability):
-                other = Family.V4 if family is Family.V6 else Family.V6
-                self._record_flow(
-                    log,
-                    device=device,
-                    server=server,
-                    family=other,
-                    protocol=TCP,
-                    dport=SERVICE_PORT[service.kind],
-                    start=start,
-                    duration=rng.uniform(0.1, 1.0),
-                    bytes_in=rng.randint(*ABORTED_FLOW_BYTES),
-                    bytes_out=rng.randint(100, 400),
-                )
-
-    def _negotiate_family(
-        self, device: Device, server: ServerEndpoint, rng: RngStream
-    ) -> Family | None:
-        """Pick the wire family for one connection via Happy Eyeballs."""
-        if not device.ipv6_capable or not server.dual_stack:
-            return Family.V4
-        v6_latency = max(0.004, rng.normal(0.028, 0.008))
-        v4_latency = max(0.004, rng.normal(0.032, 0.010))
-        v6_resolution = 0.010
-        if rng.bernoulli(SLOW_AAAA_PROB):
-            v6_resolution = SLOW_AAAA_LATENCY
-        connectivity = StaticConnectivity(
-            latencies={server.v4: v4_latency, server.v6: v6_latency}
-        )
-        result = self._he.connect(
-            [server.v4],
-            [server.v6],
-            connectivity,
-            v4_resolution_time=0.010,
-            v6_resolution_time=v6_resolution,
-        )
-        return result.used_family
-
-    def _record_flow(
-        self,
-        log: FlowLog,
-        device: Device,
-        server: ServerEndpoint,
-        family: Family | None,
-        protocol: int,
-        dport: int,
-        start: float,
-        duration: float,
-        bytes_in: int,
-        bytes_out: int,
-    ) -> None:
-        if family is None:
-            return  # connection never established; nothing observable
-        src = device.address(family)
-        dst = server.v4 if family is Family.V4 else server.v6
-        if src is None or dst is None:  # pragma: no cover - guarded upstream
-            return
-        log.append(
-            protocol, src, dst, self._next_sport(), dport, start, start + duration,
-            bytes_out, bytes_in, default_packets(bytes_out), default_packets(bytes_in),
-        )
+        # SYN exchange behind (section 3.2's flow-count inflation).  The
+        # coin is drawn whenever the connection raced, winner or not.
+        # Only a won race can leave the exchange behind, but under the
+        # default 10 s overall timeout every race here is won, so the
+        # baseline's draws and bytes are those of drawing after a win.
+        dual_syn = False
+        syn_duration = 0.0
+        syn_bytes_out = syn_bytes_in = 0
+        if raced and rng.bernoulli(profile.dual_syn_probability):
+            dual_syn = True
+            syn_duration = rng.uniform(*DUAL_SYN_DURATION)
+            syn_bytes_in = rng.randint(*ABORTED_FLOW_BYTES)
+            syn_bytes_out = rng.randint(*DUAL_SYN_BYTES_OUT)
+        log.connection((
+            device, service, server, protocol, dport,
+            start, start + duration, volume - inbound, inbound,
+            v4_latency, v6_latency, slow_aaaa,
+            dual_syn, syn_duration, syn_bytes_out, syn_bytes_in,
+        ))
 
     def _run_icmp_probe(
         self,
-        log: FlowLog,
-        device: Device,
-        service: ServiceProfile,
+        log: DrawLog,
+        devices: list[Device],
+        device: int,
+        service: int,
         start: float,
         rng: RngStream,
     ) -> None:
-        server = rng.choice(self.universe.servers_of(service))
-        use_v6 = device.ipv6_capable and server.dual_stack and rng.bernoulli(0.5)
-        src = device.address(Family.V6 if use_v6 else Family.V4)
-        dst = server.v6 if use_v6 else server.v4
-        if src is None or dst is None:
-            return
-        icmp = (8, 0, rng.randint(0, 0xFFFF))  # echo request: type 8, code 0
+        fleet = self._fleets[service]
+        server = rng.randint(0, len(fleet) - 1)
+        both_v6 = devices[device].ipv6_capable and fleet[server].dual_stack
+        use_v6 = both_v6 and rng.bernoulli(ICMP_V6_PROB)
+        icmp_id = rng.randint(0, 0xFFFF)
         probes = rng.randint(1, 5)
-        log.append(
-            ICMP, src, dst, 0, 0, start, start + probes,
-            64 * probes, 64 * probes, probes, probes, icmp,
-        )
+        log.probe((device, service, server, use_v6, icmp_id, probes, start))
 
     def _run_internal_sessions(
         self,
-        log: FlowLog,
+        log: DrawLog,
         profile: ResidenceProfile,
         devices: list[Device],
         day: int,
@@ -447,57 +420,47 @@ class TrafficGenerator:
     ) -> None:
         if len(devices) < 2:
             return
+        everyone = range(len(devices))
         for _ in range(rng.poisson(profile.internal_sessions)):
-            first = rng.choice(devices)
-            second = rng.choice(devices)
-            while second is first:
-                second = rng.choice(devices)
+            first = rng.choice(everyone)
+            second = rng.choice(everyone)
+            while second == first:
+                second = rng.choice(everyone)
             # LAN IPv6 works even when the WAN path is broken (section
             # 3.2: internal and external shares are not well correlated).
-            both_v6 = first.lan_ipv6 and second.lan_ipv6
+            both_v6 = devices[first].lan_ipv6 and devices[second].lan_ipv6
             use_v6 = both_v6 and rng.bernoulli(profile.internal_ipv6_preference)
-            family = Family.V6 if use_v6 else Family.V4
             start = (day + rng.random()) * DAY
             for _ in range(max(1, rng.poisson(INTERNAL_SHAPE.flows_per_session))):
                 volume = INTERNAL_SHAPE.draw_flow_bytes(rng)
                 protocol = UDP if rng.bernoulli(INTERNAL_SHAPE.udp_fraction) else TCP
-                src = first.address(family)
-                dst = second.address(family)
-                if src is None or dst is None:  # pragma: no cover
-                    continue
-                sport = self._next_sport()
                 end = start + rng.uniform(5.0, 300.0)
                 bytes_out = volume // 2
-                bytes_in = volume - bytes_out
-                log.append(
-                    protocol, src, dst, sport, 445, start, end, bytes_out, bytes_in,
-                    default_packets(bytes_out), default_packets(bytes_in),
+                log.internal_flow(
+                    (first, second, use_v6, protocol, start, end, bytes_out, volume - bytes_out)
                 )
                 start += rng.exponential(10.0)
 
 
-def _router_config(profile: ResidenceProfile) -> RouterConfig:
+def router_config(profile: ResidenceProfile) -> RouterConfig:
+    """The router addressing of ``profile``'s residence."""
     return RouterConfig(name=profile.name, lan_v4=profile.lan_v4, lan_v6=profile.lan_v6)
 
 
 def _generate_residence(
-    task: tuple[
-        list[ServiceProfile], int, HappyEyeballsConfig | None, ResidenceProfile, int
-    ],
-) -> tuple[str, FlowLog, list[Device]]:
+    task: tuple[list[ServiceProfile], int, ResidenceProfile, int],
+) -> tuple[str, FlowLog, list[Device], TrafficDraws | None]:
     """Worker-process entry: generate one residence from first principles.
 
     Rebuilds the (deterministic) service universe from the pickled
     catalog, so only the catalog, profile, and scalars cross the process
-    boundary on the way in and only the sealed flow log (its column
-    array and address table) and the devices on the way out.  Because
-    every residence draws from the RNG substream ``(seed,
+    boundary on the way in, and only the sealed flow log (its column
+    array and address table), the devices and the draws on the way out.
+    Because every residence draws from the RNG substream ``(seed,
     "residence:<name>")``, the result is bit-identical to the sequential
     path.
     """
-    catalog, seed, he_config, profile, num_days = task
-    generator = TrafficGenerator(
-        ServiceUniverse(catalog), seed=seed, he_config=he_config
-    )
+    catalog, seed, profile, num_days = task
+    generator = TrafficGenerator(ServiceUniverse(catalog), seed=seed)
     dataset = generator.generate(profile, num_days)
-    return profile.name, dataset.monitor.log, dataset.devices
+    return profile.name, dataset.monitor.log, dataset.devices, dataset.draws

@@ -60,6 +60,10 @@ class RngStream:
         """Return an independent stream derived from this one's identity."""
         return RngStream(derive_seed(self.seed, self.label), label)
 
+    def generator(self) -> np.random.Generator:
+        """The underlying NumPy generator, for draws of whole arrays."""
+        return self._gen
+
     # -- thin pass-throughs -------------------------------------------------
 
     def random(self) -> float:

@@ -8,15 +8,24 @@ session's layer-key/builder methods:
 * for every layer the scenario **perturbs**, the overlay extends the
   baseline cache key with the spec of the interventions that declare
   that layer (in scenario order) and swaps in a builder that applies
-  exactly those interventions' transforms (a mutated web universe, a
-  policy-transformed vantage fleet, a patched service catalog /
-  residence fleet / Happy Eyeballs config) -- so key and build agree by
+  exactly those interventions' transforms -- so key and build agree by
   construction, and a composed scenario shares each layer with the
   sub-scenario that perturbs it the same way (``dualstack:Amazon+ispv6``
   reuses ``dualstack:Amazon``'s census and observatory);
 * for every **untouched** layer, keys and builders are inherited
   verbatim, so the overlay is a cache *hit* against the baseline --
   a sweep of twenty scenarios rebuilds zero censuses it didn't change.
+
+Perturbed census and observatory layers are rebuilt from a mutated web
+universe or a policy-transformed vantage fleet.  A perturbed traffic
+layer is not regenerated: the overlay patches the residence fleet,
+service catalog and Happy Eyeballs timers, then re-races the baseline
+traffic layer's recorded draws in that world
+(:func:`~repro.datasets.scenarios.realize_residence_study`).  Every
+household, session, server, size and timing stays the baseline's; only
+IPv6 negotiation re-runs (common random numbers), so a usage delta
+measures the intervention alone.  An intervention whose transforms
+touch anything the draws depend on raises ``ValueError``.
 
 Derived layers cascade through key composition: the cloud, dependency,
 and observatory keys are all functions of ``_census_key()``, so a
@@ -30,6 +39,7 @@ accounting tests assert on.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Callable
 
 from repro.api.session import Study, StudyConfig
@@ -37,7 +47,7 @@ from repro.datasets.scenarios import (
     CensusStudy,
     ResidenceStudy,
     build_census,
-    build_residence_study,
+    realize_residence_study,
 )
 from repro.whatif.spec import Intervention, Scenario, as_scenario
 
@@ -120,25 +130,28 @@ class OverlayStudy(Study):
     # -- perturbed builders ------------------------------------------------
 
     def _build_traffic(self) -> ResidenceStudy:
-        from repro.traffic.apps import build_service_catalog
-        from repro.traffic.residences import build_paper_residences
+        """Re-race the baseline traffic layer's draws in this world.
 
-        catalog: list[Any] = build_service_catalog()
-        profiles: list[Any] = build_paper_residences()
+        The baseline layer resolves through the session: a cache hit
+        inside a sweep, a plain ``traffic`` build elsewhere.
+        """
+        baseline = Study(self.config, log=self._log).traffic
+        catalog: list[Any] = list(baseline.universe.catalog)
+        profiles: list[Any] = [dataset.profile for dataset in baseline.datasets.values()]
         he_config = None
         for intervention in self._acting_on("traffic"):
+            drawn_from = _draw_inputs(catalog, profiles)
             catalog = intervention.transform_catalog(catalog)
             profiles = intervention.transform_profiles(profiles)
             he_config = intervention.transform_he_config(he_config)
-        return build_residence_study(
-            num_days=self.config.days,
-            seed=self.config.seed,
-            residences=self.config.residences,
-            parallel=self.config.parallel,
-            catalog=catalog,
-            profiles=profiles,
-            he_config=he_config,
-        )
+            if _draw_inputs(catalog, profiles) != drawn_from:
+                raise ValueError(
+                    f"intervention {intervention.spec()!r} changes what the "
+                    "baseline's traffic draws depend on; a traffic overlay may "
+                    "change only device WAN IPv6, native_ipv6, a service's "
+                    "ipv6_support and the Happy Eyeballs timers"
+                )
+        return realize_residence_study(baseline, catalog, profiles, he_config)
 
     def _build_census(self) -> CensusStudy:
         def mutate(ecosystem) -> None:
@@ -174,3 +187,22 @@ class OverlayStudy(Study):
             f"OverlayStudy({self.scenario.spec()!r}, "
             f"perturbs={sorted(self.perturbed)}, config={self.config!r})"
         )
+
+
+def _draw_inputs(catalog: list[Any], profiles: list[Any]) -> tuple[list, list]:
+    """The catalog and profiles less what realization re-reads (a
+    service's ``ipv6_support``, a residence's ``native_ipv6`` and its
+    devices' WAN IPv6): everything a traffic draw depends on."""
+    return (
+        [dataclasses.replace(service, ipv6_support=0.0) for service in catalog],
+        [
+            dataclasses.replace(
+                profile,
+                native_ipv6=False,
+                device_specs=tuple(
+                    (kind, False, weight) for kind, _wan, weight in profile.device_specs
+                ),
+            )
+            for profile in profiles
+        ],
+    )

@@ -21,8 +21,15 @@ and sequential paths are bit-identical.
 
 A worker never *touches* a baseline layer the scenario leaves alone:
 unperturbed readiness and usage come from the parent's
-:class:`BaselineSignals` snapshot, which is why the traffic study --
-by far the largest universe -- is never pickled at all.
+:class:`BaselineSignals` snapshot.  The baseline traffic study -- by
+far the largest universe -- ships to the workers only when the grid
+perturbs traffic: a traffic overlay re-races the baseline's recorded
+draws (:mod:`repro.whatif.overlay`), so without it every worker would
+regenerate the baseline first.
+
+Each scenario runs inside a ``sweep:<spec>`` span, under which its
+overlay's ``build:<layer>`` spans nest (worker-side spans stay in the
+worker).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.api.session import Study, StudyConfig, prime_caches
+from repro.telemetry import span
 from repro.util.procpool import map_in_pool, resolve_worker_count
 from repro.whatif.overlay import OverlayStudy
 from repro.whatif.spec import Scenario, as_scenario, default_sweep_grid
@@ -216,23 +224,24 @@ def scenario_block(
     """
     from repro.observatory.analysis import traffic_v6_byte_fraction
 
-    overlay = OverlayStudy(config, scenario)
-    obs = overlay.observatory
-    if obs.countries != baseline.countries:  # pragma: no cover - guarded by spec
-        raise ValueError(
-            f"scenario {scenario.spec()!r} changed the fleet's countries: "
-            f"{obs.countries} != {baseline.countries}"
-        )
-    availability = availability_by_country(obs)
-    if "census" in overlay.perturbed:
-        probed = {target.etld1 for target in obs.targets}
-        readiness = census_full_share(overlay.census.dataset, probed)
-    else:
-        readiness = baseline.readiness
-    if "traffic" in overlay.perturbed:
-        usage = traffic_v6_byte_fraction(overlay.traffic)
-    else:
-        usage = baseline.usage
+    with span(f"sweep:{scenario.spec()}"):
+        overlay = OverlayStudy(config, scenario)
+        obs = overlay.observatory
+        if obs.countries != baseline.countries:  # pragma: no cover - guarded by spec
+            raise ValueError(
+                f"scenario {scenario.spec()!r} changed the fleet's countries: "
+                f"{obs.countries} != {baseline.countries}"
+            )
+        availability = availability_by_country(obs)
+        if "census" in overlay.perturbed:
+            probed = {target.etld1 for target in obs.targets}
+            readiness = census_full_share(overlay.census.dataset, probed)
+        else:
+            readiness = baseline.readiness
+        if "traffic" in overlay.perturbed:
+            usage = traffic_v6_byte_fraction(overlay.traffic)
+        else:
+            usage = baseline.usage
 
     n = len(baseline.countries)
     block = np.empty(n, dtype=DELTA_DTYPE)
@@ -253,8 +262,9 @@ def scenario_block(
 # -- the parallel fan-out ----------------------------------------------------
 
 #: What every sweep worker receives once (pool initializer): the
-#: baseline config, the cache entries to prime (census + observatory;
-#: never the traffic study), and the baseline signal snapshot.
+#: baseline config, the cache entries to prime (census + observatory,
+#: plus the traffic study when the grid perturbs traffic), and the
+#: baseline signal snapshot.
 _SweepUniverse = tuple[StudyConfig, dict, BaselineSignals]
 
 _WORKER_UNIVERSE: _SweepUniverse | None = None
@@ -324,6 +334,8 @@ def run_sweep(
             "census": {study._census_key(): study.census},
             "observatory": {study._observatory_key(): study.observatory},
         }
+        if any("traffic" in scenario.layers() for scenario in grid):
+            entries["traffic"] = {study._traffic_key(): study.traffic}
         blocks = map_in_pool(
             _sweep_scenario_in_worker,
             tasks,

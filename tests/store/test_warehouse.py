@@ -172,27 +172,32 @@ class TestIntegrity:
         assert any(entry.digest in item for item in removed)
 
     def test_schema_1_traffic_entry_is_skipped_not_unpickled(self, tmp_path, monkeypatch):
-        """Schema-1 traffic payloads reference a module that no longer
-        exists; the schema rule must keep loads from ever unpickling them."""
+        """Old traffic payloads must never be unpickled: schema-1 ones
+        reference a module that no longer exists, and schema-2 ones
+        carry no draws for the traffic what-ifs to re-race."""
         import warnings
 
         import repro.store.warehouse as warehouse
 
-        store = ArtifactStore(tmp_path)
-        key = ("traffic", 14, 42, None)
         # GLOBAL repro.flowmon.pack.restore_monitor, called with no args.
         stale = b"\x80\x04crepro.flowmon.pack\nrestore_monitor\n)R."
-        with monkeypatch.context() as old:
-            old.setattr(warehouse, "STORE_SCHEMA", 1)
-            entry = store._write_entry("layer", "traffic", key, {PAYLOAD_FILE: stale})
-            with pytest.raises(ModuleNotFoundError):  # what the bump avoids
-                store.load_layer("traffic", key)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert store.load_layer("traffic", key) is None
-        assert not store.entries()
-        assert any(f"{entry.digest}: store schema 1 != 2" in p for p in store.verify())
-        assert store.gc() == [f"{entry.digest} (schema 1)"]
+        key = ("traffic", 14, 42, None)
+        for old_schema in (1, 2):
+            store = ArtifactStore(tmp_path / f"schema-{old_schema}")
+            with monkeypatch.context() as old:
+                old.setattr(warehouse, "STORE_SCHEMA", old_schema)
+                entry = store._write_entry(
+                    "layer", "traffic", key, {PAYLOAD_FILE: stale}
+                )
+                with pytest.raises(ModuleNotFoundError):  # what the bump avoids
+                    store.load_layer("traffic", key)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert store.load_layer("traffic", key) is None
+            assert not store.entries()
+            mismatch = f"{entry.digest}: store schema {old_schema} != {STORE_SCHEMA}"
+            assert any(mismatch in p for p in store.verify())
+            assert store.gc() == [f"{entry.digest} (schema {old_schema})"]
 
     def test_missing_entry_detected_against_manifest(self, tmp_path):
         import shutil

@@ -5,7 +5,8 @@ residence draws from its own seeded RNG substream (so generation order
 cannot matter), and each residence allocates source ports from its own
 range (so a worker process starts from the same state as the sequential
 path).  The frames themselves are pinned too: a SHA-256 per residence of
-the attributed frame generated at seed 5 over 5 days.
+the attributed frame generated at seed 5 over 5 days, and of the same
+draws re-raced under a 300 ms Happy Eyeballs resolution delay.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 from repro.flowmon.monitor import FlowLog, FlowMonitor
 from repro.traffic.apps import build_service_catalog
+from repro.traffic.draws import TrafficDraws
 from repro.traffic.generate import TrafficGenerator, _generate_residence
 from repro.traffic.residences import build_paper_residences
 from repro.traffic.universe import ServiceUniverse
@@ -30,6 +32,18 @@ FRAME_SHA256 = {
     "C": "75d3b36c8fe38e91d70dd8b214ccb1af02752df27338470ec259a2e53e848467",
     "D": "fbc2d8fe1d32c87360cbc525b2cd2c2092d46a64bb06dd43921b55feb94049ea",
     "E": "beebfdc08452335f6b6e8586eeb92c2273148fec8505d3bb2c14c44db95f036d",
+}
+
+#: Residence -> SHA-256 of its attributed frame at seed 5 over 5 days
+#: under a 300 ms resolution delay, as produced by generating afresh
+#: with that Happy Eyeballs config (racing connection by connection),
+#: before traffic what-ifs re-raced the baseline's draws instead.
+HETIMER_FRAME_SHA256 = {
+    "A": "c72e57220d20727c69740779933b4ebc89fef58dd74da80be8b04ce573d5c47c",
+    "B": "61d390f0bb338e2c60db328d302ffb6484f220e9e7d1b946eef4884e2a996a0f",
+    "C": "9f2eabfcbeab02ebfa1555b78cd48c95986aa2b263c5f4047b897c82c7e52b97",
+    "D": "e86140ea34ac49f3688212c5a508511793beda5740839a425efd68c8d404b091",
+    "E": "50805dc259c53e7c7725ad9f3f973f645706f6d355cfbfd7a88d87971f23a877",
 }
 
 
@@ -70,6 +84,23 @@ class TestFramePins:
             name: _frame_digest(dataset.frame()) for name, dataset in datasets.items()
         } == FRAME_SHA256
 
+    def test_rerace_under_longer_resolution_delay_matches_the_pins(self):
+        from repro.datasets import build_residence_study
+        from repro.datasets.scenarios import realize_residence_study
+        from repro.happyeyeballs.algorithm import HappyEyeballsConfig
+
+        baseline = build_residence_study(num_days=DAYS, seed=5, parallel=False)
+        overlay = realize_residence_study(
+            baseline,
+            list(baseline.universe.catalog),
+            [dataset.profile for dataset in baseline.datasets.values()],
+            HappyEyeballsConfig(resolution_delay=0.3),
+        )
+        assert {
+            name: _frame_digest(dataset.frame())
+            for name, dataset in overlay.datasets.items()
+        } == HETIMER_FRAME_SHA256
+
 
 class TestParallelDeterminism:
     def test_parallel_equals_sequential(self, universe):
@@ -87,14 +118,18 @@ class TestParallelDeterminism:
     def test_worker_entry_matches_inline(self, universe):
         profile = build_paper_residences()[0]
         inline = TrafficGenerator(universe, seed=5).generate(profile, num_days=DAYS)
-        name, log, devices = _generate_residence(
-            (universe.catalog, 5, None, profile, DAYS)
+        name, log, devices, draws = _generate_residence(
+            (universe.catalog, 5, profile, DAYS)
         )
         assert name == profile.name
         assert len(devices) == len(inline.devices)
         assert type(log) is FlowLog
         assert log.rows.tobytes() == inline.monitor.log.rows.tobytes()
         assert log.addresses == inline.monitor.log.addresses
+        assert type(draws) is TrafficDraws
+        for table in ("connections", "probes", "internal", "order"):
+            got_table = getattr(draws, table)
+            assert got_table.tobytes() == getattr(inline.draws, table).tobytes()
         got = FlowMonitor(inline.monitor.config, log).frame()
         want = inline.monitor.frame()
         assert got.data.tobytes() == want.data.tobytes()

@@ -6,11 +6,16 @@ baseline" means *zero* rebuilds of untouched layers, not "was probably
 fast".
 """
 
+import dataclasses
+from typing import ClassVar
+
+import numpy as np
 import pytest
 
 from repro.api import BUILD_COUNTS, Study, StudyConfig
 from repro.datasets import build_residence_study
 from repro.whatif import OverlayStudy
+from repro.whatif.spec import Intervention
 
 #: One tiny world private to this module: the seed differs from the
 #: other whatif test modules so the exact BUILD_COUNTS accounting below
@@ -96,8 +101,9 @@ class TestComposedScenarioSharing:
         baseline.traffic, baseline.census, baseline.observatory
         before = BUILD_COUNTS.copy()
         run_sweep(baseline, ("dualstack:Amazon", "dualstack:Amazon+ispv6"), parallel=False)
-        # Both scenarios regenerate traffic, but only dualstack touches
-        # the census, so the composition reuses its census and observatory.
+        # Both scenarios re-race the baseline's traffic draws, but only
+        # dualstack touches the census, so the composition reuses its
+        # census and observatory.
         assert _deltas(before) == {
             "whatif:traffic": 2,
             "whatif:census": 1,
@@ -210,3 +216,119 @@ class TestEnableProviderAaaa:
     def test_unknown_provider_rejected(self, baseline):
         with pytest.raises(ValueError, match="unknown provider"):
             baseline.census.ecosystem.enable_provider_aaaa("Initech")
+
+
+#: The traffic scenarios that change who can race, not when.
+RACE_SCENARIOS = ("ispv6", "dualstack:Amazon", "dualstack:Amazon+ispv6")
+
+
+def _without_dual_syns(rows: np.ndarray) -> np.ndarray:
+    """The log rows minus the dual-SYN flows: the only non-ICMP flows
+    shorter than a second (connections last 2 s or more, LAN flows 5 s
+    or more)."""
+    from repro.traffic.draws import DUAL_SYN_DURATION, ICMP
+    from repro.traffic.generate import DURATION_RANGE
+
+    assert min(low for low, _high in DURATION_RANGE.values()) > DUAL_SYN_DURATION[1]
+    short = rows["end"] - rows["start"] < DUAL_SYN_DURATION[1]
+    return rows[~((rows["protocol"] != ICMP) & short)]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Rediet(Intervention):
+    """A traffic lever that changes a household's diet: not re-raceable."""
+
+    KIND: ClassVar[str] = "rediet"
+    LAYERS: ClassVar[frozenset[str]] = frozenset({"traffic"})
+
+    def spec_arg(self) -> str:
+        return ""
+
+    def transform_profiles(self, profiles):
+        return [
+            dataclasses.replace(
+                profile, service_weights={**profile.service_weights, "Google": 99.0}
+            )
+            for profile in profiles
+        ]
+
+
+class TestTrafficOverlaysReraceTheBaselineDraws:
+    @pytest.mark.parametrize("spec", RACE_SCENARIOS)
+    def test_no_residence_loses_ipv6_bytes_share(self, baseline, spec):
+        from repro.core.client import compute_residence_stats
+
+        overlay = OverlayStudy(baseline, spec).traffic
+        before = {
+            name: compute_residence_stats(dataset).external.byte_fraction_overall
+            for name, dataset in baseline.traffic.datasets.items()
+        }
+        after = {
+            name: compute_residence_stats(dataset).external.byte_fraction_overall
+            for name, dataset in overlay.datasets.items()
+        }
+        assert after.keys() == before.keys()
+        assert all(after[name] >= before[name] for name in before), (before, after)
+        assert any(after[name] > before[name] for name in before)
+
+    @pytest.mark.parametrize("spec", RACE_SCENARIOS)
+    def test_rows_differ_only_in_family_addresses_and_dual_syns(self, baseline, spec):
+        from repro.flowmon.monitor import LOG_DTYPE
+
+        overlay = OverlayStudy(baseline, spec).traffic
+        kept = [name for name in LOG_DTYPE.names if name not in ("src", "dst", "sport")]
+        changed = 0
+        for name, dataset in baseline.traffic.datasets.items():
+            base = _without_dual_syns(dataset.monitor.log.rows)
+            counter = _without_dual_syns(overlay.datasets[name].monitor.log.rows)
+            assert base.size == counter.size, name
+            for field in kept:
+                np.testing.assert_array_equal(base[field], counter[field], err_msg=field)
+            base_log = dataset.monitor.log
+            counter_log = overlay.datasets[name].monitor.log
+            base_v6 = [base_log.addresses[i].is_v6 for i in base["dst"].tolist()]
+            counter_v6 = [counter_log.addresses[i].is_v6 for i in counter["dst"].tolist()]
+            changed += sum(a != b for a, b in zip(base_v6, counter_v6))
+        assert changed > 0  # some connections did switch family
+
+    def test_transform_beyond_negotiation_inputs_is_refused(self, baseline):
+        with pytest.raises(ValueError, match="'rediet'"):
+            OverlayStudy(baseline, _Rediet()).traffic
+
+    def test_overlay_over_a_warehouse_baseline_matches_a_fresh_one(self, tmp_path):
+        from repro.api import STORE_COUNTS
+        from repro.api.session import _ALL_CACHES
+        from repro.store import set_store
+
+        config = StudyConfig(
+            days=3, sites=105, seed=4242, probe_targets=40, probe_interval_days=2,
+            residences=("A", "C"), parallel=False,
+        )
+        spec = "dualstack:Amazon+ispv6"
+        traffic_cache = _ALL_CACHES["traffic"]
+        set_store(tmp_path / "warehouse")
+        try:
+            fresh_baseline = Study(config).traffic  # built, then written behind
+        finally:
+            set_store(None)
+        fresh = OverlayStudy(config, spec)
+        fresh_frames = {n: d.frame() for n, d in fresh.traffic.datasets.items()}
+
+        traffic_cache.pop(config.traffic_key)
+        traffic_cache.pop(fresh._traffic_key())
+        hits = STORE_COUNTS["hit:traffic"]
+        set_store(tmp_path / "warehouse")
+        try:
+            loaded_baseline = Study(config).traffic
+        finally:
+            set_store(None)
+        assert STORE_COUNTS["hit:traffic"] == hits + 1
+        assert loaded_baseline is not fresh_baseline
+        loaded = OverlayStudy(config, spec).traffic
+        assert loaded is not fresh.traffic
+        for name, frame in fresh_frames.items():
+            got = loaded.datasets[name].frame()
+            assert got.data.tobytes() == frame.data.tobytes(), name
+            assert [str(p) for p in got.peers] == [str(p) for p in frame.peers]
+            assert got.peer_asn.tobytes() == frame.peer_asn.tobytes()
+            assert got.domains == frame.domains
