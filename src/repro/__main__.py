@@ -722,6 +722,8 @@ def _bench_main(argv: list[str]) -> int:
 
 def _store_main(argv: list[str]) -> int:
     """``python -m repro store {ls,verify,gc,warm}`` -- warehouse ops."""
+    from repro.store.warehouse import DEFAULT_SNAPSHOT_LAYERS
+
     parser = argparse.ArgumentParser(
         prog="repro store",
         description="Inspect and maintain the on-disk artifact warehouse.",
@@ -742,8 +744,8 @@ def _store_main(argv: list[str]) -> int:
         "--layers",
         default=None,
         metavar="L1,L2,...",
-        help="warm: layers to persist (default: traffic,census,cloud,"
-        "dependencies,observatory; add whatif for the sweep)",
+        help="warm: layers to persist (default: "
+        f"{','.join(DEFAULT_SNAPSHOT_LAYERS)}; add whatif for the sweep)",
     )
     parser.add_argument(
         "--artifacts",
@@ -829,7 +831,6 @@ def _store_main(argv: list[str]) -> int:
     # warm: build the configuration into the store, layers then artifacts.
     from repro.serve.service import artifact_document
     from repro.store import artifact_key, snapshot_study
-    from repro.store.warehouse import DEFAULT_SNAPSHOT_LAYERS
 
     config = _config_from_args(args, parser)
     layers = (

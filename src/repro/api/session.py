@@ -1,12 +1,15 @@
 """The :class:`Study` session: one object owning scale, seed, and caches.
 
 A study is configured once (:class:`StudyConfig`) and then builds each
-expensive layer -- the residential traffic study, the web census, the
-cloud attribution, the dependency analysis -- lazily, exactly once per
-configuration, no matter how many artifacts ask for it.  The caches are
-process-wide and keyed on the configuration, so two ``Study`` objects
-with equal configs share the same underlying universes (the behaviour
-the benchmark harness and ``python -m repro all`` rely on).
+expensive layer lazily, exactly once per configuration, no matter how
+many artifacts ask for it.  Every layer is one row of
+:data:`LAYER_GRAPH` (dependencies, config parameters, builder, progress
+line), so adding a layer is adding a row.  A layer's key is its name,
+its dependencies' keys and its parameters, so keys cascade: whatever
+changes the census key changes every key built on it.  One process-wide
+cache keyed on ``(layer, key)`` holds every layer, so two ``Study``
+objects with equal configs share the same universes (the behaviour the
+benchmark harness and ``python -m repro all`` rely on).
 
     from repro.api import Study
 
@@ -18,6 +21,7 @@ the benchmark harness and ``python -m repro all`` rely on).
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -39,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.deps import DependencyAnalysis
     from repro.observatory.rounds import ObservatoryStudy
     from repro.sentinel.scan import SentinelFeed
+    from repro.whatif.spec import Intervention
     from repro.whatif.sweep import WhatifSweep
 
 #: The session's registry instruments.  Builds and store traffic count
@@ -109,8 +114,6 @@ def _store_load(layer: str, key: tuple) -> tuple[Any | None, bool]:
             on_retry=on_retry,
         )
     except Exception as exc:
-        import warnings
-
         STORE_COUNTS[f"error:{layer}"] += 1
         warnings.warn(
             f"store: could not load the {layer} layer ({exc}); rebuilding",
@@ -138,8 +141,6 @@ def _store_save(layer: str, key: tuple, value: Any, repair: bool = False) -> Non
     try:
         store.save_layer(layer, key, value, overwrite=repair)
     except Exception as exc:
-        import warnings
-
         STORE_COUNTS[f"error:{layer}"] += 1
         _WRITE_BEHIND_FAILURES.inc()
         warnings.warn(
@@ -151,54 +152,29 @@ def _store_save(layer: str, key: tuple, value: Any, repair: bool = False) -> Non
         return
     STORE_COUNTS[f"write:{layer}"] += 1
 
-_TRAFFIC_CACHE: dict[tuple, ResidenceStudy] = {}
-_CENSUS_CACHE: dict[tuple, CensusStudy] = {}
-_CLOUD_CACHE: dict[tuple, dict] = {}
-_DEPS_CACHE: dict[tuple, Any] = {}
-_OBSERVATORY_CACHE: dict[tuple, Any] = {}
-_WHATIF_CACHE: dict[tuple, Any] = {}
-_SENTINEL_CACHE: dict[tuple, Any] = {}
 
-#: Every process-wide layer cache, in one place.  ``clear_caches`` and
-#: the sweep-worker priming iterate this; a new layer that adds its own
-#: module-level ``_*_CACHE`` dict must register here (enforced by
-#: ``tests/api/test_session.py``), so overlays can never be silently
-#: leaked across ``clear_caches()``.
-_ALL_CACHES: dict[str, dict] = {
-    "traffic": _TRAFFIC_CACHE,
-    "census": _CENSUS_CACHE,
-    "cloud": _CLOUD_CACHE,
-    "dependencies": _DEPS_CACHE,
-    "observatory": _OBSERVATORY_CACHE,
-    "whatif": _WHATIF_CACHE,
-    "sentinel": _SENTINEL_CACHE,
-}
+#: The process-wide layer cache: ``(layer, key) -> built value``, shared
+#: by every study (overlays included) in the process.
+_CACHE: dict[tuple[str, tuple], Any] = {}
 
 
 def clear_caches() -> None:
     """Drop every cached layer (``BUILD_COUNTS`` is left intact)."""
-    for cache in _ALL_CACHES.values():
-        cache.clear()
+    _CACHE.clear()
 
 
 def prime_caches(layer_values: dict[str, dict[tuple, Any]]) -> None:
-    """Seed the process-wide caches with already-built layers.
+    """Seed the process-wide cache with already-built layers.
 
-    ``layer_values`` maps a layer name (a key of :data:`_ALL_CACHES`)
-    to ``{cache_key: built_value}`` entries.  Used by the whatif sweep
+    ``layer_values`` maps a layer name (a row of :data:`LAYER_GRAPH`)
+    to ``{layer_key: built_value}`` entries.  Used by the whatif sweep
     workers: the parent ships its baseline universes once per worker so
     a 20-scenario sweep fanned over processes still rebuilds zero
     untouched layers.
     """
     for layer, entries in layer_values.items():
-        try:
-            cache = _ALL_CACHES[layer]
-        except KeyError:
-            raise ValueError(
-                f"unknown layer {layer!r}; expected one of "
-                f"{', '.join(sorted(_ALL_CACHES))}"
-            ) from None
-        cache.update(entries)
+        _row(layer)
+        _CACHE.update(((layer, key), value) for key, value in entries.items())
 
 
 @dataclass(frozen=True)
@@ -286,43 +262,130 @@ class StudyConfig:
             self.whatif_scenarios,
         )
 
-    @property
-    def traffic_key(self) -> tuple:
-        return ("traffic", self.days, self.seed, self.residences)
+    def whatif_scenario_specs(self) -> tuple[str, ...]:
+        """The sweep's scenario specs, with ``None`` resolved to the
+        default grid (so explicit-default and implicit-default sweeps
+        share one cache entry)."""
+        if self.whatif_scenarios is not None:
+            return self.whatif_scenarios
+        from repro.whatif.spec import default_sweep_grid
 
-    @property
-    def census_key(self) -> tuple:
-        return ("census", self.sites, self.seed, self.link_clicks)
+        return tuple(scenario.spec() for scenario in default_sweep_grid())
 
-    @property
-    def observatory_key(self) -> tuple:
-        return self.observatory_key_over(self.census_key)
 
-    def observatory_key_over(self, census_key: tuple) -> tuple:
-        """The observatory key over an explicit census key.
+# -- the layer graph ---------------------------------------------------------
 
-        The observatory probes the census universe, so its key embeds
-        the census key -- which an overlay may have extended.  This is
-        the single definition both :attr:`observatory_key` and
-        ``Study._observatory_key`` compose.
-        """
-        return (
-            "observatory",
-            census_key,
-            self.days,
-            self.probe_targets,
-            self.probe_interval_days,
-        )
+
+@dataclass(frozen=True)
+class Layer:
+    """One row of the layer graph: ``deps`` are the layers its builder
+    reads, ``params`` the config fields it reads itself, and ``message``
+    the progress line logged before a build."""
+
+    name: str
+    deps: tuple[str, ...]
+    params: Callable[[StudyConfig], tuple]
+    build: Callable[["Study"], Any]
+    message: Callable[[StudyConfig], str]
+
+
+def _build_traffic(study: "Study") -> ResidenceStudy:
+    config = study.config
+    return build_residence_study(
+        num_days=config.days, seed=config.seed,
+        residences=config.residences, parallel=config.parallel,
+    )
+
+
+def _build_census(study: "Study") -> CensusStudy:
+    def mutate(ecosystem) -> None:
+        for intervention in study.acting_on("census"):
+            intervention.transform_ecosystem(ecosystem)
+
+    config = study.config
+    return build_census(
+        num_sites=config.sites, seed=config.seed, link_clicks=config.link_clicks,
+        mutate=mutate,
+    )
+
+
+def _build_cloud(study: "Study") -> dict[str, "DomainCloudView"]:
+    ecosystem = study.census.ecosystem
+    return attribute_domains(study.census.dataset, ecosystem.routing, ecosystem.registry)
+
+
+def _build_observatory(study: "Study") -> "ObservatoryStudy":
+    from repro.observatory.rounds import ObservatoryConfig, run_observatory
+    from repro.observatory.vantage import build_vantage_fleet
+
+    census, config = study.census, study.config
+    fleet = build_vantage_fleet()
+    obs_config = ObservatoryConfig(
+        num_days=config.days, probe_interval_days=config.probe_interval_days,
+        max_targets=config.probe_targets, seed=config.seed, parallel=config.parallel,
+    )
+    for intervention in study.acting_on("observatory"):
+        fleet = intervention.transform_fleet(fleet)
+        obs_config = intervention.transform_observatory_config(obs_config)
+    return run_observatory(census.ecosystem, obs_config, fleet=fleet)
+
+
+def _build_whatif(study: "Study") -> "WhatifSweep":
+    from repro.whatif.spec import parse_scenario
+    from repro.whatif.sweep import run_sweep
+
+    scenarios = tuple(map(parse_scenario, study.config.whatif_scenario_specs()))
+    return run_sweep(study, scenarios, parallel=study.config.parallel)
+
+
+def _build_sentinel(study: "Study") -> "SentinelFeed":
+    from repro.sentinel.scan import run_sentinel
+
+    return run_sentinel(study)
+
+
+#: Every layer of a study, in dependency order.  A layer's key is
+#: ``(name, *dep keys, *params)`` (see :meth:`Study.key`).
+LAYER_GRAPH: dict[str, Layer] = {
+    row.name: row
+    for row in (
+        Layer("traffic", (), lambda c: (c.days, c.seed, c.residences), _build_traffic,
+              lambda c: f"# generating {c.days} days of residential traffic ..."),
+        Layer("census", (), lambda c: (c.sites, c.seed, c.link_clicks), _build_census,
+              lambda c: f"# crawling a {c.sites}-site universe ..."),
+        Layer("cloud", ("census",), lambda c: (), _build_cloud,
+              lambda c: "# attributing crawled FQDNs to cloud organizations ..."),
+        Layer("dependencies", ("census",), lambda c: (),
+              lambda study: analyze_dependencies(study.census.dataset),
+              lambda c: "# analyzing IPv4-only dependencies of partial sites ..."),
+        Layer("observatory", ("census",),
+              lambda c: (c.days, c.probe_targets, c.probe_interval_days), _build_observatory,
+              lambda c: f"# probing {min(c.probe_targets, c.sites)} sites from the "
+              "vantage fleet ..."),
+        Layer("whatif", ("traffic", "census", "observatory"),
+              lambda c: (c.whatif_scenario_specs(),), _build_whatif,
+              lambda c: f"# sweeping {len(c.whatif_scenario_specs())} counterfactual "
+              "scenarios ..."),
+        Layer("sentinel", ("traffic", "census", "observatory"), lambda c: (), _build_sentinel,
+              lambda c: "# scanning adoption series for significant deviations ..."),
+    )
+}
+
+
+def _row(name: str) -> Layer:
+    if name not in LAYER_GRAPH:
+        raise ValueError(f"unknown layer {name!r}; expected one of {', '.join(LAYER_GRAPH)}")
+    return LAYER_GRAPH[name]
 
 
 class Study:
     """A lazy, memoized session over the paper's three perspectives.
 
     Layers are exposed as properties -- :attr:`traffic`, :attr:`census`,
-    :attr:`cloud`, :attr:`dependencies` -- and nothing is generated until
-    an artifact (or caller) touches one.  Artifacts run through
-    :meth:`artifact` / :meth:`run` and every artifact sharing this
-    study's config reuses the same builds.
+    :attr:`cloud`, :attr:`dependencies`, ... -- over :meth:`layer`, and
+    nothing is generated until an artifact (or caller) touches one.
+    Artifacts run through :meth:`artifact` / :meth:`run` and every
+    artifact sharing this study's config reuses the same builds.
     """
 
     def __init__(
@@ -338,224 +401,82 @@ class Study:
             config = config.replace(**overrides)
         self.config = config
         self._log = log
-        self._prebuilt = False
-        self._traffic: ResidenceStudy | None = None
-        self._census: CensusStudy | None = None
-        self._cloud: dict[str, "DomainCloudView"] | None = None
-        self._deps: "DependencyAnalysis | None" = None
-        self._observatory: "ObservatoryStudy | None" = None
-        self._whatif: "WhatifSweep | None" = None
-        self._sentinel: "SentinelFeed | None" = None
+        self._layers: dict[str, Any] = {}
 
-    @classmethod
-    def from_prebuilt(
-        cls,
-        traffic: ResidenceStudy | None = None,
-        census: CensusStudy | None = None,
-        config: StudyConfig | None = None,
-    ) -> "Study":
-        """Wrap already-built universes (compat shims, tests).
-
-        Derived layers (cloud attribution, dependency analysis) are
-        computed from the given objects and cached on the instance only:
-        the prebuilt universes' true seed/scale are unknown, so they must
-        not populate the config-keyed process caches.
-        """
-        if config is None:
-            config = StudyConfig(
-                days=traffic.num_days if traffic is not None else BENCH_TRAFFIC_DAYS,
-                sites=census.config.num_sites if census is not None else BENCH_CENSUS_SITES,
-            )
-        study = cls(config)
-        study._prebuilt = True
-        study._traffic = traffic
-        study._census = census
-        return study
-
-    def _say(self, message: str) -> None:
-        if self._log is not None:
-            self._log(message)
-
-    # -- layer cache keys and builders -------------------------------------
+    # -- keys, builders, resolution ----------------------------------------
     #
-    # Each layer's cache key and build recipe is an overridable method,
-    # which is how ``repro.whatif.overlay.OverlayStudy`` perturbs only
-    # the layers an intervention touches: it extends the keys (and
-    # swaps the builders) for perturbed layers and inherits these
-    # verbatim for everything else, so untouched layers stay cache hits
-    # against the baseline.  ``_count_key`` namespaces BUILD_COUNTS the
-    # same way (overlay rebuilds land under ``whatif:<layer>``).
+    # ``repro.whatif.overlay.OverlayStudy`` overrides ``acting_on``,
+    # ``_count_key`` and ``_build``; the rest is shared, so an overlay's
+    # untouched layers are cache hits against the baseline.
 
-    def _count_key(self, layer: str) -> str:
-        return layer
+    def acting_on(self, layer: str) -> tuple["Intervention", ...]:
+        """The what-if interventions acting on ``layer`` (a baseline: none)."""
+        return ()
 
-    def _traffic_key(self) -> tuple:
-        return self.config.traffic_key
+    def key(self, name: str) -> tuple:
+        """The cache and warehouse key of layer ``name``: ``(name, *dep
+        keys, *params)``, plus ``("whatif", "<specs>")`` if interventions act."""
+        row = _row(name)
+        key = (name, *(self.key(dep) for dep in row.deps), *row.params(self.config))
+        acting = self.acting_on(name)
+        if acting:
+            key += ("whatif", "+".join(intervention.spec() for intervention in acting))
+        return key
 
-    def _census_key(self) -> tuple:
-        return self.config.census_key
+    def _count_key(self, name: str, key: tuple) -> str:
+        """The ``builds_total`` label of one build of layer ``name``."""
+        return name
 
-    def _observatory_key(self) -> tuple:
-        return self.config.observatory_key_over(self._census_key())
+    def _build(self, name: str) -> Any:
+        return LAYER_GRAPH[name].build(self)
 
-    def _whatif_key(self) -> tuple:
-        return (
-            "whatif",
-            self._traffic_key(),
-            self._census_key(),
-            self._observatory_key(),
-            self._whatif_scenario_specs(),
-        )
+    def layer(self, name: str) -> Any:
+        """Layer ``name``: memory, else the active store, else a build.
 
-    def _sentinel_key(self) -> tuple:
-        return (
-            "sentinel",
-            self._traffic_key(),
-            self._census_key(),
-            self._observatory_key(),
-        )
-
-    def _whatif_scenario_specs(self) -> tuple[str, ...]:
-        """The sweep's scenario specs, with ``None`` resolved to the
-        default grid (so explicit-default and implicit-default sweeps
-        share one cache entry)."""
-        if self.config.whatif_scenarios is not None:
-            return self.config.whatif_scenarios
-        from repro.whatif.spec import default_sweep_grid
-
-        return tuple(scenario.spec() for scenario in default_sweep_grid())
-
-    def _build_traffic(self) -> ResidenceStudy:
-        return build_residence_study(
-            num_days=self.config.days,
-            seed=self.config.seed,
-            residences=self.config.residences,
-            parallel=self.config.parallel,
-        )
-
-    def _build_census(self) -> CensusStudy:
-        return build_census(
-            num_sites=self.config.sites,
-            seed=self.config.seed,
-            link_clicks=self.config.link_clicks,
-        )
-
-    def _build_observatory(self, census: CensusStudy) -> "ObservatoryStudy":
-        from repro.observatory.rounds import ObservatoryConfig, run_observatory
-
-        return run_observatory(
-            census.ecosystem,
-            ObservatoryConfig(
-                num_days=self.config.days,
-                probe_interval_days=self.config.probe_interval_days,
-                max_targets=self.config.probe_targets,
-                seed=self.config.seed,
-                parallel=self.config.parallel,
-            ),
-        )
-
-    def _timed_build(self, layer: str, build: Callable[[], Any]) -> Any:
-        """Count and trace one actual layer build (the only build path).
-
-        Every build increments ``builds_total``, runs inside a
-        ``build:<layer>`` span (nesting under whatever artifact or CLI
-        span is open), and lands its wall time in the
-        ``build_seconds`` histogram -- so "where did the smoke go"
-        is answerable per layer without a profiler.
+        Only a store miss builds, and the fresh value is written behind.
+        A build counts in ``builds_total`` (a store hit counts in
+        :data:`STORE_COUNTS` instead), runs inside a ``build:<layer>``
+        span, and lands its wall time in ``build_seconds``.
         """
-        count_key = self._count_key(layer)
-        BUILD_COUNTS[count_key] += 1
-        with span(f"build:{layer}", layer=count_key) as build_span:
-            value = build()
-        _BUILD_SECONDS.observe(build_span.duration_s, layer=count_key)
-        return value
-
-    def _resolve_layer(
-        self, layer: str, key: tuple, build: Callable[[], Any], message: str
-    ) -> Any:
-        """Memory -> disk -> build, the tiering every layer shares.
-
-        On a process-cache miss the active store (if any) is consulted
-        first; only a disk miss actually builds (and the fresh value is
-        written behind).  ``BUILD_COUNTS`` counts builds only -- a disk
-        hit shows up in :data:`STORE_COUNTS` instead, which is what the
-        warm-start tests key on.
-        """
-        cache = _ALL_CACHES[layer]
-        if key not in cache:
-            value, damaged = _store_load(layer, key)
-            if value is None:
-                self._say(message)
-                value = self._timed_build(layer, build)
-                _store_save(layer, key, value, repair=damaged)
-            cache[key] = value
-        return cache[key]
+        if name not in self._layers:
+            key = self.key(name)
+            slot = (name, key)
+            if slot not in _CACHE:
+                value, damaged = _store_load(name, key)
+                if value is None:
+                    if self._log is not None:
+                        self._log(LAYER_GRAPH[name].message(self.config))
+                    label = self._count_key(name, key)
+                    BUILD_COUNTS[label] += 1
+                    with span(f"build:{name}", layer=label) as build_span:
+                        value = self._build(name)
+                    _BUILD_SECONDS.observe(build_span.duration_s, layer=label)
+                    _store_save(name, key, value, repair=damaged)
+                _CACHE[slot] = value
+            self._layers[name] = _CACHE[slot]
+        return self._layers[name]
 
     # -- the layers --------------------------------------------------------
 
     @property
     def traffic(self) -> ResidenceStudy:
         """The five-residence traffic study (built on first access)."""
-        if self._traffic is None:
-            self._traffic = self._resolve_layer(
-                "traffic",
-                self._traffic_key(),
-                self._build_traffic,
-                f"# generating {self.config.days} days of residential traffic ...",
-            )
-        return self._traffic
+        return self.layer("traffic")
 
     @property
     def census(self) -> CensusStudy:
         """The crawled web census (built on first access)."""
-        if self._census is None:
-            self._census = self._resolve_layer(
-                "census",
-                self._census_key(),
-                self._build_census,
-                f"# crawling a {self.config.sites}-site universe ...",
-            )
-        return self._census
+        return self.layer("census")
 
     @property
     def cloud(self) -> dict[str, "DomainCloudView"]:
         """Per-FQDN cloud attribution of the census (section 5)."""
-        if self._cloud is None:
-            def build() -> dict[str, "DomainCloudView"]:
-                census = self.census
-                return attribute_domains(
-                    census.dataset, census.ecosystem.routing, census.ecosystem.registry
-                )
-
-            message = "# attributing crawled FQDNs to cloud organizations ..."
-            if self._prebuilt:
-                # Prebuilt universes never enter the config-keyed caches
-                # (their true seed/scale are unknown) -- and for the same
-                # reason they must bypass the store.
-                self._say(message)
-                self._cloud = self._timed_build("cloud", build)
-            else:
-                self._cloud = self._resolve_layer(
-                    "cloud", self._census_key(), build, message
-                )
-        return self._cloud
+        return self.layer("cloud")
 
     @property
     def dependencies(self) -> "DependencyAnalysis":
         """The section-4.3 dependency analysis of the census."""
-        if self._deps is None:
-            def build() -> "DependencyAnalysis":
-                return analyze_dependencies(self.census.dataset)
-
-            message = "# analyzing IPv4-only dependencies of partial sites ..."
-            if self._prebuilt:
-                self._say(message)
-                self._deps = self._timed_build("dependencies", build)
-            else:
-                self._deps = self._resolve_layer(
-                    "dependencies", self._census_key(), build, message
-                )
-        return self._deps
+        return self.layer("dependencies")
 
     @property
     def observatory(self) -> "ObservatoryStudy":
@@ -567,22 +488,7 @@ class Study:
         truth being probed) and cached per configuration like every
         other layer.
         """
-        if self._observatory is None:
-            def build() -> "ObservatoryStudy":
-                return self._build_observatory(self.census)
-
-            message = (
-                f"# probing {min(self.config.probe_targets, self.config.sites)}"
-                " sites from the vantage fleet ..."
-            )
-            if self._prebuilt:
-                self._say(message)
-                self._observatory = self._timed_build("observatory", build)
-            else:
-                self._observatory = self._resolve_layer(
-                    "observatory", self._observatory_key(), build, message
-                )
-        return self._observatory
+        return self.layer("observatory")
 
     @property
     def whatif(self) -> "WhatifSweep":
@@ -596,29 +502,7 @@ class Study:
         baseline layer an intervention does not perturb, so the sweep
         costs rebuilds only where the counterfactual differs.
         """
-        if self._whatif is None:
-            from repro.whatif.spec import parse_scenario
-            from repro.whatif.sweep import run_sweep
-
-            if self._prebuilt:
-                # Same contract as OverlayStudy/run_sweep: prebuilt
-                # universes never entered the process caches, so the
-                # overlays would fork a different world than the one
-                # the baseline signals come from.
-                raise ValueError(
-                    "whatif sweeps need a config-cached baseline; prebuilt "
-                    "studies bypass the process caches the overlays share"
-                )
-            scenarios = tuple(
-                parse_scenario(spec) for spec in self._whatif_scenario_specs()
-            )
-            self._whatif = self._resolve_layer(
-                "whatif",
-                self._whatif_key(),
-                lambda: run_sweep(self, scenarios, parallel=self.config.parallel),
-                f"# sweeping {len(scenarios)} counterfactual scenarios ...",
-            )
-        return self._whatif
+        return self.layer("whatif")
 
     @property
     def sentinel(self) -> "SentinelFeed":
@@ -631,21 +515,7 @@ class Study:
         layer.  An empty feed is a valid result: silence means nothing
         deviated, not that nothing was watched.
         """
-        if self._sentinel is None:
-            from repro.sentinel.scan import run_sentinel
-
-            def build() -> "SentinelFeed":
-                return run_sentinel(self)
-
-            message = "# scanning adoption series for significant deviations ..."
-            if self._prebuilt:
-                self._say(message)
-                self._sentinel = self._timed_build("sentinel", build)
-            else:
-                self._sentinel = self._resolve_layer(
-                    "sentinel", self._sentinel_key(), build, message
-                )
-        return self._sentinel
+        return self.layer("sentinel")
 
     def artifact(self, name: str, **params: Any) -> "ArtifactResult":
         """Run one registered artifact against this study."""
@@ -661,17 +531,4 @@ class Study:
         return [self.artifact(name) for name in wanted]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        built = [
-            layer
-            for layer, value in (
-                ("traffic", self._traffic),
-                ("census", self._census),
-                ("cloud", self._cloud),
-                ("dependencies", self._deps),
-                ("observatory", self._observatory),
-                ("whatif", self._whatif),
-                ("sentinel", self._sentinel),
-            )
-            if value is not None
-        ]
-        return f"Study({self.config!r}, built={built or 'nothing'})"
+        return f"Study({self.config!r}, built={list(self._layers) or 'nothing'})"

@@ -10,11 +10,11 @@ Public surface::
 and on the command line::
 
     python -m repro lint
-    python -m repro lint --format json --rule REP002
+    python -m repro lint --format json --rule REP004
     python -m repro lint --baseline replint-baseline.json
 
 See :mod:`repro.devtools.lint.engine` for the rule framework and
-:mod:`repro.devtools.lint.rules` for the REP001..REP012 invariants.
+:mod:`repro.devtools.lint.rules` for the REP001, REP003..REP012 invariants.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.devtools.lint.engine import (
     lint_paths,
 )
 from repro.devtools.lint.rules import RULE_CLASSES, default_rules, rule_ids
-from repro.devtools.lint.rules.caches import unregistered_caches
 
 __all__ = [
     "WAIVER_RULE_ID",
@@ -44,7 +43,6 @@ __all__ = [
     "lint_paths",
     "lint_repo",
     "rule_ids",
-    "unregistered_caches",
 ]
 
 

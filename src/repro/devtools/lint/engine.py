@@ -2,12 +2,12 @@
 
 ``replint`` is a self-contained :mod:`ast`-based checker for the
 repo-specific invariants the test suite can only police after the fact
-(determinism, cache registration, serialization discipline, registry
-contracts).  A :class:`Rule` sees each parsed module once
-(:meth:`Rule.check`) and the whole project at the end
-(:meth:`Rule.finalize`), which is how cross-module rules -- "every
-``_*_CACHE`` dict is registered in ``session._ALL_CACHES``" -- are
-expressed in the same framework as per-file ones.
+(determinism, serialization discipline, registry contracts).  A
+:class:`Rule` sees each parsed module once (:meth:`Rule.check`) and the
+whole project at the end (:meth:`Rule.finalize`), which is how
+cross-module rules -- "every ``@artifact(needs=...)`` names a layer of
+``registry.LAYERS``" -- are expressed in the same framework as per-file
+ones.
 
 Suppression is explicit and justified: a violation may be waived with
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-#: Matches one waiver comment:  ``# replint: allow[REP001,REP002] reason``.
+#: Matches one waiver comment:  ``# replint: allow[REP001,REP008] reason``.
 _WAIVER_RE = re.compile(
     r"#\s*replint:\s*allow\[(?P<rules>[A-Z0-9, ]+)\]\s*(?P<reason>.*)$"
 )

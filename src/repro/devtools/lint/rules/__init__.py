@@ -1,4 +1,4 @@
-"""The replint rule set: REP001..REP012, one invariant per rule.
+"""The replint rule set: REP001 and REP003..REP012, one invariant per rule.
 
 ``default_rules()`` returns fresh instances (rules accumulate per-run
 state for their cross-module passes, so instances must not be shared
@@ -8,7 +8,6 @@ between runs).
 from __future__ import annotations
 
 from repro.devtools.lint.engine import Rule
-from repro.devtools.lint.rules.caches import CacheRegistryRule
 from repro.devtools.lint.rules.counts import CounterRegistryRule
 from repro.devtools.lint.rules.determinism import NondeterminismRule
 from repro.devtools.lint.rules.errors import SwallowedErrorRule
@@ -25,7 +24,6 @@ from repro.devtools.lint.rules.thresholds import ThresholdLocalityRule
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
     NondeterminismRule,
-    CacheRegistryRule,
     SerializationRule,
     ArtifactContractRule,
     InterventionContractRule,

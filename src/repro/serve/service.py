@@ -39,6 +39,7 @@ from typing import Any, Iterable
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.api import Study, StudyConfig, jsonify, registry
+from repro.api.session import _WRITE_BEHIND_FAILURES
 from repro.datasets.scenarios import SCALE_PRESETS
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_hook
@@ -104,10 +105,6 @@ _NOT_MODIFIED = _metrics_registry().counter(
 )
 _DEGRADED = _metrics_registry().counter(
     "serve_degraded_total", "degraded serves, per mode (stale | shed)", ("mode",)
-)
-_WRITE_BEHIND_FAILURES = _metrics_registry().counter(
-    "store_write_behind_failures_total",
-    "write-behind persists that failed (the build still served)",
 )
 
 
@@ -319,7 +316,6 @@ class ArtifactService:
         self._hot: OrderedDict[tuple, _Encoded] = OrderedDict()
         self._hot_lock = threading.Lock()
         self._build_lock = threading.Lock()
-        self._studies: dict[StudyConfig, Study] = {}
         # Last-known-good documents (per artifact+config), what serve-
         # stale degrades to; evicted LRU like the hot cache.
         self._good: OrderedDict[tuple, dict] = OrderedDict()
@@ -985,8 +981,7 @@ class ArtifactService:
             try:
                 fault_hook("slow-build", name)
                 fault_hook("build-error", name)
-                study = self._studies.setdefault(config, Study(config))
-                document = artifact_document(study, name)
+                document = artifact_document(Study(config), name)
             except ServiceError:
                 raise  # request-shaped failures are not builder health
             except Exception as exc:

@@ -11,8 +11,8 @@ A store is one directory::
           artifact.json               # rendered artifact document (artifacts)
 
 Every entry is addressed by a SHA-256 digest of its *key* -- for layers
-the exact cache-key tuples :class:`repro.api.session.StudyConfig`
-derives (``traffic_key``, ``census_key``, ...), for artifacts the
+the exact cache-key tuple :meth:`repro.api.session.Study.key` derives
+from the session's layer graph, for artifacts the
 ``(name, params, config.result_key)`` triple -- so a process that
 computes the same configuration always lands on the same directory, and
 two configurations can never collide.  ``meta.json`` records a SHA-256
@@ -646,20 +646,6 @@ def reset_store() -> None:
 # -- study-level convenience --------------------------------------------------
 
 
-def _layer_keys(study: "Study") -> dict[str, tuple]:
-    """Layer name -> the exact session cache key ``study`` uses for it."""
-    census_key = study._census_key()
-    return {
-        "traffic": study._traffic_key(),
-        "census": census_key,
-        "cloud": census_key,
-        "dependencies": census_key,
-        "observatory": study._observatory_key(),
-        "whatif": study._whatif_key(),
-        "sentinel": study._sentinel_key(),
-    }
-
-
 def snapshot_study(
     store: ArtifactStore,
     study: "Study",
@@ -671,23 +657,10 @@ def snapshot_study(
     baseline pipeline; pass ``("whatif",)`` (or the full list) to also
     persist the counterfactual sweep.
     """
-    keys = _layer_keys(study)
-    values = {
-        "traffic": lambda: study.traffic,
-        "census": lambda: study.census,
-        "cloud": lambda: study.cloud,
-        "dependencies": lambda: study.dependencies,
-        "observatory": lambda: study.observatory,
-        "whatif": lambda: study.whatif,
-        "sentinel": lambda: study.sentinel,
-    }
     entries: dict[str, StoreEntry] = {}
     for layer in layers:
-        if layer not in keys:
-            raise ValueError(
-                f"unknown layer {layer!r}; expected one of {', '.join(sorted(keys))}"
-            )
-        entries[layer] = store.save_layer(layer, keys[layer], values[layer]())
+        key = study.key(layer)
+        entries[layer] = store.save_layer(layer, key, study.layer(layer))
     return entries
 
 
@@ -698,25 +671,21 @@ def warm_start(
 ) -> list[str]:
     """Prime a cold process's session caches from disk.
 
-    Loads every requested layer the store holds for ``config`` (all
-    seven by default, skipping absences) and seeds them through
-    :func:`repro.api.session.prime_caches`.  Returns the layers primed.
+    Loads every requested layer the store holds for ``config`` (every
+    layer of the session's graph by default, skipping absences) and
+    seeds them through :func:`repro.api.session.prime_caches`.  Returns
+    the layers primed.
     """
-    from repro.api.session import Study, prime_caches
+    from repro.api.session import LAYER_GRAPH, Study, prime_caches
 
-    study = Study(config)  # builds nothing; only supplies the key methods
-    keys = _layer_keys(study)
-    wanted = list(layers) if layers is not None else list(keys)
+    study = Study(config)  # builds nothing; only derives the keys
     primed: list[str] = []
-    for layer in wanted:
-        if layer not in keys:
-            raise ValueError(
-                f"unknown layer {layer!r}; expected one of {', '.join(sorted(keys))}"
-            )
-        value = store.load_layer(layer, keys[layer])
+    for layer in layers if layers is not None else LAYER_GRAPH:
+        key = study.key(layer)
+        value = store.load_layer(layer, key)
         if value is None:
             continue
-        prime_caches({layer: {keys[layer]: value}})
+        prime_caches({layer: {key: value}})
         primed.append(layer)
     return primed
 

@@ -27,7 +27,6 @@ _MASK_64 = (1 << 64) - 1
 #: A pure content-keyed memo (the cdf is a function of the weights
 #: alone), so it carries no per-study state: clearing it between
 #: overlay runs would only cost recomputation, never change a draw.
-# replint: allow[REP002] pure content-keyed memo; holds no per-study state to clear or prime
 _CDF_CACHE: dict[tuple, "np.ndarray"] = {}
 
 

@@ -81,13 +81,8 @@ def run_event_sweep(
     universes, so the sweep is deterministic and the ranking is a pure
     function of the seed and the grid.
     """
-    if study._prebuilt:
-        raise ValueError(
-            "event sweeps need a config-cached baseline; prebuilt studies "
-            "bypass the process caches the overlays share"
-        )
     if scenarios is None:
-        specs = study._whatif_scenario_specs()
+        specs = study.config.whatif_scenario_specs()
     else:
         specs = tuple(as_scenario(scenario).spec() for scenario in scenarios)
     baseline = study.sentinel

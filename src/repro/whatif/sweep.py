@@ -12,9 +12,11 @@ as baseline/overlay/delta triples in a columnar :class:`DeltaFrame`
 
 Scenarios fan out over :mod:`repro.util.procpool` like residences and
 vantage points do.  Workers receive the baseline universes **once per
-worker** through the pool initializer and seed their process caches
-with them (:func:`repro.api.session.prime_caches`), so a parallel
-sweep, like a sequential one, rebuilds only the layers each scenario
+worker** through the pool initializer, as ``{layer: {study.key(layer):
+study.layer(layer)}}``, and seed their process cache with them
+(:func:`repro.api.session.prime_caches`).  An overlay derives the same
+keys for every layer its scenario leaves alone, so a parallel sweep,
+like a sequential one, rebuilds only the layers each scenario
 perturbs.  Every signal is a deterministic function of (config,
 scenario) and blocks are reassembled in grid order, so the parallel
 and sequential paths are bit-identical.
@@ -308,15 +310,6 @@ def run_sweep(
             sequential, results bit-identical either way).
     """
     study = baseline if isinstance(baseline, Study) else Study(baseline)
-    if study._prebuilt:
-        # Same contract as OverlayStudy: a prebuilt study's universes
-        # never entered the process caches, so overlays built from its
-        # *config* would fork a different world than the one the
-        # baseline signals were snapshotted from.
-        raise ValueError(
-            "run_sweep needs a config-cached baseline; prebuilt studies "
-            "bypass the process caches the overlays share"
-        )
     grid = tuple(
         as_scenario(s) for s in (scenarios if scenarios is not None else default_sweep_grid())
     )
@@ -330,12 +323,10 @@ def run_sweep(
     workers = resolve_worker_count(parallel, len(tasks))
     blocks: list[np.ndarray] | None = None
     if workers > 1:
-        entries = {
-            "census": {study._census_key(): study.census},
-            "observatory": {study._observatory_key(): study.observatory},
-        }
+        shipped = ["census", "observatory"]
         if any("traffic" in scenario.layers() for scenario in grid):
-            entries["traffic"] = {study._traffic_key(): study.traffic}
+            shipped.append("traffic")
+        entries = {name: {study.key(name): study.layer(name)} for name in shipped}
         blocks = map_in_pool(
             _sweep_scenario_in_worker,
             tasks,

@@ -32,6 +32,9 @@ class TestRegistryContents:
             assert spec.description, spec.name
             assert spec.paper, spec.name
             assert spec.needs <= registry.LAYERS, spec.name
+        from repro.api.session import LAYER_GRAPH
+
+        assert registry.LAYERS == set(LAYER_GRAPH)
 
     def test_get_unknown_raises_with_names(self):
         with pytest.raises(KeyError, match="table1"):
@@ -66,9 +69,3 @@ class TestEveryArtifactRenders:
 
     def test_params_flow_through(self, study):
         assert len(study.artifact("table3", top=2).rows) <= 3  # overall + 2
-
-    def test_report_shims_match_registry(self, study):
-        from repro.core import report
-
-        assert report.render_fig5(study.census) == study.artifact("fig5").to_text()
-        assert report.render_table1(study.traffic) == study.artifact("table1").to_text()

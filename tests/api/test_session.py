@@ -79,27 +79,12 @@ class TestLazyMemoizedBuilds:
 
 
 class TestCacheRegistry:
-    def test_every_module_level_cache_is_registered(self):
-        """No layer cache may dodge ``clear_caches`` (whatif overlays
-        included): every module-level ``_*_CACHE`` dict anywhere in the
-        source tree must be registered in ``_ALL_CACHES``.  Delegates to
-        the replint REP002 cross-module pass so the test and the linter
-        cannot drift -- and so the check covers every module, not just
-        ``session.py``."""
-        from repro.devtools.lint import unregistered_caches
-
-        violations = unregistered_caches()
-        assert not violations, "\n".join(
-            violation.format(fix_hints=True) for violation in violations
-        )
-        assert session_module._ALL_CACHES, "expected registered layer caches"
-
     def test_clear_caches_empties_every_registered_cache(self):
-        Study(days=3, seed=9009, residences=("A",)).traffic
-        assert any(session_module._ALL_CACHES["traffic"].values())
+        config = StudyConfig(days=3, seed=9009, residences=("A",))
+        traffic = Study(config).traffic
+        assert session_module._CACHE[("traffic", Study(config).key("traffic"))] is traffic
         session_module.clear_caches()
-        for name, cache in session_module._ALL_CACHES.items():
-            assert cache == {}, name
+        assert session_module._CACHE == {}
 
     def test_prime_caches_rejects_unknown_layer(self):
         with pytest.raises(ValueError, match="unknown layer"):
@@ -110,24 +95,60 @@ class TestCacheRegistry:
         traffic = build_residence_study(num_days=3, seed=9010, residences=("A",))
         before = BUILD_COUNTS["traffic"]
         session_module.prime_caches(
-            {"traffic": {config.traffic_key: traffic}}
+            {"traffic": {Study(config).key("traffic"): traffic}}
         )
         assert Study(config).traffic is traffic
         assert BUILD_COUNTS["traffic"] == before
 
 
 class TestFromPrebuilt:
-    def test_prebuilt_traffic_skips_build(self):
-        traffic = build_residence_study(num_days=3, seed=9005, residences=("A",))
-        before = BUILD_COUNTS.copy()
-        study = Study.from_prebuilt(traffic=traffic)
-        result = study.artifact("table1")
-        assert BUILD_COUNTS == before
-        assert "Table 1" in result.to_text()
-        assert study.config.days == 3
-
     def test_run_returns_results_in_order(self):
-        traffic = build_residence_study(num_days=3, seed=9005, residences=("A",))
-        study = Study.from_prebuilt(traffic=traffic)
+        study = Study(days=3, seed=9005, residences=("A",))
         results = study.run(["table1", "fig1"])
         assert [r.name for r in results] == ["table1", "fig1"]
+
+
+#: A config the key tests only derive keys for (nothing is built).
+KEYED = StudyConfig(
+    days=3, sites=120, seed=9011, residences=("A",), probe_targets=40,
+    probe_interval_days=2, whatif_scenarios=("nat64:DE",),
+)
+
+
+class TestLayerKeys:
+    def test_each_layer_key_is_pinned(self):
+        """Warehouse entries are addressed by these tuples: traffic,
+        census, observatory, whatif and sentinel keep their historical
+        shape, so existing warehouses keep hitting."""
+        traffic = ("traffic", 3, 9011, ("A",))
+        census = ("census", 120, 9011, 5)
+        observatory = ("observatory", census, 3, 40, 2)
+        study = Study(KEYED)
+        assert {name: study.key(name) for name in session_module.LAYER_GRAPH} == {
+            "traffic": traffic,
+            "census": census,
+            "cloud": ("cloud", census),
+            "dependencies": ("dependencies", census),
+            "observatory": observatory,
+            "whatif": ("whatif", traffic, census, observatory, ("nat64:DE",)),
+            "sentinel": ("sentinel", traffic, census, observatory),
+        }
+
+    @pytest.mark.parametrize(
+        ("spec", "changed"),
+        [
+            ("nat64:US", {"observatory", "whatif", "sentinel"}),
+            ("hetimer:300", {"traffic", "whatif", "sentinel"}),
+            ("dualstack:Amazon", set(session_module.LAYER_GRAPH)),
+        ],
+    )
+    def test_overlay_keys_cascade_through_deps(self, spec, changed):
+        from repro.whatif import OverlayStudy
+
+        config = KEYED.replace(whatif_scenarios=None)
+        baseline, overlay = Study(config), OverlayStudy(config, spec)
+        assert {
+            name
+            for name in session_module.LAYER_GRAPH
+            if overlay.key(name) != baseline.key(name)
+        } == changed

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.core import report
+from repro.api import Study
 from repro.core.longitudinal import (
     Snapshot,
     adoption_change,
@@ -11,55 +11,44 @@ from repro.core.longitudinal import (
     run_snapshots,
 )
 from repro.core.readiness import CensusBreakdown
-from repro.datasets import build_census, build_residence_study
 
 
 @pytest.fixture(scope="module")
 def study():
-    return build_residence_study(num_days=7, seed=3, residences=("A", "E"))
-
-
-@pytest.fixture(scope="module")
-def census():
-    return build_census(num_sites=300, seed=3)
+    return Study(days=7, sites=300, seed=3, residences=("A", "E"))
 
 
 class TestReportRenderers:
     def test_table1(self, study):
-        text = report.render_table1(study)
+        text = study.artifact("table1").to_text()
         assert "Table 1" in text
         assert "external" in text and "internal" in text
         assert text.count("\n") >= 5  # header + 2 residences x 2 scopes
 
-    def test_fig5(self, census):
-        text = report.render_fig5(census)
+    def test_fig5(self, study):
+        text = study.artifact("fig5").to_text()
         for label in ("IPv4-only", "IPv6-partial", "IPv6-full", "NXDOMAIN"):
             assert label in text
 
-    def test_fig6(self, census):
-        text = report.render_fig6(census)
+    def test_fig6(self, study):
+        text = study.artifact("fig6").to_text()
         assert "top N" in text
         assert "%" in text
 
-    def test_dependencies(self, census):
-        text = report.render_dependencies(census)
+    def test_dependencies(self, study):
+        text = study.artifact("deps").to_text()
         assert "IPv6-partial sites" in text
         assert "span" in text
 
-    def test_table3(self, census):
-        text = report.render_table3(census)
+    def test_table3(self, study):
+        text = study.artifact("table3").to_text()
         assert "Overall" in text
         assert "Cloudflare" in text
 
-    def test_table2(self, census):
-        text = report.render_table2(census, min_domains=1)
+    def test_table2(self, study):
+        text = study.artifact("table2", min_domains=1).to_text()
         assert "policy" in text
         assert "default-on" in text
-
-    def test_full_report(self, study, census):
-        text = report.full_report(study, census)
-        for marker in ("Table 1", "Figure 5", "Figure 6", "Table 3", "Table 2"):
-            assert marker in text
 
 
 class TestCli:

@@ -61,7 +61,7 @@ class TestRuleSelection:
     def test_list_rules_documents_all_ids(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP000", "REP001", "REP002", "REP003", "REP004",
+        for rule_id in ("REP000", "REP001", "REP003", "REP004",
                         "REP005", "REP006", "REP007", "REP008"):
             assert rule_id in out
 

@@ -207,6 +207,16 @@ class TestTiers:
         hot = service.handle("GET", "/v1/artifact/fig6", hot_only=True)
         assert hot is not None and hot.status == 200
 
+    def test_layers_live_only_in_the_session_cache(self):
+        """The service pins no layers of its own: once the session cache
+        is cleared, a cold render builds what it needs again."""
+        service = ArtifactService(CONFIG, store=None)
+        assert service.handle("GET", "/v1/artifact/fig5").status == 200
+        clear_caches()
+        before = BUILD_COUNTS["census"]
+        assert service.handle("GET", "/v1/artifact/fig6").status == 200
+        assert BUILD_COUNTS["census"] - before == 1
+
     def test_hot_cache_eviction(self):
         service = ArtifactService(CONFIG, store=None, hot_limit=2)
         service.handle("GET", "/v1/artifacts")

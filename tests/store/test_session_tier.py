@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 from repro.api import BUILD_COUNTS, STORE_COUNTS, Study, StudyConfig, clear_caches
-from repro.api.session import _ALL_CACHES
+from repro.api.session import _CACHE
 from repro.store import set_store, snapshot_study, warm_start
 from repro.store.serialize import PAYLOAD_FILE
 
@@ -51,8 +51,7 @@ class TestWarmStartFidelity:
         assert STORE_COUNTS["write:traffic"] >= 1  # write-behind happened
 
         clear_caches()
-        for cache in _ALL_CACHES.values():
-            assert not cache  # genuinely cold in memory
+        assert not _CACHE  # genuinely cold in memory
         before = BUILD_COUNTS.copy()
         warm = render_all(CONFIG)
 

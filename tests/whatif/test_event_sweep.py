@@ -84,11 +84,3 @@ def test_event_ranking_artifact_renders_the_sweep():
     assert counts == sorted(counts, reverse=True)
     assert "baseline feed" in result.to_text()
 
-
-def test_prebuilt_studies_are_rejected():
-    from repro.datasets.scenarios import build_residence_study
-
-    traffic = build_residence_study(num_days=3, seed=9005, residences=("A",))
-    study = Study.from_prebuilt(traffic=traffic)
-    with pytest.raises(ValueError, match="config-cached baseline"):
-        run_event_sweep(study, ("nat64:DE",))

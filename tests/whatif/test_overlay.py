@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.api import BUILD_COUNTS, Study, StudyConfig
-from repro.datasets import build_residence_study
 from repro.whatif import OverlayStudy
 from repro.whatif.spec import Intervention
 
@@ -88,6 +87,29 @@ class TestCacheReuseAccounting:
         assert first is not second
 
 
+class TestOverlayOnAColdBaseline:
+    #: A world no other test builds, so the build deltas below are exact.
+    COLD = StudyConfig(
+        days=3, sites=105, seed=4343, probe_targets=40, probe_interval_days=2,
+        residences=("A",), parallel=False,
+    )
+
+    def test_untouched_traffic_is_the_baseline_build(self):
+        """An overlay that leaves traffic alone builds (and caches) the
+        plain baseline layer, draws included, so traffic what-ifs over
+        the same config can still re-race it."""
+        from repro.api import clear_caches
+
+        clear_caches()
+        before = BUILD_COUNTS.copy()
+        traffic = OverlayStudy(self.COLD, "nat64:DE").traffic
+        assert _deltas(before) == {"traffic": 1}
+        assert traffic is Study(self.COLD).traffic
+        assert all(dataset.draws is not None for dataset in traffic.datasets.values())
+        rerace = OverlayStudy(self.COLD, "ispv6").traffic
+        assert rerace.datasets.keys() == traffic.datasets.keys()
+
+
 class TestComposedScenarioSharing:
     #: A world no other test builds, so the deltas below are exact.
     COMPOSED = StudyConfig(
@@ -113,10 +135,10 @@ class TestComposedScenarioSharing:
     def test_layer_keys_carry_only_the_declaring_interventions(self):
         single = OverlayStudy(self.COMPOSED, "dualstack:Amazon")
         composed = OverlayStudy(self.COMPOSED, "dualstack:Amazon+ispv6")
-        assert composed._census_key() == single._census_key()
-        assert composed._observatory_key() == single._observatory_key()
-        assert composed._traffic_key() != single._traffic_key()
-        assert composed._traffic_key()[-1] == "dualstack:Amazon+ispv6"
+        assert composed.key("census") == single.key("census")
+        assert composed.key("observatory") == single.key("observatory")
+        assert composed.key("traffic") != single.key("traffic")
+        assert composed.key("traffic")[-1] == "dualstack:Amazon+ispv6"
 
 
 #: Each perturbable layer's transform hooks.
@@ -190,12 +212,6 @@ class TestOverlaySemantics:
                 for placement in tenant.placements
             )
         assert aaaa_count(overlay.census) > aaaa_count(baseline.census)
-
-    def test_prebuilt_baseline_rejected(self):
-        traffic = build_residence_study(num_days=3, seed=9005, residences=("A",))
-        prebuilt = Study.from_prebuilt(traffic=traffic)
-        with pytest.raises(ValueError, match="prebuilt"):
-            OverlayStudy(prebuilt, "nat64:DE")
 
     def test_overlay_from_bare_config(self):
         overlay = OverlayStudy(SMALL, "accelerate:3")
@@ -297,7 +313,7 @@ class TestTrafficOverlaysReraceTheBaselineDraws:
 
     def test_overlay_over_a_warehouse_baseline_matches_a_fresh_one(self, tmp_path):
         from repro.api import STORE_COUNTS
-        from repro.api.session import _ALL_CACHES
+        from repro.api.session import _CACHE
         from repro.store import set_store
 
         config = StudyConfig(
@@ -305,7 +321,6 @@ class TestTrafficOverlaysReraceTheBaselineDraws:
             residences=("A", "C"), parallel=False,
         )
         spec = "dualstack:Amazon+ispv6"
-        traffic_cache = _ALL_CACHES["traffic"]
         set_store(tmp_path / "warehouse")
         try:
             fresh_baseline = Study(config).traffic  # built, then written behind
@@ -314,8 +329,8 @@ class TestTrafficOverlaysReraceTheBaselineDraws:
         fresh = OverlayStudy(config, spec)
         fresh_frames = {n: d.frame() for n, d in fresh.traffic.datasets.items()}
 
-        traffic_cache.pop(config.traffic_key)
-        traffic_cache.pop(fresh._traffic_key())
+        _CACHE.pop(("traffic", Study(config).key("traffic")))
+        _CACHE.pop(("traffic", fresh.key("traffic")))
         hits = STORE_COUNTS["hit:traffic"]
         set_store(tmp_path / "warehouse")
         try:

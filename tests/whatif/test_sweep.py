@@ -171,16 +171,6 @@ class TestDeltaFrame:
         with pytest.raises(ValueError):
             run_sweep(baseline, [])
 
-    def test_prebuilt_baseline_rejected(self):
-        from repro.datasets import build_residence_study
-
-        traffic = build_residence_study(num_days=3, seed=9005, residences=("A",))
-        prebuilt = Study.from_prebuilt(traffic=traffic)
-        with pytest.raises(ValueError, match="prebuilt"):
-            run_sweep(prebuilt, ["nat64:DE"])
-        with pytest.raises(ValueError, match="prebuilt"):
-            prebuilt.whatif
-
 
 class TestSweepGrid:
     def test_singles_plus_pairs(self):
