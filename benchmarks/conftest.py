@@ -11,10 +11,9 @@ output capture.
 The harness also records wall times -- the expensive builds (traffic,
 census, cloud attribution) via the session fixtures and every bench's
 analysis+render via the pytest report hook -- and prints them as a
-phase table in the terminal summary.  It writes no file: the tracked
-``benchmarks/results/BENCH_results.json`` belongs to
-``benchmarks/perf_smoke.py``, and calibrated comparisons come from
-``perfbench/``.
+phase table in the terminal summary.  It writes no timing file: the
+table is one uncalibrated run, and calibrated comparisons across
+commits come from ``perfbench/``.
 
 Scale note: the paper measures 273 days of traffic and crawls 100k sites;
 the bench scale (154 days, 4000 sites) reproduces every qualitative shape

@@ -36,9 +36,7 @@ _META = ("all", "list")
 
 #: Subcommands dispatched before artifact parsing (and offered by the
 #: did-you-mean hint when a first argument matches nothing).
-_SUBCOMMANDS = (
-    "store", "serve", "lint", "resilience", "sentinel", "trace", "prof", "bench",
-)
+_SUBCOMMANDS = ("store", "serve", "lint", "resilience", "sentinel", "trace", "prof")
 
 
 def version_string() -> str:
@@ -309,8 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         return _trace_main(argv[1:])
     if argv and argv[0] == "prof":
         return _prof_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     requested = list(dict.fromkeys(args.artifacts))
@@ -644,79 +640,6 @@ def _prof_main(argv: list[str]) -> int:
         log(f"# prof: wrote {args.format} JSON to {args.output}")
     else:
         print(text)
-    return 0
-
-
-def _bench_main(argv: list[str]) -> int:
-    """``python -m repro bench history`` -- the perf-history sentinel."""
-    from pathlib import Path
-
-    from repro.sentinel.config import SEVERITIES
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Scan the committed bench history "
-        "(benchmarks/results/BENCH_history.jsonl, appended by "
-        "perf_smoke.py and serve_load.py) for per-phase performance "
-        "drift against trailing baselines -- the sentinel detector "
-        "turned inward.  An empty report means nothing drifted: "
-        "silence is valid data.",
-    )
-    parser.add_argument(
-        "command",
-        type=_subcommand_argument(("history",)),
-        metavar="command",
-        help="history (detect per-phase drift events over the bench "
-        "history file)",
-    )
-    from repro.prof import DEFAULT_HISTORY_PATH
-
-    parser.add_argument("--history", type=Path,
-                        default=DEFAULT_HISTORY_PATH, metavar="PATH",
-                        help=f"history file (default: {DEFAULT_HISTORY_PATH})")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output shape (default: text)")
-    parser.add_argument("--output", "-o", default=None, metavar="PATH",
-                        help="also write the JSON report here (the CI "
-                        "bench_history artifact)")
-    parser.add_argument("--fail-on", choices=SEVERITIES, default=None,
-                        metavar="SEVERITY",
-                        help="exit 1 when any *regression* event reaches "
-                        "this severity (improvements never fail the run)")
-    _add_version_argument(parser)
-    args = parser.parse_args(argv)
-
-    from repro.prof import (
-        detect_history,
-        load_history,
-        render_history_text,
-        worst_regression_severity,
-    )
-    from repro.sentinel.config import severity_rank
-
-    records, skipped = load_history(args.history)
-    report = detect_history(records, skipped=skipped)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.format == "json":
-        print(text)
-    else:
-        print(render_history_text(report))
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"# bench history: wrote report to {args.output}",
-              file=sys.stderr)
-    worst = worst_regression_severity(report)
-    if (
-        args.fail_on is not None
-        and worst is not None
-        and severity_rank(worst) >= severity_rank(args.fail_on)
-    ):
-        print(
-            f"bench history: FAILED -- {worst} regression event(s) at or "
-            f"above --fail-on {args.fail_on}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

@@ -26,8 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="Check the repo-specific determinism, cache, and "
-        "serialization invariants (REP001..REP012) with the replint "
-        "AST engine.",
+        "serialization invariants with the replint AST engine "
+        "(--list-rules names them).",
     )
     parser.add_argument(
         "paths",

@@ -24,9 +24,10 @@ from repro.devtools.lint.astutil import dotted_name, string_elements
 from repro.devtools.lint.engine import ModuleContext, Project, Rule, Violation
 
 #: Fallbacks when the linted tree does not carry the vocabulary modules
-#: (fixture corpora); the real tree overrides these from the source.
+#: (fixture corpora); the real tree overrides these from the source.  A
+#: test pins them to ``registry.LAYERS`` and ``PERTURBABLE_LAYERS``.
 DEFAULT_REGISTRY_LAYERS = frozenset(
-    {"traffic", "census", "cloud", "dependencies", "observatory", "whatif"}
+    {"traffic", "census", "cloud", "dependencies", "observatory", "whatif", "sentinel"}
 )
 DEFAULT_PERTURBABLE_LAYERS = frozenset({"traffic", "census", "observatory"})
 

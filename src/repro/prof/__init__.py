@@ -1,4 +1,4 @@
-"""repro.prof: the attribution plane -- CPU profiles, memory, history.
+"""repro.prof: the attribution plane -- CPU profiles and memory.
 
 The third observability layer, composing with metrics and spans:
 
@@ -10,27 +10,14 @@ The third observability layer, composing with metrics and spans:
 * :mod:`repro.prof.memory` owns tracemalloc span peaks and the
   process RSS/GC gauges (``process_rss_bytes``,
   ``build_peak_bytes{layer}``, ``gc_collections_total{gen}``).
-* :mod:`repro.prof.bench` runs the sentinel's trailing-baseline
-  detector over ``BENCH_history.jsonl`` -- per-phase perf regressions
-  as watch/elevated/critical events instead of one global gate.
 
-Export surfaces: ``GET /v1/profile`` on the serve tier,
-``python -m repro prof`` and ``python -m repro bench history`` on the
-command line.  replint REP012 confines ``cProfile``/``pstats``/
-``tracemalloc`` imports to this package.
+Export surfaces: ``GET /v1/profile`` on the serve tier and
+``python -m repro prof`` on the command line.  replint REP012 confines
+``cProfile``/``pstats``/``tracemalloc`` imports to this package.
+Performance claims across commits come from ``perfbench/``, which the
+CI perf gate runs in paired checkouts.
 """
 
-from repro.prof.bench import (
-    DEFAULT_HISTORY_PATH,
-    HISTORY_SCHEMA,
-    append_history,
-    detect_history,
-    higher_is_better,
-    history_record,
-    load_history,
-    render_history_text,
-    worst_regression_severity,
-)
 from repro.prof.capture import (
     DEFAULT_MEMORY_SPANS,
     DEFAULT_SPANS,
@@ -57,15 +44,6 @@ from repro.prof.tree import (
 )
 
 __all__ = [
-    "DEFAULT_HISTORY_PATH",
-    "HISTORY_SCHEMA",
-    "append_history",
-    "detect_history",
-    "higher_is_better",
-    "history_record",
-    "load_history",
-    "render_history_text",
-    "worst_regression_severity",
     "DEFAULT_MEMORY_SPANS",
     "DEFAULT_SPANS",
     "ProfileConfig",

@@ -212,8 +212,7 @@ def _exported_at() -> str:
 def telemetry_document(last: int | None = None) -> dict:
     """The full telemetry snapshot: metrics + recent span trees.
 
-    What ``--telemetry-json PATH`` writes after a CLI run and what the
-    perf smoke folds into ``BENCH_results.json``.
+    What ``--telemetry-json PATH`` writes after a CLI run.
     """
     return {
         "exported_at": _exported_at(),

@@ -5,7 +5,7 @@ from repro.api.registry import ArtifactResult, artifact
 
 @artifact(
     "fixture_table",
-    needs=("traffic", "census"),
+    needs=("traffic", "census", "sentinel"),
     title="A fixture artifact",
     paper="Table 0",
 )

@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import registry
 from repro.devtools.lint import WAIVER_RULE_ID, default_rules, lint_paths
+from repro.devtools.lint.rules.registry_contracts import (
+    DEFAULT_PERTURBABLE_LAYERS,
+    DEFAULT_REGISTRY_LAYERS,
+)
+from repro.whatif.spec import PERTURBABLE_LAYERS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -81,3 +87,9 @@ def test_every_rule_carries_a_fix_hint():
 def test_rules_are_fresh_instances_per_run():
     first, second = default_rules(), default_rules()
     assert all(a is not b for a, b in zip(first, second))
+
+
+def test_fallback_vocabularies_match_the_source():
+    """REP004/REP005 lint fixture trees against these copies."""
+    assert DEFAULT_REGISTRY_LAYERS == registry.LAYERS
+    assert DEFAULT_PERTURBABLE_LAYERS == PERTURBABLE_LAYERS

@@ -1,4 +1,4 @@
-"""``repro prof`` / ``repro bench history``: determinism, exports, gates.
+"""``repro prof``: determinism, exports, usage errors.
 
 The determinism test runs the profiler in two *fresh interpreters*
 (subprocesses): within one process a second run would see already-
@@ -123,75 +123,3 @@ class TestProfCli:
 
         with pytest.raises(SystemExit):
             main(["prof", "contrast", "--spans", ","])
-
-
-class TestBenchHistoryCli:
-    SEEDED = REPO / "benchmarks" / "results" / "BENCH_history.jsonl"
-
-    def test_seeded_history_reports_byte_identical_and_quiet(self, capsys):
-        from repro.__main__ import main
-
-        argv = ["bench", "history", "--history", str(self.SEEDED),
-                "--format", "json"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        report = json.loads(first)
-        assert report["events"]["total"] == 0
-        assert report["runs"] >= 1
-
-    def test_text_format_says_silence_is_valid(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["bench", "history", "--history", str(self.SEEDED)]) == 0
-        assert "silence is valid data" in capsys.readouterr().out
-
-    def _regressive_history(self, tmp_path):
-        from repro.prof import append_history, history_record
-
-        path = tmp_path / "history.jsonl"
-        for value in (10.0, 10.0, 10.0, 10.0, 20.0):
-            append_history(path, history_record(
-                "perf_smoke", {"days": 14}, {"build:traffic": value}
-            ))
-        return path
-
-    def test_fail_on_gates_critical_regressions(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        path = self._regressive_history(tmp_path)
-        assert main(["bench", "history", "--history", str(path)]) == 0
-        assert main(["bench", "history", "--history", str(path),
-                     "--fail-on", "critical"]) == 1
-
-    def test_improvements_never_fail(self, tmp_path, capsys):
-        from repro.prof import append_history, history_record
-        from repro.__main__ import main
-
-        path = tmp_path / "history.jsonl"
-        for value in (10.0, 10.0, 10.0, 10.0, 1.0):  # got faster
-            append_history(path, history_record(
-                "perf_smoke", {"days": 14}, {"build:traffic": value}
-            ))
-        assert main(["bench", "history", "--history", str(path),
-                     "--fail-on", "watch"]) == 0
-
-    def test_output_writes_the_ci_artifact(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        out = tmp_path / "report.json"
-        assert main(["bench", "history", "--history", str(self.SEEDED),
-                     "--format", "json", "-o", str(out)]) == 0
-        on_disk = json.loads(out.read_text())
-        assert on_disk == json.loads(capsys.readouterr().out)
-
-    def test_missing_history_is_an_empty_valid_report(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        assert main(["bench", "history", "--history",
-                     str(tmp_path / "absent.jsonl"), "--format", "json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["runs"] == 0
-        assert report["events"]["total"] == 0
