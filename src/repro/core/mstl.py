@@ -19,6 +19,16 @@ from first principles:
 The decomposition is exactly additive::
 
     observed == trend + sum(seasonals) + residual
+
+:func:`loess_smooth` has two paths, chosen by the call's own inputs.
+Every STL call here smooths at the default positions ``0..n-1`` with
+degree 1 and an odd window (after ``min(window, n)``) of at least 3;
+that case runs a row kernel that fits all points at once, in chunks of
+rows so that no temporary exceeds :data:`ROW_CHUNK_BYTES`.  Every other
+call -- explicit ``x`` or ``x_eval`` (the integer ``seasonal_window``
+path), degree 0, an even window -- fits one point per iteration in
+:func:`_fit_point`, the reference the kernel's output matches byte for
+byte.
 """
 
 from __future__ import annotations
@@ -26,6 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+#: Byte budget of one temporary array in the LOESS row kernel.
+ROW_CHUNK_BYTES = 1 << 20
 
 
 def _tricube(u: np.ndarray) -> np.ndarray:
@@ -69,6 +83,8 @@ def loess_smooth(
     positions = np.arange(n, dtype=float) if x is None else np.asarray(x, dtype=float)
     if positions.size != n:
         raise ValueError("x and y must be parallel")
+    if x is None and x_eval is None and degree == 1 and window % 2 and window >= 3:
+        return _loess_rows(y, window)
     targets = positions if x_eval is None else np.asarray(x_eval, dtype=float)
 
     order = np.argsort(positions, kind="stable")
@@ -76,40 +92,80 @@ def loess_smooth(
     ys = y[order]
 
     smoothed = np.empty(targets.size, dtype=float)
-    half = window
     for i, t in enumerate(targets):
-        # Nearest `window` observations to t.
-        left = int(np.searchsorted(xs, t))
-        lo = max(0, left - half)
-        hi = min(n, left + half)
-        segment_x = xs[lo:hi]
-        segment_y = ys[lo:hi]
-        if segment_x.size > window:
-            dist = np.abs(segment_x - t)
-            keep = np.argpartition(dist, window - 1)[:window]
-            keep.sort()
-            segment_x = segment_x[keep]
-            segment_y = segment_y[keep]
+        smoothed[i] = _fit_point(xs, ys, t, window, degree)
+    return smoothed
+
+
+def _fit_point(
+    xs: np.ndarray, ys: np.ndarray, t: float, window: int, degree: int
+) -> float:
+    """One local fit at ``t`` over the sorted observations ``(xs, ys)``."""
+    n = xs.size
+    # Nearest `window` observations to t.
+    left = int(np.searchsorted(xs, t))
+    lo = max(0, left - window)
+    hi = min(n, left + window)
+    segment_x = xs[lo:hi]
+    segment_y = ys[lo:hi]
+    if segment_x.size > window:
         dist = np.abs(segment_x - t)
-        max_dist = dist.max()
-        if max_dist <= 0:
-            smoothed[i] = float(segment_y.mean())
-            continue
-        weights = _tricube(dist / (max_dist * 1.0001))
-        wsum = weights.sum()
-        if wsum <= 0:  # pragma: no cover - tricube>0 inside the window
-            smoothed[i] = float(segment_y.mean())
-            continue
-        if degree == 0:
-            smoothed[i] = float((weights * segment_y).sum() / wsum)
-            continue
-        # Weighted linear fit (closed form).
-        wx = (weights * segment_x).sum() / wsum
-        wy = (weights * segment_y).sum() / wsum
-        cov = (weights * (segment_x - wx) * (segment_y - wy)).sum()
-        var = (weights * (segment_x - wx) ** 2).sum()
-        slope = cov / var if var > 1e-12 else 0.0
-        smoothed[i] = float(wy + slope * (t - wx))
+        keep = np.argpartition(dist, window - 1)[:window]
+        keep.sort()
+        segment_x = segment_x[keep]
+        segment_y = segment_y[keep]
+    dist = np.abs(segment_x - t)
+    max_dist = dist.max()
+    if max_dist <= 0:
+        return float(segment_y.mean())
+    weights = _tricube(dist / (max_dist * 1.0001))
+    wsum = weights.sum()
+    if wsum <= 0:  # pragma: no cover - tricube>0 inside the window
+        return float(segment_y.mean())
+    if degree == 0:
+        return float((weights * segment_y).sum() / wsum)
+    # Weighted linear fit (closed form).
+    wx = (weights * segment_x).sum() / wsum
+    wy = (weights * segment_y).sum() / wsum
+    cov = (weights * (segment_x - wx) * (segment_y - wy)).sum()
+    var = (weights * (segment_x - wx) ** 2).sum()
+    slope = cov / var if var > 1e-12 else 0.0
+    return float(wy + slope * (t - wx))
+
+
+def _loess_rows(y: np.ndarray, window: int) -> np.ndarray:
+    """Degree-1 LOESS at every point of the grid ``0..n-1``, odd ``window``.
+
+    On the grid, with ``window = 2h + 1``, point i's nearest observations
+    are the run starting at ``clip(i - h, 0, n - window)``, with no tie at
+    the cutoff: exactly the slice :func:`_fit_point` selects, in order.
+    Each row then repeats :func:`_fit_point`'s steps elementwise or as a
+    sum over the last axis of a C-contiguous array, which is the same
+    pairwise summation as its 1-D sums, so the result is byte-identical.
+    With ``window >= 3`` distinct positions, ``max_dist`` and ``wsum`` are
+    positive, so its two mean fallbacks never apply here.
+    """
+    n = y.size
+    xs = np.arange(n, dtype=float)
+    starts = np.clip(np.arange(n) - window // 2, 0, n - window)
+    x_rows = sliding_window_view(xs, window)
+    y_rows = sliding_window_view(y, window)
+    step = max(1, ROW_CHUNK_BYTES // (8 * window))
+    smoothed = np.empty(n)
+    for lo in range(0, n, step):
+        t = xs[lo : lo + step, None]
+        segment_x = x_rows[starts[lo : lo + step]]
+        segment_y = y_rows[starts[lo : lo + step]]
+        dist = np.abs(segment_x - t)
+        weights = _tricube(dist / (dist.max(axis=1, keepdims=True) * 1.0001))
+        wsum = weights.sum(axis=1, keepdims=True)
+        wx = (weights * segment_x).sum(axis=1, keepdims=True) / wsum
+        wy = (weights * segment_y).sum(axis=1, keepdims=True) / wsum
+        cov = (weights * (segment_x - wx) * (segment_y - wy)).sum(axis=1, keepdims=True)
+        var = (weights * (segment_x - wx) ** 2).sum(axis=1, keepdims=True)
+        sloped = var > 1e-12
+        slope = np.where(sloped, cov / np.where(sloped, var, 1.0), 0.0)
+        smoothed[lo : lo + step] = (wy + slope * (t - wx))[:, 0]
     return smoothed
 
 

@@ -1,11 +1,17 @@
 """Tests for LOESS, STL, and MSTL."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mstl import _moving_average, loess_smooth, mstl, stl
+from repro.core.mstl import ROW_CHUNK_BYTES, _moving_average, loess_smooth, mstl, stl
+
+# ``repro.core.mstl`` the attribute is the re-exported function.
+MSTL_MODULE = sys.modules["repro.core.mstl"]
 
 
 class TestLoess:
@@ -60,6 +66,72 @@ class TestLoess:
         smoothed = loess_smooth(y, window=5, degree=0)
         assert smoothed.min() >= y.min() - 1e-9
         assert smoothed.max() <= y.max() + 1e-9
+
+
+def per_point(y: np.ndarray, window: int) -> np.ndarray:
+    """The per-point loop's answer: explicit positions never take the kernel."""
+    return loess_smooth(y, window, x=np.arange(y.size, dtype=float))
+
+
+def random_walk(n: int, seed: int) -> np.ndarray:
+    return np.cumsum(np.random.default_rng(seed).normal(size=n))
+
+
+class TestRowKernel:
+    """The row kernel is pinned byte for byte to the per-point loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tiny_series(self, n):
+        y = random_walk(n, seed=n)
+        for window in range(max(2, n), 10):
+            assert loess_smooth(y, window).tobytes() == per_point(y, window).tobytes()
+
+    @pytest.mark.parametrize("window", [2, 4, 24, 168])
+    def test_even_windows(self, window):
+        y = random_walk(400, seed=window)
+        assert loess_smooth(y, window).tobytes() == per_point(y, window).tobytes()
+
+    @pytest.mark.parametrize("window", [3, 5, 25, 37, 169, 253])
+    def test_constant_and_linear_series(self, window):
+        """Zero covariance and exact line fits, as STL sees on flat input."""
+        for y in (np.full(300, 0.37), 0.3 * np.arange(300) - 2.0):
+            assert loess_smooth(y, window).tobytes() == per_point(y, window).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_walks(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(8):
+            n = int(rng.integers(6, 900))
+            window = int(rng.integers(1, 200)) * 2 + 1
+            y = random_walk(n, seed=seed)
+            assert loess_smooth(y, window).tobytes() == per_point(y, window).tobytes()
+
+    def test_paper_scale_spans_several_chunks(self):
+        n, window = 6552, 253
+        assert n * window * 8 > 3 * ROW_CHUNK_BYTES
+        y = random_walk(n, seed=6552)
+        assert loess_smooth(y, window).tobytes() == per_point(y, window).tobytes()
+
+    def test_mstl_fits_no_point_one_at_a_time(self, monkeypatch):
+        fits = []
+        fit = MSTL_MODULE._fit_point
+        monkeypatch.setattr(MSTL_MODULE, "_fit_point", lambda *args: fits.append(1) or fit(*args))
+        mstl(synthetic_series(336)["observed"], [24, 168])
+        assert fits == []
+        per_point(np.ones(7), 3)
+        assert len(fits) == 7  # the counter sees the loop
+
+    def test_memory_stays_within_the_chunk_budget(self):
+        y = random_walk(6552, seed=1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            loess_smooth(y, 253)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 10 * ROW_CHUNK_BYTES
 
 
 class TestMovingAverage:

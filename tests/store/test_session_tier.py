@@ -7,15 +7,19 @@ build, with zero layer rebuilds (``BUILD_COUNTS`` unchanged, hits in
 an error.
 """
 
+import functools
 import json
+import sys
 import warnings
+from collections import Counter
 
 import pytest
 
-from repro.api import BUILD_COUNTS, STORE_COUNTS, Study, StudyConfig, clear_caches
+from repro.api import BUILD_COUNTS, STORE_COUNTS, Study, StudyConfig, clear_caches, registry
 from repro.api.session import _CACHE
 from repro.store import set_store, snapshot_study, warm_start
 from repro.store.serialize import PAYLOAD_FILE
+from repro.telemetry import registry as metrics_registry
 
 #: One artifact per layer (deps via ``fig7``, whatif via a one-scenario
 #: grid) -- small enough to build in seconds, wide enough to cover the
@@ -79,6 +83,56 @@ class TestWarmStartFidelity:
             snapshot_study(store, Study(CONFIG), ("warp",))
         with pytest.raises(ValueError, match="unknown layer"):
             warm_start(store, CONFIG, ("warp",))
+
+
+class TestWarmRenders:
+    def test_warm_renders_recompute_only_the_longitudinal_round(self, store, monkeypatch):
+        """A warm session renders from loaded layers; only one round rebuilds.
+
+        ``longitudinal`` crawls a drifted universe outside the layer table,
+        so it is the one render that still constructs a ``WebEcosystem`` and
+        runs a crawl.  Every other render -- the MSTL figures included --
+        regenerates no traffic and fits no LOESS point one at a time.
+        """
+        from repro.crawler.crawl import WebCensus
+        from repro.traffic import draws
+        from repro.traffic.generate import TrafficGenerator
+        from repro.web.ecosystem import WebEcosystem
+
+        snapshot_study(store, Study(CONFIG))
+        clear_caches()
+
+        calls: Counter = Counter()
+        rendering = [None]
+
+        def count(label, fn):
+            @functools.wraps(fn)
+            def counted(*args, **kwargs):
+                calls[rendering[0], label] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        mstl_module = sys.modules["repro.core.mstl"]
+        monkeypatch.setattr(mstl_module, "_fit_point", count("loess point", mstl_module._fit_point))
+        monkeypatch.setattr(TrafficGenerator, "draw", count("draw", TrafficGenerator.draw))
+        monkeypatch.setattr(WebEcosystem, "__init__", count("ecosystem", WebEcosystem.__init__))
+        monkeypatch.setattr(WebCensus, "run", count("crawl", WebCensus.run))
+        counted_realize = count("realize", draws.realize)
+        for module in list(sys.modules.values()):
+            if getattr(module, "realize", None) is draws.realize:
+                monkeypatch.setattr(module, "realize", counted_realize)
+
+        names = [name for name in registry.names() if not name.startswith("whatif")]
+        assert len(names) == 33
+        builds = metrics_registry().get("builds_total").sample_items()
+        study = Study(CONFIG)
+        for name in names:
+            rendering[0] = name
+            study.artifact(name)
+
+        assert metrics_registry().get("builds_total").sample_items() == builds
+        assert calls == {("longitudinal", "ecosystem"): 1, ("longitudinal", "crawl"): 1}
 
 
 class TestDegradation:
