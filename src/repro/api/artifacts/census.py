@@ -326,21 +326,17 @@ def longitudinal(
     labels: tuple[str, ...] = ("t0", "t1"),
     drift_per_round: float = 0.05,
 ) -> ArtifactResult:
-    """Re-crawl the identical site population as adoption drifts forward."""
+    """Re-decide the identical site population as adoption drifts forward."""
     from repro.crawler.crawl import LINK_CLICKS
 
-    # Round 0 is the unchanged base universe; when the study's census was
-    # crawled with the same knobs, its breakdown is byte-identical to
-    # what round 0 would rebuild, so reuse it instead of re-crawling.
-    precomputed = None
-    if study.config.link_clicks == LINK_CLICKS:
-        precomputed = {0: census_breakdown(study.census.dataset)}
+    # The rounds crawl with the paper's link clicks; a study crawled with
+    # those is the rounds' base, so no universe is built or crawled.
     snapshots = run_snapshots(
         labels=labels,
         num_sites=study.config.sites,
         seed=study.config.seed,
         drift_per_round=drift_per_round,
-        precomputed=precomputed,
+        base=study.census if study.config.link_clicks == LINK_CLICKS else None,
     )
     rows = [
         {

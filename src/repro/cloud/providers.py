@@ -100,19 +100,33 @@ class CloudService:
         ``inclination`` in [0, 1] is the tenant's latent interest in IPv6;
         the policy decides how much interest it takes.
         """
+        return self.enables_ipv6_at(inclination, self.adoption_uniform(inclination, rng))
+
+    def adoption_uniform(self, inclination: float, rng: RngStream) -> float | None:
+        """The one uniform an adoption decision draws, whatever the
+        ``inclination``; ``None`` (no draw) when the policy leaves the
+        tenant no choice (ALWAYS_ON, NONE)."""
         if not 0.0 <= inclination <= 1.0:
             raise ValueError("inclination must be in [0, 1]")
+        if self.policy in (Ipv6Policy.ALWAYS_ON, Ipv6Policy.NONE):
+            return None
+        return rng.random()
+
+    def enables_ipv6_at(self, inclination: float, uniform: float | None) -> bool:
+        """The adoption rule: the outcome of a decision that drew
+        ``uniform`` (:meth:`adoption_uniform`) at ``inclination``.  Pure,
+        so a recorded uniform re-decides at another inclination."""
         if self.policy is Ipv6Policy.ALWAYS_ON:
             return True
         if self.policy is Ipv6Policy.NONE:
             return False
+        assert uniform is not None
         if self.policy is Ipv6Policy.DEFAULT_ON:
             # Enabled unless the tenant actively opts out; disinterested
             # tenants opt out at DEFAULT_ON_OPT_OUT.
-            opt_out_prob = DEFAULT_ON_OPT_OUT * (1.0 - inclination)
-            return not rng.bernoulli(opt_out_prob)
+            return not uniform < DEFAULT_ON_OPT_OUT * (1.0 - inclination)
         base = POLICY_BASE_RATE[self.policy] * self.ease
-        return rng.bernoulli(min(1.0, base * (0.25 + 1.5 * inclination)))
+        return uniform < min(1.0, base * (0.25 + 1.5 * inclination))
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,7 @@ class TenantPlanner:
         primary: CloudProvider | None = None,
         forced_aaaa: bool | None = None,
         prefer_v6_services: bool = False,
+        decisions: dict[str, float | None] | None = None,
     ) -> Tenant:
         """Create a tenant and place ``num_subdomains`` of its subdomains.
 
@@ -154,6 +155,9 @@ class TenantPlanner:
         service whose policy is NONE still cannot serve AAAA.
         ``prefer_v6_services`` makes the tenant pick effortless-IPv6
         products within each provider (how committed operators deploy).
+        ``decisions``, when given, receives each enablement decision's
+        uniform (:meth:`CloudService.adoption_uniform`) keyed by service
+        suffix: what the decision can be re-decided from.
         """
         if num_subdomains < 1:
             raise ValueError("a tenant needs at least one subdomain")
@@ -162,7 +166,7 @@ class TenantPlanner:
         tenant = Tenant(etld1=etld1, inclination=inclination)
         primary = primary or self.pick_primary()
         www_service: CloudService | None = None
-        decisions: dict[str, bool] = {}  # service suffix -> enabled
+        decisions = {} if decisions is None else decisions
         for label in SUBDOMAIN_LABELS[:num_subdomains]:
             if label == "www" or self._rng.bernoulli(PRIMARY_STICKINESS):
                 provider = primary
@@ -186,8 +190,8 @@ class TenantPlanner:
             else:
                 key = service.cname_suffix
                 if key not in decisions:
-                    decisions[key] = service.tenant_enables_ipv6(inclination, self._rng)
-                has_aaaa = decisions[key]
+                    decisions[key] = service.adoption_uniform(inclination, self._rng)
+                has_aaaa = service.enables_ipv6_at(inclination, decisions[key])
             tenant.placements.append(
                 SubdomainPlacement(
                     fqdn=f"{label}.{etld1}",

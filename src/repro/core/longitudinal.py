@@ -6,19 +6,24 @@ IPv6-full growing by the same -- slow but consistent progress.
 
 :func:`run_snapshots` models the passage of time by nudging the tenant
 population's IPv6 inclination upward between rounds (adoption only grows),
-holding the universe seed fixed so the same sites are compared;
-:func:`compare_snapshots` renders the paper's table with its Change
-column and verifies the drift direction.
+holding the universe seed fixed so the same sites are compared.  Rounds
+re-decide, they do not rebuild: the universe records the uniform behind
+every adoption decision (:class:`~repro.web.ecosystem.AdoptionTable`), a
+round re-decides each at the drifted inclination, and the base crawl is
+re-classified with the changed FQDNs' AAAA flipped and the browser's
+races replayed (:meth:`~repro.crawler.crawl.WebCensus.replay`) -- every
+count equal to a rebuilt universe's crawl.  :func:`compare_snapshots`
+renders the paper's table with its Change column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.readiness import CensusBreakdown, census_breakdown
 from repro.crawler.crawl import CensusConfig, WebCensus
+from repro.datasets.scenarios import CensusStudy, build_census
 from repro.util.tables import TextTable, format_count_pct
-from repro.web.ecosystem import WebEcosystem, WebEcosystemConfig
 
 #: Per-round increase in the tenant population's IPv6 inclination,
 #: calibrated to the paper's ~0.6-point nine-month shift.
@@ -38,40 +43,36 @@ def run_snapshots(
     num_sites: int = 1500,
     seed: int = 42,
     drift_per_round: float = DEFAULT_DRIFT_PER_ROUND,
-    precomputed: dict[int, CensusBreakdown] | None = None,
+    base: CensusStudy | None = None,
 ) -> list[Snapshot]:
-    """Crawl the same universe at successive adoption levels.
+    """Census the same universe at successive adoption levels.
 
-    Each round rebuilds the universe with the same seed and a higher
-    ``inclination_base``: the site population is identical; only the
-    propensity to enable IPv6 has moved, as nine months of slow adoption
-    would.
+    Round ``r`` raises ``inclination_base`` by ``r * drift_per_round``:
+    the site population is identical; only the propensity to enable IPv6
+    has moved, as nine months of slow adoption would.  Each round equals
+    a crawl of the universe rebuilt at that inclination.
 
     Args:
-        precomputed: optional ``round_index -> breakdown`` entries to
-            reuse instead of re-crawling that round.  Callers that have
-            already crawled an identically-configured universe (round 0
-            is the unchanged base population) pass its breakdown here;
-            the result is exactly what the crawl would have produced.
+        base: the round-0 census to re-decide from (its universe and
+            crawl fix the sites and seed, and a census overlay's own
+            AAAA records persist through the rounds).  ``None`` builds
+            ``build_census(num_sites, seed)`` once.
     """
     if drift_per_round < 0:
         raise ValueError("adoption drifts forward, not backward")
+    if base is None:
+        base = build_census(num_sites=num_sites, seed=seed)
+    adoption, dataset = base.ecosystem.adoption, base.dataset
+    census = WebCensus(base.ecosystem, CensusConfig(seed=base.config.seed))
+    start = base.config.inclination_base
     snapshots = []
-    base_config = WebEcosystemConfig(num_sites=num_sites, seed=seed)
     for round_index, label in enumerate(labels):
-        if precomputed is not None and round_index in precomputed:
-            snapshots.append(
-                Snapshot(label=label, breakdown=precomputed[round_index])
-            )
-            continue
-        config = replace(
-            base_config,
-            inclination_base=base_config.inclination_base
-            + drift_per_round * round_index,
-        )
-        ecosystem = WebEcosystem(config)
-        dataset = WebCensus(ecosystem, CensusConfig(seed=seed)).run()
-        snapshots.append(Snapshot(label=label, breakdown=census_breakdown(dataset)))
+        changed = adoption.changed_aaaa(start, start + drift_per_round * round_index)
+        if changed:
+            breakdown = census_breakdown(dataset, *census.replay(dataset, changed))
+        else:  # every decision stands: the round is the base crawl
+            breakdown = census_breakdown(dataset)
+        snapshots.append(Snapshot(label=label, breakdown=breakdown))
     return snapshots
 
 
@@ -92,9 +93,7 @@ def compare_snapshots(snapshots: list[Snapshot]) -> str:
             b = snapshot.breakdown
             count = selector(b)
             cells.append(format_count_pct(count, b.connection_success))
-            shares.append(
-                count / b.connection_success if b.connection_success else 0.0
-            )
+            shares.append(b.share_of_connected(count))
         cells.append(f"{100.0 * (shares[-1] - shares[0]):+.1f}")
         table.add_row(cells)
 
@@ -106,11 +105,11 @@ def compare_snapshots(snapshots: list[Snapshot]) -> str:
 
 
 def adoption_change(snapshots: list[Snapshot]) -> float:
-    """IPv6-full share change (fraction of connected), last minus first."""
+    """IPv6-full share change (fraction of connected), last minus first;
+    a round with no connected site counts as a zero share."""
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots to compare")
     first, last = snapshots[0].breakdown, snapshots[-1].breakdown
-    return (
-        last.ipv6_full / last.connection_success
-        - first.ipv6_full / first.connection_success
+    return last.share_of_connected(last.ipv6_full) - first.share_of_connected(
+        first.ipv6_full
     )

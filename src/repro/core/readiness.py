@@ -18,6 +18,7 @@ race winner is reported separately ("Browser Used IPv4" in Figure 5).
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.crawler.records import CrawlDataset, SiteCrawlResult, SiteFailure
@@ -33,29 +34,38 @@ class SiteClass(enum.Enum):
     IPV6_FULL = "ipv6-full"
 
 
-def classify_site(result: SiteCrawlResult) -> SiteClass:
-    """Classify one crawled site per the paper's scheme."""
+def classify_site(
+    result: SiteCrawlResult, has_aaaa: Sequence[bool] | None = None
+) -> SiteClass:
+    """Classify one crawled site per the paper's scheme (``has_aaaa``
+    overrides its requests' AAAA availability, in request order)."""
     if result.failure is SiteFailure.NXDOMAIN:
         return SiteClass.LOADING_FAILURE_NXDOMAIN
     if result.failure is SiteFailure.UNKNOWN_PRIMARY:
         return SiteClass.UNKNOWN_PRIMARY
     if result.failure is SiteFailure.OTHER:
         return SiteClass.LOADING_FAILURE_OTHER
-    main = result.main_page_request()
+    flags = [r.has_aaaa for r in result.requests] if has_aaaa is None else has_aaaa
+    rows = list(zip(result.requests, flags))
+    main = next((aaaa for r, aaaa in rows if r.is_main_page), None)
     if main is None:  # pragma: no cover - connected results always have one
         return SiteClass.LOADING_FAILURE_OTHER
-    if not main.has_aaaa:
+    if not main:
         return SiteClass.IPV4_ONLY
-    fetched = [r for r in result.resource_requests() if r.succeeded]
-    if all(r.has_aaaa for r in fetched):
+    if all(aaaa for r, aaaa in rows if r.resource_type is not None and r.succeeded):
         return SiteClass.IPV6_FULL
     return SiteClass.IPV6_PARTIAL
 
 
-def browser_used_ipv4(result: SiteCrawlResult) -> bool:
-    """True when any successful request of the site went over IPv4."""
+def browser_used_ipv4(
+    result: SiteCrawlResult, family_used: Sequence[Family | None] | None = None
+) -> bool:
+    """True when any successful request of the site went over IPv4
+    (``family_used`` overrides its requests' race winners, in order)."""
+    if family_used is None:
+        family_used = [r.family_used for r in result.requests]
     return any(
-        r.family_used is Family.V4 for r in result.requests if r.succeeded
+        f is Family.V4 for r, f in zip(result.requests, family_used) if r.succeeded
     )
 
 
@@ -92,11 +102,23 @@ class CensusBreakdown:
             raise AssertionError("browser-family partition violated")
 
 
-def census_breakdown(dataset: CrawlDataset) -> CensusBreakdown:
-    """Aggregate a census run into Figure 5's table."""
+def census_breakdown(
+    dataset: CrawlDataset,
+    has_aaaa: Sequence[bool] | None = None,
+    family_used: Sequence[Family | None] | None = None,
+) -> CensusBreakdown:
+    """Aggregate a census run into Figure 5's table.  ``has_aaaa`` and
+    ``family_used`` override every request's AAAA availability and race
+    winner, in ``dataset.all_requests()`` order (a longitudinal round's
+    :meth:`~repro.crawler.crawl.WebCensus.replay`)."""
     breakdown = CensusBreakdown(total=len(dataset.results))
+    end = 0
     for result in dataset.results:
-        site_class = classify_site(result)
+        start, end = end, end + len(result.requests)
+        site_family = None if family_used is None else family_used[start:end]
+        site_class = classify_site(
+            result, None if has_aaaa is None else has_aaaa[start:end]
+        )
         breakdown.sites_by_class.setdefault(site_class, []).append(result.site)
         if site_class is SiteClass.LOADING_FAILURE_NXDOMAIN:
             breakdown.nxdomain += 1
@@ -115,7 +137,7 @@ def census_breakdown(dataset: CrawlDataset) -> CensusBreakdown:
                 breakdown.ipv6_partial += 1
             else:
                 breakdown.ipv6_full += 1
-                if browser_used_ipv4(result):
+                if browser_used_ipv4(result, site_family):
                     breakdown.browser_used_ipv4 += 1
                 else:
                     breakdown.browser_used_ipv6_only += 1

@@ -79,7 +79,6 @@ class SimulatedBrowser:
         self.config = config or BrowserConfig()
         self._he = HappyEyeballs(self.config.happy_eyeballs)
         self._dns_cache: dict[str, tuple[DnsResponse, DnsResponse]] = {}
-        self.fetches = 0
 
     def resolve(self, fqdn: str) -> tuple[DnsResponse, DnsResponse]:
         """A and AAAA responses for ``fqdn``, cached per census."""
@@ -91,7 +90,6 @@ class SimulatedBrowser:
 
     def fetch(self, fqdn: str) -> FetchOutcome:
         """Resolve and fetch one URL's host."""
-        self.fetches += 1
         a_response, aaaa_response = self.resolve(fqdn)
         v4 = list(a_response.addresses)
         v6 = list(aaaa_response.addresses)

@@ -14,7 +14,10 @@ Reproduces the paper's section 4.1 methodology step by step:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.crawler.browser import BrowserConfig, SimulatedBrowser
 from repro.crawler.records import (
@@ -23,9 +26,11 @@ from repro.crawler.records import (
     SiteCrawlResult,
     SiteFailure,
 )
+from repro.happyeyeballs.algorithm import race_winners
+from repro.net.addr import Family
 from repro.net.dns import DnsStatus
 from repro.util.rng import RngStream
-from repro.web.ecosystem import WebEcosystem
+from repro.web.ecosystem import SiteStatus, WebEcosystem
 from repro.web.sites import Website
 
 #: The paper clicks five random same-site links per site.
@@ -71,6 +76,50 @@ class WebCensus:
             for entry in self.ecosystem.toplist
         ]
         return CrawlDataset(results=results, list_id=self.ecosystem.toplist.list_id)
+
+    def replay(
+        self, dataset: CrawlDataset, changed: Mapping[str, bool]
+    ) -> tuple[list[bool], list[Family | None]]:
+        """Every request's AAAA flag and race winner were each FQDN in
+        ``changed`` to have the AAAA it maps to (``dataset`` is this
+        census's crawl).
+
+        Which requests the crawl makes, and whether each succeeds, never
+        depends on AAAA (a gained AAAA points at a reachable shared edge).
+        The browser's slow-AAAA coins do: one per fetch whose AAAA answer
+        has addresses, a failed site's unrecorded main-host fetch included.
+        So the coins are redrawn and the succeeded requests' races re-run
+        in closed form.  Both lists follow ``dataset.all_requests()``.
+        """
+        has_aaaa: list[bool] = []
+        coins: list[int] = []  # the request behind each coin; -1 if unrecorded
+        for result in dataset.results:
+            plan = self.ecosystem.plans.get(result.site)
+            if result.failure is not None and plan is not None and plan.status in (
+                SiteStatus.TLS_FAILURE, SiteStatus.UNKNOWN_PRIMARY,
+            ):
+                main = plan.tenant.main_placement
+                if changed.get(main.fqdn, main.has_aaaa):
+                    coins.append(-1)
+            for record in result.requests:
+                aaaa = changed.get(record.fqdn, record.has_aaaa)
+                if aaaa:
+                    coins.append(len(has_aaaa))
+                has_aaaa.append(aaaa)
+        records = dataset.all_requests()
+        browser, edges = self.config.browser, self.ecosystem.connectivity
+        drawn = self._rng.substream("browser").generator().random(len(coins))
+        slow = np.asarray(coins, dtype=np.int64)[drawn < browser.slow_aaaa_probability]
+        v6_resolution = np.full(len(records), browser.dns_latency)
+        v6_resolution[slow[slow >= 0]] = browser.slow_aaaa_latency
+        winners = race_winners(
+            np.where([r.has_a for r in records], edges.v4_latency, np.inf),
+            np.where(has_aaaa, edges.v6_latency, np.inf),
+            v6_resolution, browser.happy_eyeballs, browser.dns_latency,
+        )
+        return has_aaaa, [
+            Family(int(won)) if r.succeeded else None for won, r in zip(winners, records)
+        ]
 
     # -- per-site crawl ----------------------------------------------------
 

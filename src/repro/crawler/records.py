@@ -106,9 +106,6 @@ class CrawlDataset:
     def connected_results(self) -> list[SiteCrawlResult]:
         return [r for r in self.results if r.connected]
 
-    def failures(self, kind: SiteFailure) -> list[SiteCrawlResult]:
-        return [r for r in self.results if r.failure is kind]
-
     def all_requests(self) -> list[RequestRecord]:
         return [record for result in self.results for record in result.requests]
 

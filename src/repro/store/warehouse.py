@@ -52,7 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: schema-1 payloads referenced the removed ``repro.flowmon.pack``.
 #: 3: traffic layers carry each residence's draws, which every traffic
 #: what-if re-races; a schema-2 payload would load without them.
-STORE_SCHEMA = 3
+#: 4: census payloads carry the universe's adoption table, which every
+#: longitudinal round re-decides from.
+STORE_SCHEMA = 4
 
 #: The payload filename of rendered-artifact entries.
 ARTIFACT_FILE = "artifact.json"

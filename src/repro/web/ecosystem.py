@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cloud.providers import CloudProvider, CloudService, build_provider_catalog
 from repro.cloud.tenancy import Tenant, TenantPlanner
@@ -129,6 +129,71 @@ class _EdgeConnectivity:
 # Static type check hook: _EdgeConnectivity satisfies the HE protocol.
 _connectivity_check: Connectivity = _EdgeConnectivity()
 
+
+def site_inclination(base: float, rank_term: float, noise: float) -> float:
+    """A site tenant's IPv6 inclination: the population's ``base`` plus
+    its rank term and noise draw, clamped to [0, 1]."""
+    return min(1.0, max(0.0, (base + rank_term) + noise))
+
+
+@dataclass
+class AdoptionTable:
+    """What every site tenant's IPv6 adoption was decided from, so one
+    universe re-decides at any ``inclination_base`` as a rebuild would.
+
+    Columns: per live site its ``rank_term`` and ``noise``; per
+    tenant-service decision its ``site`` row, ``service`` and
+    ``uniform``; per site placement its ``fqdn`` and ``decision`` row.
+    (Third parties are forced: they decide nothing.)
+    """
+
+    rank_term: list[float] = field(default_factory=list)
+    noise: list[float] = field(default_factory=list)
+    site: list[int] = field(default_factory=list)
+    service: list[CloudService] = field(default_factory=list)
+    uniform: list[float | None] = field(default_factory=list)
+    fqdn: list[str] = field(default_factory=list)
+    decision: list[int] = field(default_factory=list)
+
+    def record(
+        self, tenant: Tenant, rank_term: float, noise: float,
+        uniforms: dict[str, float | None],
+    ) -> None:
+        """Append one site tenant and the uniforms its placement drew."""
+        site = len(self.rank_term)
+        self.rank_term.append(rank_term)
+        self.noise.append(noise)
+        rows: dict[str, int] = {}
+        for placement in tenant.placements:
+            suffix = placement.service.cname_suffix
+            if suffix not in rows:
+                rows[suffix] = len(self.service)
+                self.site.append(site)
+                self.service.append(placement.service)
+                self.uniform.append(uniforms[suffix])
+            self.fqdn.append(placement.fqdn)
+            self.decision.append(rows[suffix])
+
+    def decisions_at(self, base: float) -> dict[str, bool]:
+        """Every site placement's AAAA, re-decided at inclination ``base``."""
+        inclination = [
+            site_inclination(base, rank_term, noise)
+            for rank_term, noise in zip(self.rank_term, self.noise)
+        ]
+        enabled = [
+            service.enables_ipv6_at(inclination[site], uniform)
+            for site, service, uniform in zip(self.site, self.service, self.uniform)
+        ]
+        return {fqdn: enabled[row] for fqdn, row in zip(self.fqdn, self.decision)}
+
+    def changed_aaaa(self, base: float, other: float) -> dict[str, bool]:
+        """``{fqdn: has_aaaa}`` at ``other`` for the placements whose
+        decision differs from ``base``'s; every other placement keeps
+        whatever AAAA its universe gave it."""
+        before, after = self.decisions_at(base), self.decisions_at(other)
+        return {fqdn: aaaa for fqdn, aaaa in after.items() if aaaa != before[fqdn]}
+
+
 #: First-party resource type mix.
 _FIRST_PARTY_TYPES: dict[ResourceType, float] = {
     ResourceType.IMAGE: 4.0,
@@ -162,6 +227,7 @@ class WebEcosystem:
         self.plans: dict[str, SitePlan] = {}
         self.tenants: dict[str, Tenant] = {}
         self.pool: ThirdPartyPool | None = None
+        self.adoption = AdoptionTable()
         self._edges: dict[tuple[str, Family], list[IpAddress]] = {}
         self._edge_cursor: dict[tuple[str, Family], int] = {}
         self._org_pools: dict[tuple[str, Family], AddressPool] = {}
@@ -300,18 +366,6 @@ class WebEcosystem:
             self.tenants[service.domain] = tenant
             self._materialize_tenant(tenant)
 
-    def _site_inclination(self, rank: int, rng: RngStream) -> float:
-        """IPv6 inclination declining with rank (drives Figure 6)."""
-        cfg = self.config
-        span = math.log10(max(10, cfg.num_sites))
-        rank_position = 1.0 - math.log10(rank + 1) / span  # 1 at top, ~0 at tail
-        raw = (
-            cfg.inclination_base
-            + cfg.inclination_rank_gain * rank_position
-            + rng.normal(0.0, cfg.inclination_noise)
-        )
-        return min(1.0, max(0.0, raw))
-
     def _build_sites(self, planner: TenantPlanner) -> None:
         cfg = self.config
         rng = self._rng.substream("sites")
@@ -334,15 +388,21 @@ class WebEcosystem:
                     plan_status = status
                     break
 
-            inclination = self._site_inclination(entry.rank, rng)
+            # IPv6 inclination declines with rank (drives Figure 6).
             rank_position = 1.0 - math.log10(entry.rank + 1) / math.log10(
                 max(10, cfg.num_sites)
-            )
+            )  # 1 at top, ~0 at tail
+            rank_term = cfg.inclination_rank_gain * rank_position
+            noise = rng.normal(0.0, cfg.inclination_noise)
+            inclination = site_inclination(cfg.inclination_base, rank_term, noise)
             primary = planner.pick_primary(cdn_bias=max(0.0, rank_position))
             num_subdomains = max(1, rng.poisson(cfg.mean_subdomains))
+            uniforms: dict[str, float | None] = {}
             tenant = planner.place_tenant(
-                entry.etld1, num_subdomains, inclination, primary=primary
+                entry.etld1, num_subdomains, inclination, primary=primary,
+                decisions=uniforms,
             )
+            self.adoption.record(tenant, rank_term, noise, uniforms)
             self.tenants[entry.etld1] = tenant
             self._materialize_tenant(tenant)
 
@@ -518,10 +578,6 @@ class WebEcosystem:
                 f"unknown provider {provider_name!r}; known: "
                 + ", ".join(p.name for p in self.providers)
             )
-        import dataclasses as _dataclasses
-
-        from repro.net.dns import DnsRecordType as _RType
-
         enabled = 0
         for tenant in self.tenants.values():
             site_zone = self.zones.zone_for(tenant.etld1)
@@ -530,37 +586,29 @@ class WebEcosystem:
             for index, placement in enumerate(tenant.placements):
                 if placement.has_aaaa or placement.provider_name != provider_name:
                     continue
-                cnames = site_zone.lookup(placement.fqdn, _RType.CNAME)
+                cnames = site_zone.lookup(placement.fqdn, DnsRecordType.CNAME)
                 if not cnames:
                     continue
                 target = str(cnames[0].value)
                 target_zone = self.zones.zone_for(target)
                 if target_zone is None:  # pragma: no cover - guarded at build
                     continue
-                a_records = target_zone.lookup(target, _RType.A)
+                a_records = target_zone.lookup(target, DnsRecordType.A)
                 if any(r.value in self.connectivity.unreachable for r in a_records):
                     continue  # broken edge: v6 would be just as dead
                 provider, service = self._provider_service(placement.service)
                 target_zone.add(
                     target,
-                    _RType.AAAA,
+                    DnsRecordType.AAAA,
                     self._edge_address(provider, service, Family.V6),
                 )
-                tenant.placements[index] = _dataclasses.replace(
+                tenant.placements[index] = replace(
                     placement, has_aaaa=True
                 )
                 enabled += 1
         return enabled
 
     # -- convenience accessors ---------------------------------------------
-
-    def websites(self) -> list[Website]:
-        """All crawlable sites in rank order (failures included)."""
-        return [
-            plan.website
-            for plan in (self.plans[e.etld1] for e in self.toplist)
-            if plan.website is not None
-        ]
 
     def plan_of(self, etld1: str) -> SitePlan:
         return self.plans[etld1]

@@ -106,6 +106,21 @@ class TestLongitudinal:
         assert "Change (pp)" in text
         assert "IPv6-full" in text
 
+    def test_rounds_without_a_connected_site(self):
+        """A one-site list whose site is NXDOMAIN connects nothing in any
+        round; every share reads as zero instead of dividing by it."""
+        dead = CensusBreakdown(total=1, nxdomain=1)
+        snapshots = [Snapshot("t0", dead), Snapshot("t1", dead)]
+        assert adoption_change(snapshots) == 0.0
+        assert "+0.0" in compare_snapshots(snapshots)
+        rounds = run_snapshots(labels=("t0", "t1"), num_sites=1, seed=6)
+        assert [s.breakdown.nxdomain for s in rounds] == [1, 1]
+        assert adoption_change(rounds) == 0.0
+
+    def test_cli_one_dead_site(self, capsys):
+        assert main(["longitudinal", "--sites", "1", "--seed", "6", "--days", "1"]) == 0
+        assert "Change (pp)" in capsys.readouterr().out
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_snapshots(labels=("only",), num_sites=50, drift_per_round=-0.1)

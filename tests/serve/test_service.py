@@ -99,6 +99,17 @@ class TestQueryParameters:
         assert response.status == 200
         assert response.json()["config"]["sites"] == 90
 
+    @pytest.mark.parametrize("seed", [6, 15, 37, 56])
+    def test_longitudinal_of_a_dead_one_site_list_is_200(self, service, seed):
+        """These seeds' only site is NXDOMAIN: no round connects a site."""
+        response = service.handle(
+            "GET", f"/v1/artifact/longitudinal?sites=1&seed={seed}&days=1"
+        )
+        assert response.status == 200
+        document = response.json()
+        assert [row["connection_success"] for row in document["rows"]] == [0, 0]
+        assert document["metadata"]["adoption_change_pp"] == 0.0
+
 
 class TestRevalidation:
     def test_etag_revalidation_304(self, service):

@@ -86,13 +86,13 @@ class TestWarmStartFidelity:
 
 
 class TestWarmRenders:
-    def test_warm_renders_recompute_only_the_longitudinal_round(self, store, monkeypatch):
-        """A warm session renders from loaded layers; only one round rebuilds.
+    def test_warm_renders_recompute_nothing(self, store, monkeypatch):
+        """A warm session renders from loaded layers and rebuilds nothing.
 
-        ``longitudinal`` crawls a drifted universe outside the layer table,
-        so it is the one render that still constructs a ``WebEcosystem`` and
-        runs a crawl.  Every other render -- the MSTL figures included --
-        regenerates no traffic and fits no LOESS point one at a time.
+        No render constructs a ``WebEcosystem``, runs a crawl, regenerates
+        traffic or fits a LOESS point one at a time: ``longitudinal``
+        re-decides its drifted rounds over the loaded census, and the MSTL
+        figures smooth with the row kernel.
         """
         from repro.crawler.crawl import WebCensus
         from repro.traffic import draws
@@ -132,7 +132,7 @@ class TestWarmRenders:
             study.artifact(name)
 
         assert metrics_registry().get("builds_total").sample_items() == builds
-        assert calls == {("longitudinal", "ecosystem"): 1, ("longitudinal", "crawl"): 1}
+        assert calls == {}
 
 
 class TestDegradation:

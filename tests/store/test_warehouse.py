@@ -199,6 +199,41 @@ class TestIntegrity:
             assert any(mismatch in p for p in store.verify())
             assert store.gc() == [f"{entry.digest} (schema {old_schema})"]
 
+    def test_schema_3_census_entry_is_skipped_and_rebuilt(self, tmp_path, monkeypatch):
+        """A schema-3 census carries no adoption table for the longitudinal
+        rounds to re-decide from: it is never unpickled, ``gc`` collects
+        it, and a session rebuilds the census in its place."""
+        import warnings
+
+        import repro.store.warehouse as warehouse
+        from repro.api import BUILD_COUNTS, Study, StudyConfig, clear_caches
+        from repro.store import set_store
+
+        config = StudyConfig(days=1, sites=30, seed=4)
+        key = Study(config).key("census")
+        # GLOBAL repro.flowmon.pack.restore_monitor: unpickling it raises.
+        stale = b"\x80\x04crepro.flowmon.pack\nrestore_monitor\n)R."
+        store = set_store(tmp_path)
+        clear_caches()
+        try:
+            with monkeypatch.context() as old:
+                old.setattr(warehouse, "STORE_SCHEMA", 3)
+                entry = store._write_entry("layer", "census", key, {PAYLOAD_FILE: stale})
+            assert store.load_layer("census", key) is None
+            before = BUILD_COUNTS["census"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                census = Study(config).census
+            assert BUILD_COUNTS["census"] == before + 1
+            assert census.ecosystem.adoption.fqdn
+            assert store.gc() == [f"{entry.digest} (schema 3)"]
+            clear_caches()
+            assert Study(config).census.ecosystem.adoption.fqdn  # the rebuilt entry loads
+            assert BUILD_COUNTS["census"] == before + 1
+        finally:
+            set_store(None)
+            clear_caches()
+
     def test_missing_entry_detected_against_manifest(self, tmp_path):
         import shutil
 
