@@ -298,15 +298,18 @@ def _build_traffic(study: "Study") -> ResidenceStudy:
 
 
 def _build_census(study: "Study") -> CensusStudy:
-    def mutate(ecosystem) -> None:
-        for intervention in study.acting_on("census"):
-            intervention.transform_ecosystem(ecosystem)
-
-    config = study.config
-    return build_census(
-        num_sites=config.sites, seed=config.seed, link_clicks=config.link_clicks,
-        mutate=mutate,
-    )
+    """A crawl, or for acting interventions the baseline census (a cache
+    hit in a sweep, a plain build elsewhere) with their AAAA published."""
+    config, acting = study.config, study.acting_on("census")
+    if not acting:
+        return build_census(
+            num_sites=config.sites, seed=config.seed, link_clicks=config.link_clicks,
+        )
+    baseline = Study(config, log=study._log).census
+    published: dict = {}
+    for intervention in acting:
+        published.update(intervention.publish_aaaa(baseline.ecosystem))
+    return baseline.publish(published)
 
 
 def _build_cloud(study: "Study") -> dict[str, "DomainCloudView"]:
@@ -327,7 +330,9 @@ def _build_observatory(study: "Study") -> "ObservatoryStudy":
     for intervention in study.acting_on("observatory"):
         fleet = intervention.transform_fleet(fleet)
         obs_config = intervention.transform_observatory_config(obs_config)
-    return run_observatory(census.ecosystem, obs_config, fleet=fleet)
+    return run_observatory(
+        census.ecosystem, obs_config, fleet=fleet, published=census.published
+    )
 
 
 def _build_whatif(study: "Study") -> "WhatifSweep":

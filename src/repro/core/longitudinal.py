@@ -12,7 +12,8 @@ every adoption decision (:class:`~repro.web.ecosystem.AdoptionTable`), a
 round re-decides each at the drifted inclination, and the base crawl is
 re-classified with the changed FQDNs' AAAA flipped and the browser's
 races replayed (:meth:`~repro.crawler.crawl.WebCensus.replay`) -- every
-count equal to a rebuilt universe's crawl.  :func:`compare_snapshots`
+count equal to a rebuilt universe's crawl.  A census what-if's published
+AAAA records stay flipped in every round.  :func:`compare_snapshots`
 renders the paper's table with its Change column.
 """
 
@@ -54,9 +55,9 @@ def run_snapshots(
 
     Args:
         base: the round-0 census to re-decide from (its universe and
-            crawl fix the sites and seed, and a census overlay's own
-            AAAA records persist through the rounds).  ``None`` builds
-            ``build_census(num_sites, seed)`` once.
+            crawl fix the sites and seed, and a census overlay's
+            published AAAA records persist through the rounds).  ``None``
+            builds ``build_census(num_sites, seed)`` once.
     """
     if drift_per_round < 0:
         raise ValueError("adoption drifts forward, not backward")
@@ -65,9 +66,13 @@ def run_snapshots(
     adoption, dataset = base.ecosystem.adoption, base.dataset
     census = WebCensus(base.ecosystem, CensusConfig(seed=base.config.seed))
     start = base.config.inclination_base
+    # The shared universe does not carry them: replay reads a failed
+    # site's unrecorded main-host AAAA from its placement.
+    published = dict.fromkeys(base.published, True)
     snapshots = []
     for round_index, label in enumerate(labels):
         changed = adoption.changed_aaaa(start, start + drift_per_round * round_index)
+        changed.update(published)
         if changed:
             breakdown = census_breakdown(dataset, *census.replay(dataset, changed))
         else:  # every decision stands: the round is the base crawl

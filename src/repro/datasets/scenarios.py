@@ -13,12 +13,13 @@ provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.crawler.crawl import CensusConfig, WebCensus
 from repro.crawler.records import CrawlDataset
 from repro.flowmon.monitor import FlowMonitor
 from repro.happyeyeballs.algorithm import HappyEyeballsConfig
+from repro.net.addr import IpAddress
 from repro.traffic.apps import ServiceProfile, build_service_catalog
 from repro.traffic.draws import realize
 from repro.traffic.generate import ResidenceDataset, TrafficGenerator, router_config
@@ -81,14 +82,37 @@ class ResidenceStudy:
 
 @dataclass
 class CensusStudy:
-    """The server-side census plus its universe."""
+    """The server-side census plus its universe, and the AAAA records
+    (``{fqdn: address}``) a what-if published over it (none for a crawl;
+    the universe never carries them, so the baseline's is shared)."""
 
     ecosystem: WebEcosystem
     dataset: CrawlDataset
+    published: dict[str, IpAddress] = field(default_factory=dict)
     config: WebEcosystemConfig = field(init=False)
 
     def __post_init__(self) -> None:
         self.config = self.ecosystem.config
+
+    def publish(self, records: dict[str, IpAddress]) -> "CensusStudy":
+        """This census with AAAA ``records`` published too, over the same
+        universe: the crawl is replayed (:meth:`WebCensus.replay`) and
+        each request whose AAAA or race winner changed is replaced."""
+        published = {**self.published, **records}
+        census = WebCensus(self.ecosystem, CensusConfig(seed=self.config.seed))
+        replayed = zip(*census.replay(self.dataset, dict.fromkeys(published, True)))
+        results = []
+        for result in self.dataset.results:
+            requests = []
+            for record, (aaaa, winner) in zip(result.requests, replayed):
+                if aaaa and not record.has_aaaa:
+                    record = replace(record, v6_addresses=(published[record.fqdn],))
+                if winner != record.family_used:
+                    record = replace(record, family_used=winner)
+                requests.append(record)
+            results.append(replace(result, requests=requests))
+        dataset = CrawlDataset(results=results, list_id=self.dataset.list_id)
+        return CensusStudy(self.ecosystem, dataset, published)
 
 
 def build_residence_study(
@@ -159,22 +183,19 @@ def build_census(
     num_sites: int = BENCH_CENSUS_SITES,
     seed: int = 42,
     link_clicks: int = 5,
-    mutate=None,
 ) -> CensusStudy:
     """Build a web universe and crawl it (paper section 4.1).
+
+    Counterfactual censuses are not built: a what-if publishes over this
+    census (:meth:`CensusStudy.publish`).
 
     Args:
         num_sites: top-list size; 100_000 reproduces the paper's scale.
         seed: scenario seed.
         link_clicks: same-site link clicks per site (paper uses 5;
             0 reproduces the paper's main-page-only comparison).
-        mutate: optional hook called with the built :class:`WebEcosystem`
-            *before* the crawl -- the what-if overlays' entry point for
-            counterfactual universes (e.g. a provider dual-stacking).
     """
     ecosystem = WebEcosystem(WebEcosystemConfig(num_sites=num_sites, seed=seed))
-    if mutate is not None:
-        mutate(ecosystem)
     census = WebCensus(ecosystem, CensusConfig(link_clicks=link_clicks, seed=seed))
     return CensusStudy(ecosystem=ecosystem, dataset=census.run())
 

@@ -201,15 +201,19 @@ class AddressPool:
     def remaining(self) -> int:
         return self.prefix.num_addresses - self._next
 
-    def allocate(self) -> IpAddress:
-        """Hand out the next free address.
+    def peek(self) -> IpAddress:
+        """The address :meth:`allocate` hands out next, left unallocated.
 
         Raises:
             RuntimeError: when the pool is exhausted.
         """
         if self._next >= self.prefix.num_addresses:
             raise RuntimeError(f"address pool {self.prefix} exhausted")
-        address = self.prefix.nth(self._next)
+        return self.prefix.nth(self._next)
+
+    def allocate(self) -> IpAddress:
+        """Hand out the next free address (:meth:`peek`, then advance)."""
+        address = self.peek()
         self._next += 1
         return address
 

@@ -99,6 +99,13 @@ class PublicSuffixList:
     def from_rules(cls, rules: tuple[str, ...] | list[str]) -> "PublicSuffixList":
         return cls(rules=[_parse_rule(rule) for rule in rules])
 
+    def __getstate__(self) -> dict:
+        # The rules only: the caches memoize this process's lookups.
+        return {"rules": self.rules}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
     def add_rule(self, rule: str) -> None:
         self.rules.append(_parse_rule(rule))
         self._suffix_cache.clear()

@@ -17,6 +17,7 @@ runs inline.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -243,6 +244,7 @@ def run_observatory(
     ecosystem: "WebEcosystem",
     config: ObservatoryConfig | None = None,
     fleet: tuple[VantagePoint, ...] | None = None,
+    published: Mapping[str, IpAddress] | None = None,
 ) -> ObservatoryStudy:
     """Run every probe round of the study window against ``ecosystem``.
 
@@ -256,17 +258,25 @@ def run_observatory(
     what-if overlays hand in policy-transformed fleets (a country
     deploying NAT64, a policy firewall) without rebuilding anything
     else.
+
+    ``published`` holds a census what-if's AAAA records (``{fqdn:
+    address}``), absent from the zones: a published host answers AAAA
+    from day 0, as an authoritative record (suppressing any adoption).
     """
     config = config or ObservatoryConfig()
     if fleet is None:
         fleet = build_vantage_fleet()
     targets = build_targets(ecosystem, config.max_targets)
+    schedule = adoption_schedule(targets, config)
+    for index, target in enumerate(targets):
+        if published and target.host in published:
+            schedule[index] = (0, (published[target.host],))
     universe: _ProbeUniverse = (
         ecosystem.zones,
         ecosystem.resolver.forced_failures(),
         frozenset(ecosystem.connectivity.unreachable),
         targets,
-        adoption_schedule(targets, config),
+        schedule,
         config.round_days,
         config.seed,
     )

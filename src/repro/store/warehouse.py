@@ -54,7 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: what-if re-races; a schema-2 payload would load without them.
 #: 4: census payloads carry the universe's adoption table, which every
 #: longitudinal round re-decides from.
-STORE_SCHEMA = 4
+#: 5: census payloads carry the AAAA records a what-if published over the
+#: shared universe; a schema-4 census would load without them.
+STORE_SCHEMA = 5
 
 #: The payload filename of rendered-artifact entries.
 ARTIFACT_FILE = "artifact.json"

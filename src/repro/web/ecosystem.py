@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cloud.providers import CloudProvider, CloudService, build_provider_catalog
 from repro.cloud.tenancy import Tenant, TenantPlanner
@@ -555,58 +555,39 @@ class WebEcosystem:
             # Redirect off into a domain that does not exist anywhere.
             website.redirects[main_host] = f"parked.gone-{website.rank}.example"
 
-    # -- counterfactual mutations ------------------------------------------
+    # -- counterfactual records --------------------------------------------
 
-    def enable_provider_aaaa(self, provider_name: str) -> int:
-        """Dual-stack every placement hosted on ``provider_name``.
+    def provider_aaaa(self, provider_name: str) -> dict[str, IpAddress]:
+        """``{fqdn: v6 address}`` for every AAAA-less placement on
+        ``provider_name``'s services, the lever behind
+        ``dualstack:<provider>``; this universe is left untouched.
 
-        The what-if lever behind ``dualstack:<provider>``: every tenant
-        subdomain placed on one of the provider's services that lacks an
-        AAAA record gains one (a fresh shared edge address of the
-        service's v6 organization), and the placement's ``has_aaaa``
-        ground truth is updated to match.  Placements whose edge is in
-        the outage set are left alone -- turning on IPv6 does not fix a
-        broken site.  Deterministic: iteration follows tenant insertion
-        order and the allocator state, no RNG.  Returns the number of
-        placements that gained an AAAA.
-
-        Must run *before* a census crawls this ecosystem (the crawler
-        observes DNS, so records added afterwards would be invisible).
+        Placements whose edge is in the outage set are left out -- turning
+        on IPv6 does not fix a broken site.  Each address is the next free
+        one of the service's v6 organization pool (never handed out, so
+        never in the outage set).  Deterministic: no RNG.
         """
         if provider_name not in {p.name for p in self.providers}:
             raise ValueError(
                 f"unknown provider {provider_name!r}; known: "
                 + ", ".join(p.name for p in self.providers)
             )
-        enabled = 0
+        published: dict[str, IpAddress] = {}
         for tenant in self.tenants.values():
             site_zone = self.zones.zone_for(tenant.etld1)
-            if site_zone is None:  # pragma: no cover - tenants always have zones
-                continue
-            for index, placement in enumerate(tenant.placements):
+            assert site_zone is not None  # every tenant has its zone
+            for placement in tenant.placements:
                 if placement.has_aaaa or placement.provider_name != provider_name:
                     continue
-                cnames = site_zone.lookup(placement.fqdn, DnsRecordType.CNAME)
-                if not cnames:
-                    continue
-                target = str(cnames[0].value)
+                target = str(site_zone.lookup(placement.fqdn, DnsRecordType.CNAME)[0].value)
                 target_zone = self.zones.zone_for(target)
-                if target_zone is None:  # pragma: no cover - guarded at build
-                    continue
+                assert target_zone is not None  # guarded at build
                 a_records = target_zone.lookup(target, DnsRecordType.A)
                 if any(r.value in self.connectivity.unreachable for r in a_records):
                     continue  # broken edge: v6 would be just as dead
-                provider, service = self._provider_service(placement.service)
-                target_zone.add(
-                    target,
-                    DnsRecordType.AAAA,
-                    self._edge_address(provider, service, Family.V6),
-                )
-                tenant.placements[index] = replace(
-                    placement, has_aaaa=True
-                )
-                enabled += 1
-        return enabled
+                pool = self._org_pools[(placement.service.v6_org_id, Family.V6)]
+                published[placement.fqdn] = pool.peek()
+        return published
 
     # -- convenience accessors ---------------------------------------------
 

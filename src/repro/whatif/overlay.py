@@ -10,10 +10,11 @@ spec of its acting interventions and cascades through the graph's
 observatory and sentinel layers too, while every layer whose key stays
 the baseline's is a cache *hit* -- a sweep of twenty scenarios rebuilds
 zero censuses it didn't change, and ``dualstack:Amazon+ispv6`` reuses
-``dualstack:Amazon``'s census and observatory.  The census and
-observatory builders apply the acting interventions to a mutated web
-universe or a policy-transformed vantage fleet, so key and build agree
-by construction.
+``dualstack:Amazon``'s census and observatory.  The census builder
+publishes the acting interventions' AAAA records over the baseline
+census (its universe shared, never mutated; its crawl replayed), and the
+observatory builder probes that universe with a policy-transformed
+vantage fleet, so key and build agree by construction.
 
 A perturbed traffic layer is not regenerated: the overlay patches the
 residence fleet, service catalog and Happy Eyeballs timers, then

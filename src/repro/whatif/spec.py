@@ -27,15 +27,16 @@ from repro.happyeyeballs.algorithm import HappyEyeballsConfig
 from repro.observatory.vantage import NetworkPolicy, VantagePoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.addr import IpAddress
     from repro.observatory.rounds import ObservatoryConfig
     from repro.traffic.apps import ServiceProfile
     from repro.traffic.residences import ResidenceProfile
     from repro.web.ecosystem import WebEcosystem
 
 #: The session layers an intervention may perturb.  ``census``
-#: perturbation cascades into the derived layers (cloud, dependencies,
-#: observatory) through the overlay's cache keys; it is not declared
-#: separately.
+#: perturbation (AAAA records published over the shared universe)
+#: cascades into the derived layers (cloud, dependencies, observatory)
+#: through the overlay's cache keys; it is not declared separately.
 PERTURBABLE_LAYERS = frozenset({"traffic", "census", "observatory"})
 
 
@@ -45,11 +46,11 @@ class Intervention:
 
     Subclasses set ``KIND`` (the spec keyword) and ``LAYERS`` (which
     session layers rebuilding is required for), implement
-    :meth:`parse` / :meth:`spec_arg`, and override the transform hooks
-    for their layers.  All hooks are pure-by-convention: they either
-    return a replacement object or mutate the one universe handed to
-    them (``transform_ecosystem``), and they run identically in the
-    parent process and in sweep workers.
+    :meth:`parse` / :meth:`spec_arg`, and override the hooks for their
+    layers.  All hooks are pure: they return a replacement object (or,
+    for the census, the records to publish) and never mutate their
+    input, so they run identically in the parent process and in sweep
+    workers, over universes shared with the baseline.
     """
 
     KIND: ClassVar[str] = ""
@@ -94,8 +95,10 @@ class Intervention:
 
     # -- census layer hook -------------------------------------------------
 
-    def transform_ecosystem(self, ecosystem: "WebEcosystem") -> None:
-        """Mutate the built (not yet crawled) web universe in place."""
+    def publish_aaaa(self, ecosystem: "WebEcosystem") -> "dict[str, IpAddress]":
+        """The AAAA records (``{fqdn: address}``) this lever publishes over
+        the baseline universe, which it must not mutate."""
+        return {}
 
     # -- observatory layer hooks -------------------------------------------
 
@@ -192,7 +195,8 @@ class DualStackProvider(Intervention):
     """A cloud/CDN provider dual-stacks everything it hosts.
 
     Census side: every tenant subdomain placed on the provider's
-    services gains an AAAA record (graded readiness moves).  Traffic
+    services gains an AAAA record, published over the baseline universe
+    (graded readiness moves).  Traffic
     side: the provider's services in the client catalog become fully
     dual-stack (usage moves).  The binary availability answer moves too
     wherever vantages can see the new records -- which is the point of
@@ -237,8 +241,8 @@ class DualStackProvider(Intervention):
             )
         return changed
 
-    def transform_ecosystem(self, ecosystem) -> None:
-        ecosystem.enable_provider_aaaa(self.provider)
+    def publish_aaaa(self, ecosystem):
+        return ecosystem.provider_aaaa(self.provider)
 
 
 @dataclass(frozen=True)

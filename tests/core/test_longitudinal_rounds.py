@@ -1,7 +1,7 @@
 """Longitudinal rounds re-decide adoption instead of rebuilding the universe.
 
-The reference is a rebuild, which lives only here: the universe rebuilt at
-the round's ``inclination_base`` and crawled again.  A round re-decides
+The reference is a rebuild (the ``rebuild`` fixture): the universe rebuilt
+at the round's ``inclination_base`` and crawled again.  A round re-decides
 every adoption decision from the base universe's
 :class:`~repro.web.ecosystem.AdoptionTable` and re-classifies the base
 crawl with the changed FQDNs' AAAA and replayed races; it must equal the
@@ -9,17 +9,13 @@ rebuild in every ``CensusBreakdown`` field and in every request's AAAA flag
 and race winner.
 """
 
-import functools
-from collections import Counter
-from dataclasses import replace
-
 import pytest
 
 from repro.core.longitudinal import adoption_change, run_snapshots
 from repro.core.readiness import census_breakdown
 from repro.crawler.crawl import CensusConfig, WebCensus
 from repro.datasets.scenarios import CensusStudy
-from repro.web.ecosystem import SiteStatus, WebEcosystem, WebEcosystemConfig
+from repro.web.ecosystem import SiteStatus, WebEcosystemConfig
 
 BASE = WebEcosystemConfig().inclination_base
 
@@ -34,23 +30,6 @@ GRID = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
-def rebuild(sites: int, seed: int, inclination_base: float, provider: str | None = None):
-    """The universe built at ``inclination_base`` (dual-stacking
-    ``provider`` first, as its census overlay does) and its crawl."""
-    config = WebEcosystemConfig(num_sites=sites, seed=seed)
-    ecosystem = WebEcosystem(replace(config, inclination_base=inclination_base))
-    if provider is not None:
-        ecosystem.enable_provider_aaaa(provider)
-    return CensusStudy(ecosystem, WebCensus(ecosystem, CensusConfig(seed=seed)).run())
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _drop_rebuilds():
-    yield
-    rebuild.cache_clear()
-
-
 def replayed(base: CensusStudy, inclination_base: float):
     changed = base.ecosystem.adoption.changed_aaaa(BASE, inclination_base)
     census = WebCensus(base.ecosystem, CensusConfig(seed=base.config.seed))
@@ -62,7 +41,7 @@ def round_bases(drift: float, rounds: int) -> list[float]:
 
 
 @pytest.mark.parametrize("sites, seed, drift, rounds", GRID)
-def test_rounds_equal_rebuilds(sites, seed, drift, rounds):
+def test_rounds_equal_rebuilds(rebuild, sites, seed, drift, rounds):
     base = rebuild(sites, seed, BASE)
     snapshots = run_snapshots(
         labels=tuple(f"r{i}" for i in range(rounds)), drift_per_round=drift, base=base
@@ -77,7 +56,7 @@ def test_rounds_equal_rebuilds(sites, seed, drift, rounds):
 
 
 @pytest.mark.parametrize("sites, seed, drift, rounds", GRID)
-def test_replay_matches_every_rebuilt_record(sites, seed, drift, rounds):
+def test_replay_matches_every_rebuilt_record(rebuild, sites, seed, drift, rounds):
     base = rebuild(sites, seed, BASE)
     for inclination_base in round_bases(drift, rounds)[1:]:
         _, (aaaa, family) = replayed(base, inclination_base)
@@ -86,7 +65,7 @@ def test_replay_matches_every_rebuilt_record(sites, seed, drift, rounds):
         assert family == [r.family_used for r in records]
 
 
-def test_a_tls_failure_www_gains_aaaa():
+def test_a_tls_failure_www_gains_aaaa(rebuild):
     """The replay must draw the slow-AAAA coin of a failed site's
     unrecorded main-host fetch; this config exercises a gained one."""
     sites, seed, drift, _ = GRID[-1]
@@ -101,7 +80,7 @@ def test_a_tls_failure_www_gains_aaaa():
 
 
 @pytest.mark.parametrize("sites, seed", [(120, 3), (200, 11), (300, 7)])
-def test_round_zero_replay_reproduces_the_crawl(sites, seed):
+def test_round_zero_replay_reproduces_the_crawl(rebuild, sites, seed):
     base = rebuild(sites, seed, BASE)
     changed, (aaaa, family) = replayed(base, BASE)
     records = base.dataset.all_requests()
@@ -112,7 +91,7 @@ def test_round_zero_replay_reproduces_the_crawl(sites, seed):
 
 
 @pytest.mark.parametrize("sites, seed", [(120, 3), (200, 11)])
-def test_decisions_at_base_reproduce_every_placement(sites, seed):
+def test_decisions_at_base_reproduce_every_placement(rebuild, sites, seed):
     ecosystem = rebuild(sites, seed, BASE).ecosystem
     decided = ecosystem.adoption.decisions_at(BASE)
     placements = {
@@ -128,7 +107,7 @@ def test_decisions_at_base_reproduce_every_placement(sites, seed):
     assert all(not placements[fqdn] for fqdn in later)
 
 
-def test_decisions_match_a_rebuild_at_the_drifted_base():
+def test_decisions_match_a_rebuild_at_the_drifted_base(rebuild):
     drifted = BASE + 0.3
     ecosystem = rebuild(200, 11, BASE).ecosystem
     rebuilt = rebuild(200, 11, drifted).ecosystem
@@ -138,7 +117,7 @@ def test_decisions_match_a_rebuild_at_the_drifted_base():
 
 
 @pytest.mark.parametrize("provider, drift", [("Cloudflare", 0.05), ("Amazon", 0.3)])
-def test_overlay_rounds_keep_the_overlay(provider, drift):
+def test_overlay_rounds_keep_the_overlay(rebuild, provider, drift):
     """Rounds over a ``dualstack:<provider>`` census equal rebuilds that
     dual-stack the provider at the drifted inclination."""
     sites, seed = 200, 8
@@ -152,6 +131,37 @@ def test_overlay_rounds_keep_the_overlay(provider, drift):
     standing = run_snapshots(labels=("t0", "t1"), drift_per_round=0.0, base=base)
     assert standing[0].breakdown == standing[1].breakdown
     assert adoption_change(standing) == 0.0
+
+
+def test_published_overlay_rounds_match_every_rebuilt_record(rebuild, monkeypatch):
+    """Rounds over a published ``dualstack:Amazon`` census (whose universe
+    is the baseline's, its placements AAAA-less) flip the published FQDNs
+    in every round's replay: an unknown-primary site's unrecorded
+    main-host coin depends on it, and only per-record winners show it."""
+    from repro.api import StudyConfig, clear_caches
+    from repro.whatif.overlay import OverlayStudy
+
+    sites, seed, drift = 200, 17, 0.3
+    try:
+        base = OverlayStudy(StudyConfig(days=1, sites=sites, seed=seed), "dualstack:Amazon").census
+    finally:
+        clear_caches()
+    assert base.published
+    replays = []
+    replay = WebCensus.replay
+
+    def recorded(census, dataset, changed):
+        replays.append(replay(census, dataset, changed))
+        return replays[-1]
+
+    monkeypatch.setattr(WebCensus, "replay", recorded)
+    snapshots = run_snapshots(labels=("t0", "t1"), drift_per_round=drift, base=base)
+    expected = [rebuild(sites, seed, b, "Amazon") for b in round_bases(drift, 2)]
+    assert [s.breakdown for s in snapshots] == [census_breakdown(e.dataset) for e in expected]
+    aaaa, family = replays[-1]
+    records = expected[-1].dataset.all_requests()
+    assert aaaa == [r.has_aaaa for r in records]
+    assert family == [r.family_used for r in records]
 
 
 def test_overlay_artifact_rounds_stand_without_drift():
@@ -168,29 +178,12 @@ def test_overlay_artifact_rounds_stand_without_drift():
     assert first["ipv6_full"] == last["ipv6_full"] > 0
 
 
-@pytest.fixture()
-def constructions(monkeypatch):
-    calls: Counter = Counter()
-
-    def count(label, fn):
-        @functools.wraps(fn)
-        def counted(*args, **kwargs):
-            calls[label] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    monkeypatch.setattr(WebEcosystem, "__init__", count("ecosystem", WebEcosystem.__init__))
-    monkeypatch.setattr(WebCensus, "run", count("crawl", WebCensus.run))
-    return calls
-
-
 def test_rounds_build_one_universe_without_a_base(constructions):
     run_snapshots(labels=("a", "b", "c"), num_sites=60, seed=2, drift_per_round=0.1)
     assert constructions == {"ecosystem": 1, "crawl": 1}
 
 
-def test_rounds_build_nothing_over_a_base(constructions):
+def test_rounds_build_nothing_over_a_base(rebuild, constructions):
     base = rebuild(120, 3, BASE)
     constructions.clear()
     run_snapshots(labels=("a", "b", "c"), drift_per_round=0.1, base=base)

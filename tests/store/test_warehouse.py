@@ -203,6 +203,16 @@ class TestIntegrity:
         """A schema-3 census carries no adoption table for the longitudinal
         rounds to re-decide from: it is never unpickled, ``gc`` collects
         it, and a session rebuilds the census in its place."""
+        self._old_census_entry_is_skipped_and_rebuilt(3, tmp_path, monkeypatch)
+
+    def test_schema_4_census_entry_is_skipped_and_rebuilt(self, tmp_path, monkeypatch):
+        """A schema-4 census carries no ``published`` records (a census
+        what-if's AAAA over the shared universe): it is likewise never
+        unpickled, collected and rebuilt."""
+        self._old_census_entry_is_skipped_and_rebuilt(4, tmp_path, monkeypatch)
+
+    @staticmethod
+    def _old_census_entry_is_skipped_and_rebuilt(old_schema, tmp_path, monkeypatch):
         import warnings
 
         import repro.store.warehouse as warehouse
@@ -217,7 +227,7 @@ class TestIntegrity:
         clear_caches()
         try:
             with monkeypatch.context() as old:
-                old.setattr(warehouse, "STORE_SCHEMA", 3)
+                old.setattr(warehouse, "STORE_SCHEMA", old_schema)
                 entry = store._write_entry("layer", "census", key, {PAYLOAD_FILE: stale})
             assert store.load_layer("census", key) is None
             before = BUILD_COUNTS["census"]
@@ -226,7 +236,8 @@ class TestIntegrity:
                 census = Study(config).census
             assert BUILD_COUNTS["census"] == before + 1
             assert census.ecosystem.adoption.fqdn
-            assert store.gc() == [f"{entry.digest} (schema 3)"]
+            assert census.published == {}
+            assert store.gc() == [f"{entry.digest} (schema {old_schema})"]
             clear_caches()
             assert Study(config).census.ecosystem.adoption.fqdn  # the rebuilt entry loads
             assert BUILD_COUNTS["census"] == before + 1

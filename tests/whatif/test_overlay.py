@@ -144,7 +144,7 @@ class TestComposedScenarioSharing:
 #: Each perturbable layer's transform hooks.
 LAYER_HOOKS = {
     "traffic": ("transform_profiles", "transform_catalog", "transform_he_config"),
-    "census": ("transform_ecosystem",),
+    "census": ("publish_aaaa",),
     "observatory": ("transform_fleet", "transform_observatory_config"),
 }
 
@@ -186,7 +186,7 @@ class TestUndeclaredHooksAreIdentity:
             ("transform_observatory_config", ObservatoryConfig(num_days=3)),
         ):
             assert getattr(base, hook)(value) is value, hook
-        assert base.transform_ecosystem(object()) is None  # mutates nothing
+        assert base.publish_aaaa(object()) == {}  # publishes nothing
 
 
 class TestOverlaySemantics:
@@ -205,12 +205,20 @@ class TestOverlaySemantics:
 
     def test_dualstack_provider_adds_aaaa_ground_truth(self, baseline):
         overlay = OverlayStudy(baseline, "dualstack:Amazon")
+        placements = {
+            placement.fqdn: placement
+            for tenant in baseline.census.ecosystem.tenants.values()
+            for placement in tenant.placements
+        }
+        published = overlay.census.published
+        assert published
+        for fqdn in published:
+            assert placements[fqdn].provider_name == "Amazon"
+            assert not placements[fqdn].has_aaaa
+
         def aaaa_count(census):
-            return sum(
-                placement.has_aaaa
-                for tenant in census.ecosystem.tenants.values()
-                for placement in tenant.placements
-            )
+            return sum(record.has_aaaa for record in census.dataset.all_requests())
+
         assert aaaa_count(overlay.census) > aaaa_count(baseline.census)
 
     def test_overlay_from_bare_config(self):
@@ -220,18 +228,22 @@ class TestOverlaySemantics:
 
 
 class TestEnableProviderAaaa:
-    def test_mutation_is_deterministic_and_counted(self, baseline):
+    def test_query_is_deterministic_and_non_empty(self, baseline):
         from repro.datasets.scenarios import build_census
 
-        counts = []
+        # Twice over the cached universe (the query allocates nothing),
+        # then over two fresh builds.
+        cached = baseline.census.ecosystem
+        records = [cached.provider_aaaa("Amazon"), cached.provider_aaaa("Amazon")]
         for _ in range(2):
             census = build_census(num_sites=SMALL.sites, seed=SMALL.seed)
-            counts.append(census.ecosystem.enable_provider_aaaa("Amazon"))
-        assert counts[0] == counts[1] > 0
+            records.append(census.ecosystem.provider_aaaa("Amazon"))
+        assert all(record == records[0] for record in records)
+        assert records[0]
 
     def test_unknown_provider_rejected(self, baseline):
         with pytest.raises(ValueError, match="unknown provider"):
-            baseline.census.ecosystem.enable_provider_aaaa("Initech")
+            baseline.census.ecosystem.provider_aaaa("Initech")
 
 
 #: The traffic scenarios that change who can race, not when.

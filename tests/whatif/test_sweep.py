@@ -132,6 +132,25 @@ class TestParallelSweep:
         assert parallel.frame.scenarios == sequential.frame.scenarios
         assert parallel.frame.data.tobytes() == sequential.frame.data.tobytes()
 
+    def test_census_scenarios_in_workers_publish_over_the_shipped_baseline(self):
+        # A world of its own, and the parallel sweep first, so every
+        # overlay is built in a worker rather than inherited from the parent.
+        config = StudyConfig(
+            days=3, sites=105, seed=3141, probe_targets=40, probe_interval_days=2,
+        )
+        study = Study(config)
+        study.traffic, study.census, study.observatory
+        grid = ["dualstack:Amazon", "dualstack:Cloudflare+ispv6", "nat64:US"]
+        before = BUILD_COUNTS.copy()
+        parallel = run_sweep(study, grid, parallel=2)
+        # Each census overlay published over the shipped baseline census.
+        assert BUILD_COUNTS["census"] == before.get("census", 0)
+        assert BUILD_COUNTS["whatif:census"] == before.get("whatif:census", 0) + 2
+        sequential = run_sweep(study, grid, parallel=False)
+        assert parallel.frame.scenarios == sequential.frame.scenarios
+        assert parallel.frame.data.tobytes() == sequential.frame.data.tobytes()
+        assert np.any(sequential.frame.select(scenario="dualstack:Amazon").d_availability != 0)
+
 
 class TestSweepSpans:
     def test_each_scenario_runs_in_its_own_span(self):
