@@ -48,6 +48,14 @@ def nat64_embedded_v4(v6: IpAddress) -> IpAddress | None:
     return None
 
 
+def fresh_resolver(database: ZoneDatabase, forced_failures: dict[str, DnsStatus]) -> Resolver:
+    """A new resolver over ``database`` with ``forced_failures`` copied in."""
+    resolver = Resolver(database=database)
+    for name, status in forced_failures.items():
+        resolver.inject_failure(name, status)
+    return resolver
+
+
 @dataclass(frozen=True)
 class VantageAnswer:
     """What one vantage's resolver handed the prober for one target.
@@ -94,10 +102,7 @@ class VantageResolver:
         timeouts) are copied, not shared, so probe-side bookkeeping
         cannot leak into the crawler's resolver.
         """
-        resolver = Resolver(database=database)
-        for name, status in (forced_failures or {}).items():
-            resolver.inject_failure(name, status)
-        return cls(vantage=vantage, resolver=resolver)
+        return cls(vantage=vantage, resolver=fresh_resolver(database, forced_failures or {}))
 
     def resolve_target(
         self,

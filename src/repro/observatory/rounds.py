@@ -3,7 +3,9 @@
 A probe **round** visits every (vantage, target) pair once; rounds run
 on a fixed schedule across the study window (every
 ``probe_interval_days`` days), which is what turns the binary
-availability check into a longitudinal "takeoff" series.
+availability check into a longitudinal "takeoff" series.  Each target
+is resolved once per run (:class:`AnswerTable`); each (vantage, round)
+block then applies the vantage's policy to that table as columns.
 
 The runner fans **vantage points** across a
 :class:`~concurrent.futures.ProcessPoolExecutor`, the same pattern the
@@ -23,12 +25,26 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.net.addr import IpAddress
-from repro.net.dns import DnsStatus, ZoneDatabase
-from repro.observatory.frame import ProbeFrame
-from repro.observatory.probe import ProbeTarget, Prober
-from repro.observatory.resolver import VantageResolver
-from repro.observatory.vantage import VantagePoint, build_vantage_fleet
+from repro.happyeyeballs.algorithm import NO_FAMILY, HappyEyeballs, race_winners
+from repro.net.addr import Family, IpAddress
+from repro.net.dns import DnsStatus
+from repro.observatory.frame import PROBE_DTYPE, ProbeFrame
+from repro.observatory.probe import (
+    LATENCY_JITTER_STD,
+    MIN_LATENCY,
+    PolicyConnectivity,
+    ProbeTarget,
+    ProbeVerdict,
+)
+from repro.observatory.resolver import (
+    AAAA_RESOLUTION_TIME,
+    A_RESOLUTION_TIME,
+    DNS64_SYNTHESIS_DELAY,
+    fresh_resolver,
+    nat64_embedded_v4,
+    nat64_synthesize,
+)
+from repro.observatory.vantage import NetworkPolicy, VantagePoint, build_vantage_fleet
 from repro.util.procpool import map_in_pool, resolve_worker_count
 from repro.util.rng import RngStream, derive_seed
 
@@ -164,20 +180,74 @@ def fleet_country_codes(
     return codes, tuple(ids)
 
 
-#: The universe one probe run measures, shared by every vantage: the
-#: zones (with the crawler's injected failures), the edge-outage set,
-#: the target list, the round schedule, and the seed.  Shipped to worker
-#: processes once per worker (pool initializer), not once per task --
-#: at paper scale the zone database dwarfs everything else.
-_ProbeUniverse = tuple[
-    ZoneDatabase,
-    dict[str, DnsStatus],
-    frozenset[IpAddress],
-    tuple[ProbeTarget, ...],
-    dict[int, tuple[int, tuple[IpAddress, ...]]],  # adoption schedule
-    tuple[int, ...],  # round day indices
-    int,  # seed
-]
+@dataclass(frozen=True)
+class AnswerTable:
+    """Every target's answer, resolved once per run for every vantage:
+    each resolves the same zones with the same injected failures, and
+    its policy only shapes what it makes of the answer.
+
+    Per target in rank order: the A, AAAA and adopted (published on
+    ``adopt_day``) address lists, whether both queries were NXDOMAIN and
+    whether the AAAA query was NOERROR (all a lossy resolver can lose),
+    and per list (A, AAAA, adopted) its ``count`` of addresses and the
+    index of its ``first`` reachable one (-1: none).
+    """
+
+    v4: tuple[tuple[IpAddress, ...], ...]
+    v6: tuple[tuple[IpAddress, ...], ...]
+    adopted: tuple[tuple[IpAddress, ...], ...]
+    adopt_day: np.ndarray
+    nxdomain: np.ndarray
+    aaaa_noerror: np.ndarray
+    count: np.ndarray
+    first: np.ndarray
+    unreachable: frozenset[IpAddress]
+
+    @classmethod
+    def resolve(
+        cls,
+        ecosystem: "WebEcosystem",
+        targets: tuple[ProbeTarget, ...],
+        schedule: dict[int, tuple[int, tuple[IpAddress, ...]]],
+    ) -> "AnswerTable":
+        """Resolve through a fresh resolver with the injected failures, so
+        the ecosystem's own (its query counter too) stays untouched."""
+        resolver = fresh_resolver(ecosystem.zones, ecosystem.resolver.forced_failures())
+        unreachable = frozenset(ecosystem.connectivity.unreachable)
+        noerror, nxdomain = DnsStatus.NOERROR, DnsStatus.NXDOMAIN
+        answers = [resolver.resolve_addresses(t.host) for t in targets]
+        v4 = tuple(a.addresses if a.status is noerror else () for a, _ in answers)
+        v6 = tuple(q.addresses if q.status is noerror else () for _, q in answers)
+        never = (np.iinfo(np.int32).max, ())
+        adoptions = [schedule.get(index, never) for index in range(len(targets))]
+        adopted = tuple(addresses for _, addresses in adoptions)
+        lists = list(zip(v4, v6, adopted))
+        # As PolicyConnectivity: a NAT64 address is as reachable as its IPv4.
+        first = [
+            [next((i for i, address in enumerate(addresses)
+                   if (nat64_embedded_v4(address) or address) not in unreachable), -1)
+             for addresses in row]
+            for row in lists
+        ]
+        return cls(
+            v4=v4, v6=v6, adopted=adopted,
+            adopt_day=np.array([day for day, _ in adoptions], dtype=np.int64),
+            nxdomain=np.array([a.status is q.status is nxdomain for a, q in answers], bool),
+            aaaa_noerror=np.array([q.status is noerror for _, q in answers], bool),
+            count=np.array([list(map(len, row)) for row in lists], np.int64).reshape(-1, 3),
+            first=np.array(first, np.int64).reshape(-1, 3),
+            unreachable=unreachable,
+        )
+
+
+#: The probes' connection engine: RFC 8305 defaults, as the prober's.
+_HE = HappyEyeballs()
+
+#: What every vantage's rounds read, shipped to worker processes once
+#: per worker (pool initializer), not once per task: the answer table,
+#: the targets' eTLD+1s (for policy blocks) and ranks, the round day
+#: indices, and the seed.  No worker holds the zones.
+_ProbeUniverse = tuple[AnswerTable, tuple[str, ...], np.ndarray, tuple[int, ...], int]
 
 #: One vantage's workload: the vantage and its fleet/country indices.
 _VantageTask = tuple[VantagePoint, int, int]
@@ -198,10 +268,8 @@ def _probe_vantage_in_worker(task: _VantageTask) -> list[np.ndarray]:
     return _probe_vantage(task, _WORKER_UNIVERSE)
 
 
-def _probe_vantage(
-    task: _VantageTask, universe: _ProbeUniverse
-) -> list[np.ndarray]:
-    """Run every round for one vantage point against the universe.
+def _probe_vantage(task: _VantageTask, universe: _ProbeUniverse) -> list[np.ndarray]:
+    """Run every round for one vantage point against the answer table.
 
     Returns one encoded frame block per round.  All randomness comes
     from the ``(seed, "vantage:<name>")`` substream with one sub-stream
@@ -209,35 +277,114 @@ def _probe_vantage(
     which order) the vantage runs.
     """
     vantage, vantage_index, country_index = task
-    zones, forced_failures, unreachable, targets, schedule, round_days, seed = (
-        universe
-    )
-    prober = Prober(
-        vantage,
-        VantageResolver.over(vantage, zones, forced_failures),
-        unreachable=unreachable,
-    )
+    table, etld1s, ranks, round_days, seed = universe
+    blocked = np.array([vantage.blocks_target(etld1) for etld1 in etld1s], dtype=bool)
     root = RngStream(seed, f"vantage:{vantage.name}")
-    target_indices = np.arange(len(targets), dtype=np.int32)
     blocks: list[np.ndarray] = []
     for round_index, day in enumerate(round_days):
-        rng = root.substream(f"round:{round_index}")
-        results = []
-        for target_index, target in enumerate(targets):
-            adopted = schedule.get(target_index)
-            overlay = (
-                adopted[1]
-                if adopted is not None and day >= adopted[0]
-                else ()
-            )
-            results.append(prober.probe(target, rng, overlay))
-        blocks.append(
-            ProbeFrame.encode_block(
-                round_index, day, vantage_index, country_index,
-                results, target_indices,
-            )
+        block = np.empty(len(etld1s), dtype=PROBE_DTYPE)
+        block["round"] = round_index
+        block["day"] = day
+        block["vantage"] = vantage_index
+        block["country"] = country_index
+        block["target"] = np.arange(len(etld1s), dtype=np.int32)
+        block["rank"] = ranks
+        _decide_block(
+            block, table, vantage, blocked, day,
+            root.substream(f"round:{round_index}").generator(),
         )
+        blocks.append(block)
     return blocks
+
+
+def _decide_block(
+    block: np.ndarray, table: AnswerTable, vantage: VantagePoint, blocked: np.ndarray,
+    day: int, gen: np.random.Generator,
+) -> None:
+    """Decide one (vantage, round) block's probes, column by column.
+
+    The draws come in the order a probe-by-probe round makes them: per
+    target, a lossy resolver's loss coin (iff the AAAA query answered
+    NOERROR), the v4 then the v6 latency jitter, and a broken-PMTU coin
+    (iff the IPv6-only race connected).  Any other policy draws only
+    jitter, all of it in one call.  Both races are decided in closed
+    form; a row with more than one address in a family races address by
+    address through :class:`HappyEyeballs`.
+    """
+    policy, n = vantage.policy, len(table.v4)
+    lost, broken = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    jitter = np.empty((n, 2))
+    if policy is NetworkPolicy.LOSSY_RESOLVER:
+        for i in range(n):
+            if table.aaaa_noerror[i]:
+                lost[i] = gen.random() < min(1.0, max(0.0, vantage.aaaa_loss_rate))
+            jitter[i] = gen.normal(0.0, LATENCY_JITTER_STD), gen.normal(0.0, LATENCY_JITTER_STD)
+
+    # The vantage's view of the answer: a lost AAAA, the adopted AAAA
+    # (once published, for a live target that still lacks one), DNS64.
+    count4, count_real6, count_adopted = table.count.T
+    first4, first_real6, first_adopted = table.first.T
+    has4, real6 = count4 > 0, (count_real6 > 0) & ~lost
+    adopted = (table.adopt_day <= day) & ~real6 & has4 & ~lost
+    synth = (policy is NetworkPolicy.NAT64) & ~real6 & ~adopted & has4
+    has6 = real6 | adopted | synth
+    count6 = np.select([real6, adopted, synth], [count_real6, count_adopted, count4], 0)
+    first6 = np.select([real6, adopted, synth], [first_real6, first_adopted, first4], -1)
+    first6[blocked | (policy is NetworkPolicy.V4_ONLY)] = -1
+    r6 = np.where(synth, A_RESOLUTION_TIME + DNS64_SYNTHESIS_DELAY, AAAA_RESOLUTION_TIME)
+    # The IPv6-only race: every address shares the probe's latency, so
+    # the first reachable one wins if it completes before the deadline.
+    timeout = _HE.config.overall_timeout
+    start6, deadline6 = r6 + first6 * _HE.config.attempt_delay, r6 + timeout
+
+    if policy is NetworkPolicy.BROKEN_PMTU:
+        for i in range(n):
+            jitter[i] = gen.normal(0.0, LATENCY_JITTER_STD), gen.normal(0.0, LATENCY_JITTER_STD)
+            lat6 = max(MIN_LATENCY, vantage.v6_latency + jitter[i, 1])
+            if first6[i] >= 0 and start6[i] + lat6 <= deadline6[i]:
+                broken[i] = gen.random() < min(1.0, max(0.0, vantage.pmtu_blackhole_rate))
+    elif policy is not NetworkPolicy.LOSSY_RESOLVER:
+        jitter = gen.normal(0.0, LATENCY_JITTER_STD, size=(n, 2))
+    lat4 = np.maximum(MIN_LATENCY, vantage.v4_latency + jitter[:, 0])
+    lat6 = np.maximum(MIN_LATENCY, vantage.v6_latency + jitter[:, 1])
+    end6 = start6 + lat6
+    connected = (first6 >= 0) & (end6 <= deadline6)
+
+    exists, v4_only = has4 | has6, np.full(n, policy is NetworkPolicy.V4_ONLY)
+    verdicts = [ProbeVerdict.TARGET_DOWN, ProbeVerdict.RESOLVE_FAILED, ProbeVerdict.NO_AAAA,
+                ProbeVerdict.NO_V6_ROUTE, ProbeVerdict.V6_CONNECT_FAILED,
+                ProbeVerdict.V6_PATH_BROKEN]
+    block["verdict"] = np.select(
+        [~exists & table.nxdomain, ~exists, ~has6, v4_only, ~connected, broken],
+        [verdict.value for verdict in verdicts], ProbeVerdict.V6_OK.value,
+    )
+    block["aaaa"], block["synth"] = has6, synth
+    block["connect_ms"] = np.where(connected, end6 * 1000.0, np.nan)
+
+    # The dual-stack race.  race_winners starts it at the AAAA answer (due within the
+    # resolution delay of the A answer), but connect starts a lone A's at the A answer.
+    family = race_winners(
+        np.where(first4 >= 0, lat4, np.inf), np.where(first6 >= 0, lat6, np.inf), r6,
+        v4_resolution_time=A_RESOLUTION_TIME,
+    )
+    lone4 = has4 & ~has6
+    family[lone4] = np.where(
+        (first4 >= 0) & (A_RESOLUTION_TIME + lat4 <= A_RESOLUTION_TIME + timeout),
+        Family.V4.value, NO_FAMILY,
+    )[lone4]
+    for i in np.flatnonzero((count4 > 1) | (count6 > 1)):
+        v6 = (table.v6[i] if real6[i] else table.adopted[i] if adopted[i]
+              else tuple(map(nat64_synthesize, table.v4[i])) if synth[i] else ())
+        connectivity = PolicyConnectivity(
+            vantage, table.unreachable, blocked_v6=bool(blocked[i]),
+            _v4=float(lat4[i]), _v6=float(lat6[i]),
+        )
+        winner = _HE.connect(
+            list(table.v4[i]), list(v6), connectivity,
+            v4_resolution_time=A_RESOLUTION_TIME, v6_resolution_time=float(r6[i]),
+        ).used_family
+        family[i] = NO_FAMILY if winner is None else winner.value
+    block["client_family"] = family
 
 
 def run_observatory(
@@ -272,11 +419,9 @@ def run_observatory(
         if published and target.host in published:
             schedule[index] = (0, (published[target.host],))
     universe: _ProbeUniverse = (
-        ecosystem.zones,
-        ecosystem.resolver.forced_failures(),
-        frozenset(ecosystem.connectivity.unreachable),
-        targets,
-        schedule,
+        AnswerTable.resolve(ecosystem, targets, schedule),
+        tuple(t.etld1 for t in targets),
+        np.array([t.rank for t in targets], dtype=np.int32),
         config.round_days,
         config.seed,
     )

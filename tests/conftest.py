@@ -1,22 +1,35 @@
-"""Shared references for the census tests.
+"""Shared references for the census and observatory tests.
 
 ``rebuild`` is the reference every re-decided or published census is
 pinned against: a universe built from scratch (at a drifted
 ``inclination_base``, dual-stacking a provider in place) and crawled
 again.  ``constructions`` counts universe builds and crawls, so a test
-can assert that a path builds none.
+can assert that a path builds none.  ``by_probe`` is the reference the
+observatory's column kernel is pinned against: every (vantage, round,
+target) probed one at a time through ``Prober.probe``.
 """
 
 import functools
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.crawler.crawl import CensusConfig, WebCensus
 from repro.datasets.scenarios import CensusStudy
 from repro.net.addr import Family
 from repro.net.dns import DnsRecordType
+from repro.observatory.frame import ProbeFrame
+from repro.observatory.probe import Prober
+from repro.observatory.resolver import VantageResolver
+from repro.observatory.rounds import (
+    adoption_schedule,
+    build_targets,
+    fleet_country_codes,
+)
+from repro.observatory.vantage import build_vantage_fleet
+from repro.util.rng import RngStream
 from repro.web.ecosystem import WebEcosystem, WebEcosystemConfig
 
 
@@ -83,3 +96,51 @@ def constructions(monkeypatch):
     monkeypatch.setattr(WebEcosystem, "__init__", count("ecosystem", WebEcosystem.__init__))
     monkeypatch.setattr(WebCensus, "run", count("crawl", WebCensus.run))
     return calls
+
+
+def probe_frame_by_probe(ecosystem, config, fleet=None, published=None) -> ProbeFrame:
+    """The frame ``run_observatory(ecosystem, config, fleet, published)``
+    must produce, probed one (vantage, round, target) at a time: each
+    vantage resolves every target through its own resolver, draws from
+    its ``round:<i>`` substream in probe order, and races both Happy
+    Eyeballs connections address by address."""
+    fleet = build_vantage_fleet() if fleet is None else fleet
+    targets = build_targets(ecosystem, config.max_targets)
+    schedule = adoption_schedule(targets, config)
+    for index, target in enumerate(targets):
+        if published and target.host in published:
+            schedule[index] = (0, (published[target.host],))
+    country_codes, countries = fleet_country_codes(fleet)
+    target_indices = np.arange(len(targets), dtype=np.int32)
+    blocks = {}
+    for vantage_index, (vantage, country_index) in enumerate(zip(fleet, country_codes)):
+        prober = Prober(
+            vantage,
+            VantageResolver.over(
+                vantage, ecosystem.zones, ecosystem.resolver.forced_failures()
+            ),
+            unreachable=frozenset(ecosystem.connectivity.unreachable),
+        )
+        root = RngStream(config.seed, f"vantage:{vantage.name}")
+        for round_index, day in enumerate(config.round_days):
+            rng = root.substream(f"round:{round_index}")
+            results = []
+            for target_index, target in enumerate(targets):
+                adopted = schedule.get(target_index)
+                overlay = adopted[1] if adopted is not None and day >= adopted[0] else ()
+                results.append(prober.probe(target, rng, overlay))
+            blocks[round_index, vantage_index] = ProbeFrame.encode_block(
+                round_index, day, vantage_index, country_index, results, target_indices
+            )
+    return ProbeFrame.assemble(
+        tuple(v.name for v in fleet),
+        countries,
+        tuple(t.etld1 for t in targets),
+        [blocks[key] for key in sorted(blocks)],
+    )
+
+
+@pytest.fixture(scope="session")
+def by_probe():
+    """:func:`probe_frame_by_probe`, the observatory's per-probe reference."""
+    return probe_frame_by_probe

@@ -3,9 +3,13 @@
 The acceptance-critical property: for a fixed seed, the parallel and
 sequential round runners produce **bit-identical** ProbeFrames (every
 vantage draws from its own seeded RNG substream, one sub-stream per
-round, so placement and ordering cannot leak into the results).
+round, so placement and ordering cannot leak into the results).  The
+frames themselves are pinned too: a SHA-256 of the frame and its
+interning tables at three configurations.
 """
 
+import hashlib
+import pickle
 import warnings
 
 import pytest
@@ -16,11 +20,37 @@ from repro.observatory.rounds import (
     build_targets,
     run_observatory,
 )
+from repro.observatory.vantage import build_vantage_fleet
 from repro.util.procpool import reset_pool_fallback_warnings, warn_pool_fallback
 from repro.web.ecosystem import WebEcosystem, WebEcosystemConfig
+from repro.whatif.spec import parse_scenario
 
 SITES = 120
 TARGETS = 80
+
+#: Pinned configurations: (sites, seed, ObservatoryConfig overrides,
+#: scenario spec or None).  The scenario's fleet, config and published
+#: AAAA records apply as the session applies them.
+PROBE_FRAME_CONFIGS = {
+    "default": (300, 8, {"num_days": 14, "max_targets": 500}, None),
+    "nat64-US_accelerate-3": (
+        200, 21, {"num_days": 60, "probe_interval_days": 7, "max_targets": 120},
+        "nat64:US+accelerate:3",
+    ),
+    "dualstack-Amazon": (300, 17, {"num_days": 14}, "dualstack:Amazon"),
+}
+
+#: Configuration -> SHA-256 of its probe frame (see
+#: ``_probe_frame_digest``), as produced by the per-probe round runner
+#: (one ``Prober.probe`` per vantage, target and round) the column
+#: kernel replaced.
+PROBE_FRAME_SHA256 = {
+    "default": "43deef14ae88bbbbe8e9c5787983df398602de26c689294694d1332bedfce7bd",
+    "nat64-US_accelerate-3":
+        "5e7b6cba451d3a61651b1b176a6aeacbd60cc9e5c6a7107e03ad107ba74cf1cb",
+    "dualstack-Amazon":
+        "8d2fddfb5f1a3a1cdf518756a04aa8efbc7e91b268768a51fe44ce90eb0cbb6a",
+}
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +64,37 @@ def config():
         num_days=21, probe_interval_days=7, max_targets=TARGETS, seed=11,
         parallel=False,
     )
+
+
+def _probe_frame_digest(frame) -> str:
+    digest = hashlib.sha256(frame.data.tobytes())
+    for table in (frame.vantages, frame.countries, frame.targets):
+        for name in table:
+            digest.update(name.encode() + b"\0")
+        digest.update(b"\1")
+    return digest.hexdigest()
+
+
+def observe_scenario(sites, seed, overrides, spec, parallel=False):
+    """The observatory a session would build for ``spec`` over the
+    universe at (``sites``, ``seed``), and the AAAA records it published:
+    the scenario's fleet, config and records, applied in declared order."""
+    ecosystem = WebEcosystem(WebEcosystemConfig(num_sites=sites, seed=seed))
+    fleet = build_vantage_fleet()
+    config = ObservatoryConfig(seed=seed, parallel=parallel, **overrides)
+    published: dict = {}
+    for intervention in parse_scenario(spec).interventions if spec else ():
+        fleet = intervention.transform_fleet(fleet)
+        config = intervention.transform_observatory_config(config)
+        published.update(intervention.publish_aaaa(ecosystem))
+    return run_observatory(ecosystem, config, fleet=fleet, published=published), published
+
+
+class TestFramePins:
+    @pytest.mark.parametrize("name", list(PROBE_FRAME_CONFIGS))
+    def test_frame_matches_the_pinned_digest(self, name):
+        frame = observe_scenario(*PROBE_FRAME_CONFIGS[name])[0].frame
+        assert _probe_frame_digest(frame) == PROBE_FRAME_SHA256[name]
 
 
 class TestScheduling:
@@ -90,6 +151,38 @@ class TestDeterminism:
         assert sequential.frame.vantages == parallel.frame.vantages
         assert sequential.frame.countries == parallel.frame.countries
         assert sequential.frame.targets == parallel.frame.targets
+
+    def test_workers_get_the_answer_table_not_the_zones(self, monkeypatch):
+        """A transformed fleet and config plus published AAAA records:
+        the pool's workers receive nothing from the DNS layer (no zone
+        database) and still produce the sequential frame."""
+        import repro.observatory.rounds as rounds_module
+
+        pools = []
+        real_map = rounds_module.map_in_pool
+
+        def spy(*args, **kwargs):
+            results = real_map(*args, **kwargs)
+            pools.append((kwargs["initargs"], results is not None))
+            return results
+
+        monkeypatch.setattr(rounds_module, "map_in_pool", spy)
+        world = (
+            300, 17, {"num_days": 28, "probe_interval_days": 7},
+            "nat64:US+accelerate:3+dualstack:Amazon",
+        )
+        sequential, _ = observe_scenario(*world)
+        parallel, published = observe_scenario(*world, parallel=2)
+        assert parallel.frame.data.tobytes() == sequential.frame.data.tobytes()
+        assert (parallel.frame.vantages, parallel.frame.countries, parallel.frame.targets) == (
+            sequential.frame.vantages, sequential.frame.countries, sequential.frame.targets,
+        )
+        initargs, ran_in_pool = pools[-1]
+        assert ran_in_pool
+        assert b"repro.net.dns" not in pickle.dumps(initargs)
+        (table, *_), = initargs
+        hosts = [i for i, target in enumerate(parallel.targets) if target.host in published]
+        assert hosts and (table.adopt_day[hosts] == 0).all()
 
     def test_same_seed_same_frame(self, ecosystem, config):
         first = run_observatory(ecosystem, config)
