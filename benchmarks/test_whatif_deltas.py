@@ -4,12 +4,12 @@ The sweep is the paper's thesis run forward: interventions move the
 three adoption signals by *different* amounts.  The bench pins the two
 headline facts -- NAT64 inflates the binary availability answer without
 touching the census ground truth, and the sweep reuses the session's
-traffic/census builds outright (zero rebuilds, by ``BUILD_COUNTS``).
+traffic/census builds outright (zero rebuilds, by ``builds_total``).
 """
 
 import numpy as np
 
-from repro.api import BUILD_COUNTS
+from repro.telemetry import counts
 from repro.util.tables import TextTable
 from repro.whatif.analysis import scenario_summaries
 
@@ -60,15 +60,11 @@ def test_whatif_sweep_reuses_session_builds(whatif_sweep):
     assert np.all(frame.d_usage == 0.0)
     # A fresh observatory-only overlay against the bench session costs
     # exactly one observatory rebuild -- nothing else.
-    before = BUILD_COUNTS.copy()
+    before = counts("builds_total")
     # An equal config shares the bench session's process caches.
     overlay = OverlayStudy(Study(StudyConfig()), "block:DE@0.55")
     overlay.observatory
     overlay.traffic
     overlay.census
-    deltas = {
-        key: BUILD_COUNTS[key] - before.get(key, 0)
-        for key in set(BUILD_COUNTS) | set(before)
-        if BUILD_COUNTS[key] != before.get(key, 0)
-    }
+    deltas = counts("builds_total") - before
     assert deltas == {"whatif:observatory": 1}

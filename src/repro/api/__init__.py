@@ -19,20 +19,11 @@ and immediately appear in ``python -m repro list``.
 """
 
 from repro.api.registry import ArtifactResult, ArtifactSpec, artifact, jsonify
-from repro.api.session import (
-    BUILD_COUNTS,
-    STORE_COUNTS,
-    Study,
-    StudyConfig,
-    clear_caches,
-    prime_caches,
-)
+from repro.api.session import Study, StudyConfig, clear_caches, prime_caches
 
 __all__ = [
     "ArtifactResult",
     "ArtifactSpec",
-    "BUILD_COUNTS",
-    "STORE_COUNTS",
     "Study",
     "StudyConfig",
     "artifact",

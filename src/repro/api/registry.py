@@ -17,34 +17,12 @@ import dataclasses
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.api.session import LAYER_GRAPH, Study
 from repro.util.tables import TextTable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.api.session import Study
-
-#: The layers a renderer may declare in ``needs``.  ``"cloud"`` implies
-#: the census (attribution runs over the crawl), ``"dependencies"`` is
-#: the memoized section-4.3 analysis of the census, and
-#: ``"observatory"`` is the active-measurement layer probing the census
-#: universe from the per-country vantage fleet, ``"whatif"`` is the
-#: counterfactual sweep contrasting overlay worlds with the baseline,
-#: and ``"sentinel"`` is the significance engine's event feed over the
-#: adoption time series.
-LAYERS = frozenset(
-    {
-        "traffic",
-        "census",
-        "cloud",
-        "dependencies",
-        "observatory",
-        "whatif",
-        "sentinel",
-    }
-)
 
 
 def jsonify(value: Any) -> Any:
@@ -149,17 +127,17 @@ def artifact(
 
     Args:
         name: CLI-facing artifact name (``table1``, ``fig5``, ...).
-        needs: which session layers the renderer reads, a subset of
-            :data:`LAYERS`.  Purely declarative -- layers build lazily on
-            first access either way -- but drives ``repro list`` and the
-            memoization tests.
+        needs: which session layers the renderer reads, rows of
+            :data:`~repro.api.session.LAYER_GRAPH`.  Purely declarative --
+            layers build lazily on first access either way -- but drives
+            ``repro list`` and the memoization tests.
         title: display title; defaults into results that leave it empty.
         paper: the paper figure/table this reproduces, e.g. ``"Figure 5"``.
     """
     needs_set = frozenset(needs)
-    unknown = needs_set - LAYERS
+    unknown = needs_set - LAYER_GRAPH.keys()
     if unknown:
-        raise ValueError(f"unknown layers {sorted(unknown)}; expected {sorted(LAYERS)}")
+        raise ValueError(f"unknown layers {sorted(unknown)}; expected {sorted(LAYER_GRAPH)}")
 
     def register(fn: Callable[..., ArtifactResult]) -> Callable[..., ArtifactResult]:
         if name in _REGISTRY:

@@ -35,7 +35,7 @@ from repro.datasets.scenarios import (
     build_census,
     build_residence_study,
 )
-from repro.telemetry import counter_view, registry as _metrics_registry, span
+from repro.telemetry import registry as _metrics_registry, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.registry import ArtifactResult
@@ -48,11 +48,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: The session's registry instruments.  Builds and store traffic count
 #: here (label-keyed), render on ``GET /metrics``, and merge across
-#: procpool workers; the legacy ``*_COUNTS`` names below are
-#: compatibility views over these instruments, not separate state.
+#: procpool workers.
+#:
+#: ``builds_total{layer}`` counts actual builds (cache misses); tests
+#: assert on its deltas to prove memoization works.  Overlay (whatif)
+#: rebuilds count under ``whatif:<layer>`` labels, so a sweep never
+#: inflates the baseline layer counts.  A layer loaded from the on-disk
+#: store is *not* a build: it counts in ``store_ops_total`` instead.
 _BUILDS = _metrics_registry().counter(
     "builds_total", "layer builds (process-cache misses), per layer", ("layer",)
 )
+#: Disk-tier traffic, when a store is active (``repro.store``):
+#: ``hit:<layer>`` / ``miss:<layer>`` on reads, ``write:<layer>`` on
+#: write-behind, ``retry:<layer>`` per transient read re-attempt under
+#: the shared store retry policy, ``error:<layer>`` when a corrupt or
+#: unreadable entry fell back to a rebuild (which then overwrites --
+#: repairs -- the damaged entry).
 _STORE_OPS = _metrics_registry().counter(
     "store_ops_total", "session store traffic, per event:layer", ("op",)
 )
@@ -63,24 +74,6 @@ _WRITE_BEHIND_FAILURES = _metrics_registry().counter(
     "store_write_behind_failures_total",
     "write-behind persists that failed (the build still served)",
 )
-
-#: How many times each layer has actually been *built* (cache misses).
-#: Tests assert on deltas of this counter to prove memoization works.
-#: Overlay (whatif) rebuilds count under ``whatif:<layer>`` keys, so a
-#: sweep never inflates the baseline layer counters.  A layer loaded
-#: from the on-disk store is *not* a build: it counts in
-#: :data:`STORE_COUNTS` instead.
-# replint: allow[REP010] compatibility view over the builds_total registry instrument
-BUILD_COUNTS = counter_view(_BUILDS)
-
-#: Disk-tier traffic, when a store is active (``repro.store``):
-#: ``hit:<layer>`` / ``miss:<layer>`` on reads, ``write:<layer>`` on
-#: write-behind, ``retry:<layer>`` per transient read re-attempt under
-#: the shared store retry policy, ``error:<layer>`` when a corrupt or
-#: unreadable entry fell back to a rebuild (which then overwrites --
-#: repairs -- the damaged entry).
-# replint: allow[REP010] compatibility view over the store_ops_total registry instrument
-STORE_COUNTS = counter_view(_STORE_OPS)
 
 
 def _store_load(layer: str, key: tuple) -> tuple[Any | None, bool]:
@@ -103,7 +96,7 @@ def _store_load(layer: str, key: tuple) -> tuple[Any | None, bool]:
         return None, False
 
     def on_retry(attempt: int, exc: BaseException) -> None:
-        STORE_COUNTS[f"retry:{layer}"] += 1
+        _STORE_OPS.inc(op=f"retry:{layer}")
 
     try:
         value = call_with_retry(
@@ -114,14 +107,14 @@ def _store_load(layer: str, key: tuple) -> tuple[Any | None, bool]:
             on_retry=on_retry,
         )
     except Exception as exc:
-        STORE_COUNTS[f"error:{layer}"] += 1
+        _STORE_OPS.inc(op=f"error:{layer}")
         warnings.warn(
             f"store: could not load the {layer} layer ({exc}); rebuilding",
             RuntimeWarning,
             stacklevel=3,
         )
         return None, True
-    STORE_COUNTS[("hit:" if value is not None else "miss:") + layer] += 1
+    _STORE_OPS.inc(op=("hit:" if value is not None else "miss:") + layer)
     return value, False
 
 
@@ -141,7 +134,7 @@ def _store_save(layer: str, key: tuple, value: Any, repair: bool = False) -> Non
     try:
         store.save_layer(layer, key, value, overwrite=repair)
     except Exception as exc:
-        STORE_COUNTS[f"error:{layer}"] += 1
+        _STORE_OPS.inc(op=f"error:{layer}")
         _WRITE_BEHIND_FAILURES.inc()
         warnings.warn(
             f"store: could not persist the {layer} layer ({exc}); "
@@ -150,7 +143,7 @@ def _store_save(layer: str, key: tuple, value: Any, repair: bool = False) -> Non
             stacklevel=3,
         )
         return
-    STORE_COUNTS[f"write:{layer}"] += 1
+    _STORE_OPS.inc(op=f"write:{layer}")
 
 
 #: The process-wide layer cache: ``(layer, key) -> built value``, shared
@@ -159,7 +152,7 @@ _CACHE: dict[tuple[str, tuple], Any] = {}
 
 
 def clear_caches() -> None:
-    """Drop every cached layer (``BUILD_COUNTS`` is left intact)."""
+    """Drop every cached layer (``builds_total`` is left intact)."""
     _CACHE.clear()
 
 
@@ -440,7 +433,7 @@ class Study:
 
         Only a store miss builds, and the fresh value is written behind.
         A build counts in ``builds_total`` (a store hit counts in
-        :data:`STORE_COUNTS` instead), runs inside a ``build:<layer>``
+        ``store_ops_total`` instead), runs inside a ``build:<layer>``
         span, and lands its wall time in ``build_seconds``.
         """
         if name not in self._layers:
@@ -452,7 +445,7 @@ class Study:
                     if self._log is not None:
                         self._log(LAYER_GRAPH[name].message(self.config))
                     label = self._count_key(name, key)
-                    BUILD_COUNTS[label] += 1
+                    _BUILDS.inc(layer=label)
                     with span(f"build:{name}", layer=label) as build_span:
                         value = self._build(name)
                     _BUILD_SECONDS.observe(build_span.duration_s, layer=label)

@@ -14,7 +14,7 @@ and on the command line::
     python -m repro lint --baseline replint-baseline.json
 
 See :mod:`repro.devtools.lint.engine` for the rule framework and
-:mod:`repro.devtools.lint.rules` for the REP001, REP003..REP012 invariants.
+:mod:`repro.devtools.lint.rules` for the invariants it checks.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ repo-specific invariants the test suite can only police after the fact
 (determinism, serialization discipline, registry contracts).  A
 :class:`Rule` sees each parsed module once (:meth:`Rule.check`) and the
 whole project at the end (:meth:`Rule.finalize`), which is how
-cross-module rules -- "every ``@artifact(needs=...)`` names a layer of
-``registry.LAYERS``" -- are expressed in the same framework as per-file
+cross-module rules -- "every ``@artifact(needs=...)`` names a row of
+``LAYER_GRAPH``" -- are expressed in the same framework as per-file
 ones.
 
 Suppression is explicit and justified: a violation may be waived with

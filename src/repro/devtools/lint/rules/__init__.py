@@ -1,4 +1,5 @@
-"""The replint rule set: REP001 and REP003..REP012, one invariant per rule.
+"""The replint rule set: REP001, REP003..REP009, REP011 and REP012, one
+invariant per rule.
 
 ``default_rules()`` returns fresh instances (rules accumulate per-run
 state for their cross-module passes, so instances must not be shared
@@ -8,7 +9,6 @@ between runs).
 from __future__ import annotations
 
 from repro.devtools.lint.engine import Rule
-from repro.devtools.lint.rules.counts import CounterRegistryRule
 from repro.devtools.lint.rules.determinism import NondeterminismRule
 from repro.devtools.lint.rules.errors import SwallowedErrorRule
 from repro.devtools.lint.rules.hotpaths import HotPathVectorizationRule
@@ -31,7 +31,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     SwallowedErrorRule,
     SetOrderingRule,
     AdHocRetryRule,
-    CounterRegistryRule,
     ThresholdLocalityRule,
     ProfilerConfinementRule,
 )

@@ -28,8 +28,8 @@ class SwallowedErrorRule(Rule):
     id = "REP007"
     title = "serve/store error handlers log, count, or re-raise"
     hint = (
-        "record the degradation (warnings.warn, a STORE_COUNTS/error "
-        "counter, an errors list) or re-raise; narrow the except type "
+        "record the degradation (warnings.warn, a store_ops_total error "
+        "count, an errors list) or re-raise; narrow the except type "
         "if only specific failures are expected"
     )
 

@@ -1,8 +1,8 @@
 """REP004 + REP005: the registry's declarative contracts hold statically.
 
 REP004 -- every ``@artifact`` registration declares which session layers
-it reads (``needs=...``, a literal subset of the registry's ``LAYERS``
-vocabulary) and documents itself (the registry lifts the docstring's
+it reads (``needs=...``, a literal subset of the layer names of
+``api/session.py``'s ``LAYER_GRAPH`` rows) and documents itself (the registry lifts the docstring's
 first line into ``repro list``).  An artifact with no ``needs`` hides
 its build cost; one with an unknown layer would fail only at import
 time, and only if something imports it.
@@ -25,11 +25,22 @@ from repro.devtools.lint.engine import ModuleContext, Project, Rule, Violation
 
 #: Fallbacks when the linted tree does not carry the vocabulary modules
 #: (fixture corpora); the real tree overrides these from the source.  A
-#: test pins them to ``registry.LAYERS`` and ``PERTURBABLE_LAYERS``.
+#: test pins them to ``LAYER_GRAPH`` and ``PERTURBABLE_LAYERS``.
 DEFAULT_REGISTRY_LAYERS = frozenset(
     {"traffic", "census", "cloud", "dependencies", "observatory", "whatif", "sentinel"}
 )
 DEFAULT_PERTURBABLE_LAYERS = frozenset({"traffic", "census", "observatory"})
+
+
+def _layer_rows(ctx: ModuleContext) -> frozenset[str] | None:
+    """The names of the ``Layer("<name>", ...)`` rows, when present."""
+    names: set[str] = set()
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Call) and dotted_name(node.func) == "Layer" and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                names.add(first.value)
+    return frozenset(names) if names else None
 
 
 def _module_level_string_set(ctx: ModuleContext, name: str) -> frozenset[str] | None:
@@ -55,9 +66,10 @@ class ArtifactContractRule(Rule):
     id = "REP004"
     title = "@artifact declares known layers and carries a docstring"
     hint = (
-        "declare needs=(...) as a literal tuple of registry layers "
-        "(repro.api.registry.LAYERS) and give the renderer a docstring -- "
-        "its first line becomes the artifact's description in `repro list`"
+        "declare needs=(...) as a literal tuple of session layers "
+        "(the rows of repro.api.session.LAYER_GRAPH) and give the renderer "
+        "a docstring -- its first line becomes the artifact's description "
+        "in `repro list`"
     )
 
     def __init__(self) -> None:
@@ -65,8 +77,8 @@ class ArtifactContractRule(Rule):
         self._layers: frozenset[str] | None = None
 
     def check(self, ctx: ModuleContext) -> Iterable[Violation]:
-        if ctx.relpath.endswith("api/registry.py"):
-            self._layers = _module_level_string_set(ctx, "LAYERS")
+        if ctx.relpath.endswith("api/session.py"):
+            self._layers = _layer_rows(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

@@ -27,7 +27,7 @@ SLEEP_CALLS = frozenset({"time.sleep", "asyncio.sleep"})
 _HINT = (
     "wrap the flaky call in repro.resilience.retry.call_with_retry (one "
     "shared policy: bounded backoff, deterministic jitter, timeout "
-    "budget, RETRY_COUNTS telemetry) instead of hand-rolling a "
+    "budget, retries_total telemetry) instead of hand-rolling a "
     "sleep/retry loop; a loop that genuinely is not a retry needs a "
     "justified '# replint: allow[REP009] ...' waiver"
 )

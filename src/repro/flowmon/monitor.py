@@ -15,17 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.flowmon.conntrack import (
-    ConntrackEvent,
-    ConntrackEventType,
-    ConntrackTable,
-    FlowKey,
-    FlowRecord,
-    IcmpInfo,
-    Protocol,
-)
+from repro.flowmon.conntrack import FlowKey, FlowRecord, IcmpInfo, Protocol
 from repro.net.addr import Family, IpAddress, Prefix
-from repro.util.timeutil import DAY, day_index
+from repro.util.timeutil import DAY
 
 
 class FlowScope(enum.Enum):
@@ -236,10 +228,9 @@ def _check_rows(ints: np.ndarray, floats: np.ndarray, family: np.ndarray) -> Non
 class FlowMonitor:
     """Collects finished flows into one append-only column log.
 
-    :attr:`log` is the monitor's only storage.  The traffic generator
-    appends to it directly; the measurement path enters through
-    :meth:`observe`, or :meth:`attach` to a :class:`ConntrackTable`,
-    whose DESTROY events land in the same log.
+    :attr:`log` is the monitor's only storage: one row per finished
+    flow, holding what a conntrack DESTROY event carries.  The traffic
+    generator writes its finished flows into the log directly.
 
     Two views derive from the log, each built on first use and dropped
     when the log grows: the columnar :class:`~repro.flowmon.frame.
@@ -268,36 +259,12 @@ class FlowMonitor:
         also the staleness stamp of any view derived from it."""
         return len(self.log)
 
-    records_seen = version
-
     def _fresh(self) -> None:
         """Drop the derived views if the log grew since they were built."""
         if self._views_at != len(self.log):
             self._views_at = len(self.log)
             self._frame_cache = None
             self._projection = {}
-
-    def attach(self, table: ConntrackTable) -> None:
-        table.subscribe(self._on_event)
-
-    def _on_event(self, event: ConntrackEvent) -> None:
-        if event.event_type is not ConntrackEventType.DESTROY:
-            return
-        assert event.record is not None
-        self.observe(event.record)
-
-    def observe(self, record: FlowRecord) -> FlowScope:
-        """Log one finished flow; returns its scope."""
-        day_index(record.start_time)  # refuse pre-epoch flows up front
-        key = record.key
-        icmp = key.icmp
-        self.log.append(
-            key.protocol.value, key.src, key.dst, key.sport, key.dport,
-            record.start_time, record.end_time,
-            record.bytes_out, record.bytes_in, record.packets_out, record.packets_in,
-            None if icmp is None else (icmp.icmp_type, icmp.icmp_code, icmp.icmp_id),
-        )
-        return self.classify(record)
 
     def classify(self, record: FlowRecord) -> FlowScope:
         src_local = self.config.is_local(record.key.src)

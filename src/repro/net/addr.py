@@ -51,8 +51,8 @@ class IpAddress:
             raise ValueError(
                 f"address value {self.value:#x} out of range for {self.family}"
             )
-        # Addresses key the conntrack table (inside FlowKey) millions of
-        # times per generated study; precompute the hash once instead of
+        # Addresses key the flow log's interning table millions of times
+        # per generated study; precompute the hash once instead of
         # re-hashing the (enum, int) field tuple on every dict operation.
         object.__setattr__(self, "_hash", hash((self.family.value, self.value)))
 

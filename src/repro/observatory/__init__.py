@@ -34,19 +34,8 @@ from repro.observatory.analysis import (
     traffic_v6_byte_fraction,
 )
 from repro.observatory.frame import PROBE_DTYPE, ProbeFrame
-from repro.observatory.probe import (
-    PolicyConnectivity,
-    ProbeResult,
-    ProbeTarget,
-    ProbeVerdict,
-    Prober,
-)
-from repro.observatory.resolver import (
-    VantageAnswer,
-    VantageResolver,
-    nat64_embedded_v4,
-    nat64_synthesize,
-)
+from repro.observatory.probe import PolicyConnectivity, ProbeTarget, ProbeVerdict
+from repro.observatory.resolver import nat64_embedded_v4, nat64_synthesize
 from repro.observatory.rounds import (
     ObservatoryConfig,
     ObservatoryStudy,
@@ -74,12 +63,8 @@ __all__ = [
     "PROBE_DTYPE",
     "ProbeFrame",
     "PolicyConnectivity",
-    "ProbeResult",
     "ProbeTarget",
     "ProbeVerdict",
-    "Prober",
-    "VantageAnswer",
-    "VantageResolver",
     "nat64_embedded_v4",
     "nat64_synthesize",
     "ObservatoryConfig",

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.net.addr import Family
-from repro.observatory.probe import ProbeResult, ProbeVerdict
+from repro.observatory.probe import ProbeVerdict
 
 #: The columnar layout.  ``vantage`` / ``country`` / ``target`` index the
 #: frame's interning tables; ``client_family`` is 4/6 or 0 (no winner);
@@ -91,34 +91,6 @@ class ProbeFrame:
             countries=countries,
             targets=target_names,
         )
-
-    @staticmethod
-    def encode_block(
-        round_index: int,
-        day: int,
-        vantage_index: int,
-        country_index: int,
-        results: list[ProbeResult],
-        target_indices: np.ndarray,
-    ) -> np.ndarray:
-        """Encode one vantage's results for one round as frame rows."""
-        block = np.empty(len(results), dtype=PROBE_DTYPE)
-        block["round"] = round_index
-        block["day"] = day
-        block["vantage"] = vantage_index
-        block["country"] = country_index
-        block["target"] = target_indices
-        for i, result in enumerate(results):
-            row = block[i]
-            row["rank"] = result.target.rank
-            row["verdict"] = result.verdict.value
-            row["aaaa"] = 1 if result.aaaa_present else 0
-            row["synth"] = 1 if result.synthesized_aaaa else 0
-            family = result.client_family
-            row["client_family"] = 0 if family is None else family.value
-            time = result.v6_connect_time
-            row["connect_ms"] = np.nan if time is None else time * 1000.0
-        return block
 
     # -- basic shape -------------------------------------------------------
 

@@ -1,8 +1,8 @@
-"""One probe: AAAA/A resolution plus a TCP/443 handshake race.
+"""One probe's vocabulary: targets, verdicts, and the handshake oracle.
 
 A probe is the classic binary availability check longitudinal
-observatories run (resolve the target, open a connection over IPv6), but
-driven through :class:`repro.happyeyeballs.algorithm.HappyEyeballs` --
+observatories run (resolve the target, open a connection over IPv6),
+decided with :class:`repro.happyeyeballs.algorithm.HappyEyeballs` --
 the *same* connection model the client traffic layer uses -- so the
 availability verdicts and the flow-level usage numbers disagree for
 modelled reasons, not implementation drift.
@@ -16,24 +16,20 @@ Each probe runs two races:
   whose winning family is recorded separately -- dual-stack clients
   behind a broken v6 path quietly use IPv4 while the binary check says
   "IPv6 available".
+
+:mod:`repro.observatory.rounds` decides every probe of a (vantage,
+round) block at once, as columns.  The one-probe model it is pinned
+against lives with the tests (``tests/reference_models.py``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from repro.happyeyeballs.algorithm import HappyEyeballs, HappyEyeballsConfig
-from repro.net.addr import Family, IpAddress
-from repro.net.dns import DnsStatus
-from repro.observatory.resolver import (
-    A_RESOLUTION_TIME,
-    VantageResolver,
-    nat64_embedded_v4,
-)
+from repro.net.addr import IpAddress
+from repro.observatory.resolver import nat64_embedded_v4
 from repro.observatory.vantage import NetworkPolicy, VantagePoint
-from repro.util.rng import RngStream
 
 #: Jitter applied to a vantage's median handshake latencies per probe.
 LATENCY_JITTER_STD = 0.006
@@ -77,32 +73,16 @@ class ProbeTarget:
             raise ValueError("ranks are 1-based")
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Everything one probe observed."""
-
-    target: ProbeTarget
-    verdict: ProbeVerdict
-    aaaa_present: bool
-    synthesized_aaaa: bool
-    client_family: Family | None
-    v6_connect_time: float | None
-
-    @property
-    def available(self) -> bool:
-        """The binary "IPv6 available" bit prior work reports."""
-        return self.verdict is ProbeVerdict.V6_OK
-
-
 @dataclass
 class PolicyConnectivity:
-    """Handshake oracle for one vantage: policy + edge outages + jitter.
+    """Handshake oracle for one vantage: policy + edge outages + latency.
 
     ``unreachable`` is the ecosystem's edge-outage set (TLS-failure
     sites), shared with the crawler so both measurement layers see the
     same broken edges.  NAT64-synthesized v6 addresses succeed iff their
     embedded IPv4 address is reachable -- the translator races the v4
-    path on the probe's behalf.
+    path on the probe's behalf.  ``_v4`` / ``_v6`` are the probe's
+    jittered handshake latencies.
     """
 
     vantage: VantagePoint
@@ -110,12 +90,6 @@ class PolicyConnectivity:
     blocked_v6: bool = False
     _v4: float = field(default=0.032, repr=False)
     _v6: float = field(default=0.028, repr=False)
-
-    def jitter(self, rng: RngStream) -> None:
-        """Draw this probe's latency jitter (one draw per family)."""
-        v = self.vantage
-        self._v4 = max(MIN_LATENCY, v.v4_latency + rng.normal(0.0, LATENCY_JITTER_STD))
-        self._v6 = max(MIN_LATENCY, v.v6_latency + rng.normal(0.0, LATENCY_JITTER_STD))
 
     def connect_latency(self, address: IpAddress) -> float | None:
         if not address.is_v6:
@@ -129,105 +103,3 @@ class PolicyConnectivity:
             # Translator handshake: v6 to the NAT64, v4 onward.
             return None if embedded in self.unreachable else self._v6
         return None if address in self.unreachable else self._v6
-
-
-class Prober:
-    """Runs availability probes for one vantage point."""
-
-    def __init__(
-        self,
-        vantage: VantagePoint,
-        resolver: VantageResolver,
-        unreachable: Iterable[IpAddress] = (),
-        he_config: HappyEyeballsConfig | None = None,
-    ) -> None:
-        self.vantage = vantage
-        self.resolver = resolver
-        self.connectivity = PolicyConnectivity(
-            vantage=vantage, unreachable=frozenset(unreachable)
-        )
-        self._he = HappyEyeballs(he_config)
-
-    def probe(
-        self,
-        target: ProbeTarget,
-        rng: RngStream,
-        overlay_v6: tuple[IpAddress, ...] = (),
-    ) -> ProbeResult:
-        """Probe one target: resolve, race v6-only, race dual-stack.
-
-        ``overlay_v6`` carries AAAA records the target published after
-        the universe was built (mid-window adoption); see
-        :meth:`VantageResolver.resolve_target`.
-        """
-        answer = self.resolver.resolve_target(target.host, rng, overlay_v6)
-        self.connectivity.jitter(rng)
-        self.connectivity.blocked_v6 = self.vantage.blocks_target(target.etld1)
-
-        if not answer.target_exists:
-            nxdomain = DnsStatus.NXDOMAIN
-            verdict = (
-                ProbeVerdict.TARGET_DOWN
-                if answer.a.status is nxdomain and answer.aaaa.status is nxdomain
-                else ProbeVerdict.RESOLVE_FAILED
-            )
-            return ProbeResult(
-                target=target,
-                verdict=verdict,
-                aaaa_present=False,
-                synthesized_aaaa=False,
-                client_family=None,
-                v6_connect_time=None,
-            )
-
-        aaaa_present = bool(answer.v6_addresses)
-        if not aaaa_present:
-            verdict = ProbeVerdict.NO_AAAA
-            v6_time = None
-        elif self.vantage.policy is NetworkPolicy.V4_ONLY:
-            verdict = ProbeVerdict.NO_V6_ROUTE
-            v6_time = None
-        else:
-            verdict, v6_time = self._race_v6(answer.v6_addresses, answer.aaaa_time, rng)
-
-        client_family = self._race_dual_stack(answer)
-        return ProbeResult(
-            target=target,
-            verdict=verdict,
-            aaaa_present=aaaa_present,
-            synthesized_aaaa=answer.synthesized,
-            client_family=client_family,
-            v6_connect_time=v6_time,
-        )
-
-    def _race_v6(
-        self,
-        v6_addresses: tuple[IpAddress, ...],
-        aaaa_time: float,
-        rng: RngStream,
-    ) -> tuple[ProbeVerdict, float | None]:
-        """The availability check proper: an IPv6-only connection race."""
-        result = self._he.connect(
-            [],
-            list(v6_addresses),
-            self.connectivity,
-            v6_resolution_time=aaaa_time,
-        )
-        if not result.connected:
-            return ProbeVerdict.V6_CONNECT_FAILED, None
-        if self.vantage.policy is NetworkPolicy.BROKEN_PMTU and rng.bernoulli(
-            self.vantage.pmtu_blackhole_rate
-        ):
-            return ProbeVerdict.V6_PATH_BROKEN, result.connect_time
-        return ProbeVerdict.V6_OK, result.connect_time
-
-    def _race_dual_stack(self, answer) -> Family | None:
-        """What a real dual-stack client at this vantage would use."""
-        result = self._he.connect(
-            list(answer.v4_addresses),
-            list(answer.v6_addresses),
-            self.connectivity,
-            v4_resolution_time=A_RESOLUTION_TIME,
-            v6_resolution_time=answer.aaaa_time,
-        )
-        return result.used_family

@@ -38,7 +38,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.retry import (
     DEFAULT_POLICY,
-    RETRY_COUNTS,
     STORE_POLICY,
     RetryPolicy,
     call_with_retry,
@@ -59,7 +58,6 @@ __all__ = [
     "inject_faults",
     "parse_fault",
     "DEFAULT_POLICY",
-    "RETRY_COUNTS",
     "STORE_POLICY",
     "RetryPolicy",
     "call_with_retry",

@@ -108,7 +108,9 @@ def _phase_serve_chaos(
     import warnings
 
     from repro.serve.service import ArtifactService
+    from repro.telemetry import counts
 
+    degraded_before = counts("serve_degraded_total")
     service = ArtifactService(
         config=config, store=store, build_deadline_s=30.0, max_build_queue=4
     )
@@ -163,7 +165,9 @@ def _phase_serve_chaos(
         "faults_fired": dict(fired),
         "stale_served": stale_served,
         "store_verify_problems": len(damage),
-        "service_counts": dict(sorted(service.resilience_counts.items())),
+        "service_counts": dict(
+            sorted((counts("serve_degraded_total") - degraded_before).items())
+        ),
     }
 
 

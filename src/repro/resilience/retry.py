@@ -5,7 +5,7 @@ Every transient-failure loop in the repo goes through
 ad-hoc ``for attempt in range(...)`` retries anywhere outside
 ``repro/resilience/``, so backoff behaviour (attempt counts, delay
 growth, jitter, timeout budgets) is defined exactly once and observable
-in one counter (:data:`RETRY_COUNTS`).
+in one counter (``retries_total``).
 
 Jitter is **deterministic**: the perturbation of attempt *n* for label
 *l* is derived from ``util.rng``'s SHA-256 seed derivation over
@@ -22,21 +22,17 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Tuple, Type
 
-from repro.telemetry import counter_view, registry as _metrics_registry
+from repro.telemetry import registry as _metrics_registry
 from repro.util.rng import derive_seed
 
-#: Retry telemetry, keyed ``<event>:<label>`` -- ``error`` every failed
-#: attempt, ``retry`` every scheduled re-attempt, ``recovered`` when a
-#: retry eventually succeeded, ``gaveup`` when attempts or the timeout
-#: budget ran out, ``deadline`` when the budget (not the attempt count)
-#: stopped the loop.  ``/healthz`` mirrors this into its resilience
-#: section; ``GET /metrics`` renders the underlying ``retries_total``
-#: registry instrument this name is a view of.
-# replint: allow[REP010] compatibility view over the retries_total registry instrument
-RETRY_COUNTS = counter_view(
-    _metrics_registry().counter(
-        "retries_total", "retry-loop events, per event:label", ("event",)
-    )
+#: Retry telemetry, labelled ``<event>:<label>`` -- ``error`` every
+#: failed attempt, ``retry`` every scheduled re-attempt, ``recovered``
+#: when a retry eventually succeeded, ``gaveup`` when attempts or the
+#: timeout budget ran out, ``deadline`` when the budget (not the attempt
+#: count) stopped the loop.  ``/healthz`` mirrors it into its resilience
+#: section; ``GET /metrics`` renders it.
+_RETRIES = _metrics_registry().counter(
+    "retries_total", "retry-loop events, per event:label", ("event",)
 )
 
 _SEED_SPAN = float(1 << 64)
@@ -127,26 +123,21 @@ def call_with_retry(
             value = fn()
         except retryable as exc:
             last = exc
-            RETRY_COUNTS[f"error:{label}"] += 1
+            _RETRIES.inc(event=f"error:{label}")
             if attempt == policy.attempts:
                 break
             delay = policy.delay(attempt, label)
             if deadline is not None and clock() + delay > deadline:
-                RETRY_COUNTS[f"deadline:{label}"] += 1
+                _RETRIES.inc(event=f"deadline:{label}")
                 break
-            RETRY_COUNTS[f"retry:{label}"] += 1
+            _RETRIES.inc(event=f"retry:{label}")
             if on_retry is not None:
                 on_retry(attempt, exc)
             sleep(delay)
         else:
             if attempt > 1:
-                RETRY_COUNTS[f"recovered:{label}"] += 1
+                _RETRIES.inc(event=f"recovered:{label}")
             return value
-    RETRY_COUNTS[f"gaveup:{label}"] += 1
+    _RETRIES.inc(event=f"gaveup:{label}")
     assert last is not None  # the loop only exits via the except arm
     raise last
-
-
-def reset_retry_counts() -> None:
-    """Clear :data:`RETRY_COUNTS` (test isolation hook)."""
-    RETRY_COUNTS.clear()

@@ -33,7 +33,7 @@ import hashlib
 import json
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -44,6 +44,7 @@ from repro.datasets.scenarios import SCALE_PRESETS
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_hook
 from repro.telemetry import (
+    counts,
     recent_spans,
     registry as _metrics_registry,
     span,
@@ -104,7 +105,9 @@ _NOT_MODIFIED = _metrics_registry().counter(
     "serve_not_modified_total", "requests revalidated with 304 Not Modified"
 )
 _DEGRADED = _metrics_registry().counter(
-    "serve_degraded_total", "degraded serves, per mode (stale | shed)", ("mode",)
+    "serve_degraded_total",
+    "degraded serves, per mode (stale | shed | slow_build | breaker_open)",
+    ("mode",),
 )
 
 
@@ -306,13 +309,7 @@ class ArtifactService:
         self.max_build_queue = max_build_queue
         # replint: allow[REP001] serving telemetry (healthz uptime), never artifact data
         self.started_at = time.time()
-        self.requests = 0
         self.warmer = WarmerState()
-        #: Degradation telemetry: ``stale`` (last-known-good served),
-        #: ``shed`` (503 + Retry-After), ``slow_build`` (deadline missed
-        #: by a build that still served fresh), ``breaker_open`` (a
-        #: request found its artifact's breaker open).
-        self.resilience_counts: Counter = Counter()
         self._hot: OrderedDict[tuple, _Encoded] = OrderedDict()
         self._hot_lock = threading.Lock()
         self._build_lock = threading.Lock()
@@ -384,19 +381,16 @@ class ArtifactService:
             if encoded is None:
                 return None  # hot_only miss: caller re-runs off-loop
         except ServiceError as error:
-            self.requests += 1
             encoded = _Encoded.from_document(error.payload)
             return self._respond(
                 error.status, encoded, method, headers, cache=False,
                 extra=error.headers,
             )
         except Exception as exc:  # never kill the connection on a bug
-            self.requests += 1
             encoded = _Encoded.from_document(
                 {"error": f"internal error: {type(exc).__name__}: {exc}"}
             )
             return self._respond(500, encoded, method, headers, cache=False)
-        self.requests += 1
         return self._respond(
             200, encoded, method, headers,
             cache=encoded.cache and not encoded.stale,
@@ -471,10 +465,10 @@ class ArtifactService:
         breaker is not closed or the warmer hit errors; the
         ``resilience`` section carries the per-subsystem detail
         (breakers, retry counters, pool fallbacks/resubmissions, and
-        how often this process served stale or shed load).
+        how often this process degraded a serve, per mode).  Request and
+        degraded counts are process-wide registry counts.
         """
         from repro.prof import build_peaks, process_document
-        from repro.resilience.retry import RETRY_COUNTS
         from repro.util.procpool import fallback_contexts, resubmitted_shards
 
         with self._hot_lock:
@@ -523,10 +517,11 @@ class ArtifactService:
         }
         # replint: allow[REP001] serving telemetry (healthz uptime), never artifact data
         uptime_s = round(time.time() - self.started_at, 3)
+        degraded_counts = dict(sorted(counts("serve_degraded_total").items()))
         return {
             "status": "degraded" if degraded else "ok",
             "uptime_s": uptime_s,
-            "requests": self.requests,
+            "requests": sum(counts("serve_requests_total").values()),
             "artifacts": len(registry.names()),
             "hot_cache": hot,
             "store": str(self.store.root) if self.store is not None else None,
@@ -540,8 +535,8 @@ class ArtifactService:
                 "breakers": breakers,
                 "build_deadline_s": self.build_deadline_s,
                 "max_build_queue": self.max_build_queue,
-                "counts": dict(sorted(self.resilience_counts.items())),
-                "retry_counts": dict(sorted(RETRY_COUNTS.items())),
+                "counts": degraded_counts,
+                "retry_counts": dict(sorted(counts("retries_total").items())),
                 "pool": {
                     "fallback_contexts": list(fallback_contexts()),
                     "resubmitted_shards": [
@@ -552,10 +547,7 @@ class ArtifactService:
             "process": {**process_document(), "uptime_s": uptime_s},
             "memory": memory_breakdown,
             "telemetry": {
-                "degraded_total": {
-                    key[0]: int(value)
-                    for key, value in _DEGRADED.sample_items()
-                },
+                "degraded_total": degraded_counts,
                 "write_behind_failures": int(_WRITE_BEHIND_FAILURES.value()),
                 "store_gauges": store_gauges,
                 "metrics": "/metrics",
@@ -956,7 +948,7 @@ class ArtifactService:
         """
         breaker = self._breaker(name)
         if not breaker.allow():
-            self.resilience_counts["breaker_open"] += 1
+            _DEGRADED.inc(mode="breaker_open")
             return self._degrade(
                 name, good_key, "circuit breaker open",
                 retry_after=breaker.reset_after_s,
@@ -992,7 +984,7 @@ class ArtifactService:
                 return self._stale_encoded(stale, f"build failed: {exc}")
             elapsed = time.monotonic() - started
             if self.build_deadline_s is not None and elapsed > self.build_deadline_s:
-                self.resilience_counts["slow_build"] += 1
+                _DEGRADED.inc(mode="slow_build")
                 breaker.record_failure()
             else:
                 breaker.record_success()
@@ -1038,7 +1030,6 @@ class ArtifactService:
         stale = self._recall_good(good_key)
         if stale is not None:
             return self._stale_encoded(stale, reason)
-        self.resilience_counts["shed"] += 1
         _DEGRADED.inc(mode="shed")
         raise ServiceError(
             503,
@@ -1050,7 +1041,6 @@ class ArtifactService:
         )
 
     def _stale_encoded(self, document: dict, reason: str) -> _Encoded:
-        self.resilience_counts["stale"] += 1
         _DEGRADED.inc(mode="stale")
         marked = {**document, "degraded": {"stale": True, "reason": reason}}
         return dataclasses.replace(_Encoded.from_document(marked), stale=True)

@@ -3,10 +3,9 @@
 One process-wide :class:`MetricsRegistry` of typed, label-keyed
 instruments (:mod:`repro.telemetry.metrics`) and a monotonic-clock
 span tracer (:mod:`repro.telemetry.trace`).  Every counter in the repo
-lives here (replint REP010 forbids new module-level ``*_COUNTS`` dicts
-anywhere else); the legacy names (``session.BUILD_COUNTS``,
-``retry.RETRY_COUNTS``, ...) survive as :class:`CounterView`
-compatibility views over registry instruments.
+is a registry instrument; :func:`counts` reads a one-label counter as a
+``collections.Counter`` snapshot (``/healthz`` and the tests read counts
+through it).
 
 Export surfaces: ``GET /metrics`` (Prometheus text exposition) and
 ``GET /v1/trace?last=N`` on the serve tier, ``--telemetry-json PATH``
@@ -15,13 +14,12 @@ on the CLI, and ``python -m repro trace`` for chrome://tracing.
 
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
-    CounterView,
     Instrument,
     MetricCounter,
     MetricGauge,
     MetricHistogram,
     MetricsRegistry,
-    counter_view,
+    counts,
     registry,
 )
 from repro.telemetry.trace import (
@@ -38,13 +36,12 @@ from repro.telemetry.trace import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "CounterView",
     "Instrument",
     "MetricCounter",
     "MetricGauge",
     "MetricHistogram",
     "MetricsRegistry",
-    "counter_view",
+    "counts",
     "registry",
     "Span",
     "chrome_trace",

@@ -9,27 +9,29 @@ Three instrument kinds, the same trio Prometheus clients settle on:
 
 Every instrument is label-keyed: ``counter.inc(layer="traffic")``
 stores under the label-value tuple, so one instrument covers a family
-of series exactly like the exposition format renders them.  The hot
-path is dict-and-list arithmetic with no locks -- under the GIL each
-``+=`` on a dict slot is effectively atomic, and the consumers
-(``/metrics``, snapshots) tolerate a torn read of *different* series.
+of series exactly like the exposition format renders them.  The serve
+tier updates instruments from the event loop and from executor threads
+at once, and the GIL does not make a read-modify-write of a dict slot
+atomic, so each instrument holds a lock around its updates; a forked
+child gets fresh locks (a parent thread may have held one at the
+fork).  Readers (``/metrics``, snapshots) take no lock and tolerate a
+torn read of *different* series.
 
 The registry is serializable both directions: :meth:`MetricsRegistry.
 snapshot` produces a deterministic JSON-able document and
 :meth:`MetricsRegistry.merge` folds such a document back in (counters
 and histograms add, gauges take the merged value), which is how
 procpool workers ship their metrics back to the parent inside the map
-result.  :func:`counter_view` wraps one single-label counter in a
-``Counter``-shaped mutable mapping -- the compatibility surface that
-keeps ``session.BUILD_COUNTS``-style call sites and tests working
-unchanged while the storage lives here.
+result.  :func:`counts` reads one single-label counter of the process
+registry as a detached ``collections.Counter``.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import Counter
-from collections.abc import MutableMapping
-from typing import Any, Iterator
+from typing import Any
 
 #: Latency buckets (seconds) shared by the request/build/store
 #: histograms: sub-millisecond hot-cache hits up through ten-second
@@ -63,6 +65,7 @@ class Instrument:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._samples: dict[tuple[str, ...], Any] = {}
+        self._lock = threading.Lock()
 
     def _key(self, labels: dict[str, Any]) -> tuple[str, ...]:
         if set(labels) != set(self.labelnames):
@@ -90,7 +93,8 @@ class MetricCounter(Instrument):
         if amount < 0:
             raise ValueError(f"{self.name}: counters only go up (got {amount})")
         key = self._key(labels)
-        self._samples[key] = self._samples.get(key, 0.0) + amount
+        with self._lock:
+            self._samples[key] = self._samples.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
         return self._samples.get(self._key(labels), 0.0)
@@ -127,22 +131,23 @@ class MetricHistogram(Instrument):
 
     def observe(self, value: float, **labels: Any) -> None:
         key = self._key(labels)
-        sample = self._samples.get(key)
-        if sample is None:
-            # One slot per bucket plus the +Inf overflow slot.
-            sample = self._samples[key] = {
-                "buckets": [0] * (len(self.buckets) + 1),
-                "sum": 0.0,
-                "count": 0,
-            }
         index = len(self.buckets)  # +Inf unless a bound catches it
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 index = i
                 break
-        sample["buckets"][index] += 1
-        sample["sum"] += value
-        sample["count"] += 1
+        with self._lock:
+            sample = self._samples.get(key)
+            if sample is None:
+                # One slot per bucket plus the +Inf overflow slot.
+                sample = self._samples[key] = {
+                    "buckets": [0] * (len(self.buckets) + 1),
+                    "sum": 0.0,
+                    "count": 0,
+                }
+            sample["buckets"][index] += 1
+            sample["sum"] += value
+            sample["count"] += 1
 
     def value(self, **labels: Any) -> dict | None:
         """The raw sample dict for the label set (``None`` if unobserved)."""
@@ -270,27 +275,28 @@ class MetricsRegistry:
                 and list(instrument.buckets) != list(entry.get("buckets", ()))
             ):
                 raise ValueError(f"metric {name!r}: bucket bounds differ")
-            for key_list, value in entry.get("samples", []):
-                key = tuple(key_list)
-                if isinstance(instrument, MetricCounter):
-                    instrument._samples[key] = (
-                        instrument._samples.get(key, 0.0) + value
-                    )
-                elif isinstance(instrument, MetricGauge):
-                    instrument._samples[key] = float(value)
-                else:
-                    sample = instrument._samples.get(key)
-                    if sample is None:
-                        instrument._samples[key] = {
-                            "buckets": list(value["buckets"]),
-                            "sum": value["sum"],
-                            "count": value["count"],
-                        }
+            with instrument._lock:
+                for key_list, value in entry.get("samples", []):
+                    key = tuple(key_list)
+                    if isinstance(instrument, MetricCounter):
+                        instrument._samples[key] = (
+                            instrument._samples.get(key, 0.0) + value
+                        )
+                    elif isinstance(instrument, MetricGauge):
+                        instrument._samples[key] = float(value)
                     else:
-                        for i, n in enumerate(value["buckets"]):
-                            sample["buckets"][i] += n
-                        sample["sum"] += value["sum"]
-                        sample["count"] += value["count"]
+                        sample = instrument._samples.get(key)
+                        if sample is None:
+                            instrument._samples[key] = {
+                                "buckets": list(value["buckets"]),
+                                "sum": value["sum"],
+                                "count": value["count"],
+                            }
+                        else:
+                            for i, n in enumerate(value["buckets"]):
+                                sample["buckets"][i] += n
+                            sample["sum"] += value["sum"]
+                            sample["count"] += value["count"]
 
     # -- exposition ----------------------------------------------------------
 
@@ -350,50 +356,31 @@ def registry() -> MetricsRegistry:
     return _DEFAULT
 
 
-class CounterView(MutableMapping):
-    """A ``collections.Counter``-shaped view over one single-label counter.
+def counts(name: str) -> Counter:
+    """``{label value: count}`` of the process registry's one-label
+    counter ``name``, detached from the live instrument.
 
-    The compatibility surface of the migration: ``BUILD_COUNTS[key] += 1``
-    and every test-side read (``.copy()``, ``set(...)``, ``==`` against a
-    ``Counter``, ``.get(key, 0)``) keep working while the storage lives
-    in the registry.  Missing keys read as ``0`` without being stored,
-    exactly like a ``Counter``.
+    A missing label value reads 0, so snapshots subtract and compare as
+    ``Counter`` objects do; integral counts come back as ``int``.
     """
-
-    def __init__(self, counter: MetricCounter) -> None:
-        if len(counter.labelnames) != 1:
-            raise ValueError("CounterView wraps exactly one label dimension")
-        self._counter = counter
-
-    def __getitem__(self, key: str) -> int:
-        value = self._counter._samples.get((str(key),))
-        if value is None:
-            return 0
-        return int(value) if float(value).is_integer() else value
-
-    def __setitem__(self, key: str, value: float) -> None:
-        self._counter._samples[(str(key),)] = value
-
-    def __delitem__(self, key: str) -> None:
-        del self._counter._samples[(str(key),)]
-
-    def __iter__(self) -> Iterator[str]:
-        return (key[0] for key, _ in self._counter.sample_items())
-
-    def __len__(self) -> int:
-        return len(self._counter._samples)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CounterView({self._counter.name}: {dict(self)!r})"
-
-    def copy(self) -> Counter:
-        """A detached ``Counter`` of the current values (the test idiom)."""
-        return Counter(dict(self))
-
-    def clear(self) -> None:
-        self._counter.clear()
+    counter = _DEFAULT.get(name)
+    if not isinstance(counter, MetricCounter):
+        raise KeyError(f"no counter named {name!r} is registered")
+    if len(counter.labelnames) != 1:
+        raise ValueError(f"{name}: counts() reads one-label counters only")
+    return Counter(
+        {
+            key[0]: int(value) if float(value).is_integer() else value
+            for key, value in counter.sample_items()
+        }
+    )
 
 
-def counter_view(counter: MetricCounter) -> CounterView:
-    """Wrap ``counter`` (one label) in its ``Counter``-compatible view."""
-    return CounterView(counter)
+def _renew_locks() -> None:
+    """Give a forked child fresh instrument locks: a parent thread may
+    have held one at the fork, and it would never be released here."""
+    for instrument in _DEFAULT.instruments():
+        instrument._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_locks)

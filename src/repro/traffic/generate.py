@@ -19,14 +19,10 @@ A baseline build is draw + realize.  The traffic what-ifs re-realize a
 baseline's draws under transformed devices, servers or timers, without
 drawing again (:mod:`repro.whatif.overlay`).
 
-Flows do not pass through a :class:`~repro.flowmon.conntrack.
-ConntrackTable` on the way.  That path built five objects per flow that
-no analysis read, and it checked nothing the log does not: the realized
-log runs the key, record and timestamp checks over every row at once.
-The table's one extra check, a duplicate live key, cannot fire here:
-each flow would be created and destroyed in a single call, so the table
-is empty whenever a flow starts.  Packet counts use the table's
-estimate, :func:`~repro.flowmon.conntrack.default_packets`.
+The generator writes finished flows, what a conntrack DESTROY event
+carries, straight into the log: the realized log runs the key, record
+and timestamp checks over every row at once.  Packet counts use the
+bytes-based estimate :func:`~repro.flowmon.conntrack.default_packets`.
 
 Protocol choice is *emergent*, not assigned: a flow is IPv6 when the
 device has IPv6, the server fleet member is dual-stack, and IPv6 wins the

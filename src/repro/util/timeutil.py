@@ -93,9 +93,8 @@ class TimeWindow:
 class SimClock:
     """A monotonic simulated clock.
 
-    Components that need ordering (the conntrack table, Happy Eyeballs
-    races) advance this clock explicitly; it refuses to move backwards so
-    event logs are always time-sorted.
+    It refuses to move backwards, so event logs kept against it are
+    always time-sorted.
     """
 
     def __init__(self, start: float = 0.0) -> None:

@@ -12,7 +12,7 @@ Cache discipline matches the delta sweep exactly: every overlay runs
 through :class:`~repro.whatif.overlay.OverlayStudy`, so unperturbed
 layers are baseline cache *hits* and only the overlay's own sentinel
 scan (plus the layers the scenario genuinely perturbs) builds --
-``BUILD_COUNTS`` for baseline traffic/census/observatory stay flat
+``builds_total`` for baseline traffic/census/observatory stay flat
 across a whole sweep, with overlay work accounted under
 ``whatif:<layer>``.
 """

@@ -25,7 +25,7 @@ IPv6 negotiation re-runs (common random numbers), so a usage delta
 measures the intervention alone.  An intervention whose transforms
 touch anything the draws depend on raises ``ValueError``.
 
-A build counts under ``whatif:<layer>`` in ``BUILD_COUNTS`` when the
+A build counts under ``whatif:<layer>`` in ``builds_total`` when the
 overlay's key for the layer differs from the baseline's, which is what
 the cache-reuse accounting tests assert on.
 """

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.__main__ import build_parser, main, parse_artifact_spec
-from repro.api import BUILD_COUNTS, registry
+from repro.api import registry
 from repro.datasets.scenarios import SCALE_PRESETS
+from repro.telemetry import counts
 
 
 class TestParsing:
@@ -95,19 +96,19 @@ class TestRunArtifacts:
         assert doc["artifacts"]["fig6"]["rows"]
 
     def test_census_built_once_for_table2_table3(self, capsys):
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         code = main(["table2", "table3", "--sites", "170", "--seed", "93"])
         assert code == 0
-        assert BUILD_COUNTS["census"] - before["census"] == 1
-        assert BUILD_COUNTS["cloud"] - before["cloud"] == 1
-        assert BUILD_COUNTS["traffic"] == before["traffic"]  # never touched
+        assert counts("builds_total")["census"] - before["census"] == 1
+        assert counts("builds_total")["cloud"] - before["cloud"] == 1
+        assert counts("builds_total")["traffic"] == before["traffic"]  # never touched
         out = capsys.readouterr().out
         assert "Table 2" in out and "Table 3" in out
 
     def test_all_shares_builds_and_emits_json_for_every_artifact(self, capsys):
         # The acceptance run, scaled down: every artifact in one JSON
         # document, with the expensive layers built at most once each.
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         code = main([
             "all", "--days", "7", "--sites", "220", "--seed", "99",
             "--format", "json",
@@ -119,7 +120,7 @@ class TestRunArtifacts:
             assert art["name"] == name
             assert isinstance(art["rows"], list)
         for layer in ("traffic", "census", "cloud", "dependencies"):
-            assert BUILD_COUNTS[layer] - before[layer] <= 1, layer
+            assert counts("builds_total")[layer] - before[layer] <= 1, layer
 
     def test_override_kept_distinct_in_json(self, capsys):
         code = main([
@@ -134,11 +135,11 @@ class TestRunArtifacts:
         assert doc["artifacts"]["fig6@sites=140"]["config"]["sites"] == 140
 
     def test_per_artifact_override(self, capsys):
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         code = main(["fig6@sites=150", "--sites", "9999", "--seed", "95"])
         assert code == 0
         # the override, not --sites, decides the census scale
-        assert BUILD_COUNTS["census"] - before["census"] == 1
+        assert counts("builds_total")["census"] - before["census"] == 1
         assert "readiness by popularity" in capsys.readouterr().out
 
     def test_deduplicates_repeated_artifacts(self, capsys):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.api import BUILD_COUNTS, Study, StudyConfig
+from repro.api import Study, StudyConfig
 from repro.api import session as session_module
 from repro.datasets import build_residence_study
+from repro.telemetry import counts
 
 
 class TestStudyConfig:
@@ -43,35 +44,35 @@ class TestStudyConfig:
 
 class TestLazyMemoizedBuilds:
     def test_construction_builds_nothing(self):
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         Study(days=200, sites=50_000, seed=12345)  # huge scale: must stay lazy
-        assert BUILD_COUNTS == before
+        assert counts("builds_total") == before
 
     def test_traffic_built_once_across_instances(self):
         config = StudyConfig(days=3, seed=9001, residences=("A",))
-        before = BUILD_COUNTS["traffic"]
+        before = counts("builds_total")["traffic"]
         first = Study(config).traffic
         second = Study(config).traffic
         assert first is second
-        assert BUILD_COUNTS["traffic"] - before == 1
+        assert counts("builds_total")["traffic"] - before == 1
 
     def test_different_config_builds_again(self):
-        before = BUILD_COUNTS["traffic"]
+        before = counts("builds_total")["traffic"]
         Study(days=3, seed=9002, residences=("A",)).traffic
         Study(days=3, seed=9003, residences=("A",)).traffic
-        assert BUILD_COUNTS["traffic"] - before == 2
+        assert counts("builds_total")["traffic"] - before == 2
 
     def test_census_and_derived_layers_built_once(self):
         config = StudyConfig(sites=120, seed=9004)
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         for _ in range(2):
             study = Study(config)
             study.census
             study.cloud
             study.dependencies
-        assert BUILD_COUNTS["census"] - before["census"] == 1
-        assert BUILD_COUNTS["cloud"] - before["cloud"] == 1
-        assert BUILD_COUNTS["dependencies"] - before["dependencies"] == 1
+        assert counts("builds_total")["census"] - before["census"] == 1
+        assert counts("builds_total")["cloud"] - before["cloud"] == 1
+        assert counts("builds_total")["dependencies"] - before["dependencies"] == 1
 
     def test_residence_subset_flows_through(self):
         study = Study(days=3, seed=9001, residences=("A",))
@@ -93,12 +94,12 @@ class TestCacheRegistry:
     def test_prime_caches_seeds_entries(self):
         config = StudyConfig(days=3, seed=9010, residences=("A",))
         traffic = build_residence_study(num_days=3, seed=9010, residences=("A",))
-        before = BUILD_COUNTS["traffic"]
+        before = counts("builds_total")["traffic"]
         session_module.prime_caches(
             {"traffic": {Study(config).key("traffic"): traffic}}
         )
         assert Study(config).traffic is traffic
-        assert BUILD_COUNTS["traffic"] == before
+        assert counts("builds_total")["traffic"] == before
 
 
 class TestFromPrebuilt:

@@ -6,7 +6,8 @@ pinned against: a universe built from scratch (at a drifted
 again.  ``constructions`` counts universe builds and crawls, so a test
 can assert that a path builds none.  ``by_probe`` is the reference the
 observatory's column kernel is pinned against: every (vantage, round,
-target) probed one at a time through ``Prober.probe``.
+target) probed one at a time through ``Prober.probe``, the one-probe
+model of ``reference_models.py``.
 """
 
 import functools
@@ -16,13 +17,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference_models import Prober, VantageResolver, encode_block
 from repro.crawler.crawl import CensusConfig, WebCensus
 from repro.datasets.scenarios import CensusStudy
 from repro.net.addr import Family
 from repro.net.dns import DnsRecordType
 from repro.observatory.frame import ProbeFrame
-from repro.observatory.probe import Prober
-from repro.observatory.resolver import VantageResolver
 from repro.observatory.rounds import (
     adoption_schedule,
     build_targets,
@@ -129,7 +129,7 @@ def probe_frame_by_probe(ecosystem, config, fleet=None, published=None) -> Probe
                 adopted = schedule.get(target_index)
                 overlay = adopted[1] if adopted is not None and day >= adopted[0] else ()
                 results.append(prober.probe(target, rng, overlay))
-            blocks[round_index, vantage_index] = ProbeFrame.encode_block(
+            blocks[round_index, vantage_index] = encode_block(
                 round_index, day, vantage_index, country_index, results, target_indices
             )
     return ProbeFrame.assemble(

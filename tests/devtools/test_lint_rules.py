@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import registry
+import repro.api.session as session_module
+from repro.api.session import LAYER_GRAPH
 from repro.devtools.lint import WAIVER_RULE_ID, default_rules, lint_paths
 from repro.devtools.lint.rules.registry_contracts import (
     DEFAULT_PERTURBABLE_LAYERS,
@@ -32,7 +33,6 @@ FLAG_CASES = [
     ("REP007", "rep007_flag", 3),
     ("REP008", "rep008_flag.py", 3),
     ("REP009", "rep009_flag.py", 4),
-    ("REP010", "rep010_flag.py", 3),
     ("REP011", "rep011_flag", 3),
     ("REP012", "rep012_flag.py", 3),
 ]
@@ -46,7 +46,6 @@ PASS_CASES = [
     ("REP007", "rep007_pass"),
     ("REP008", "rep008_pass.py"),
     ("REP009", "rep009_pass"),
-    ("REP010", "rep010_pass.py"),
     ("REP011", "rep011_pass"),
     ("REP012", "rep012_pass"),
 ]
@@ -91,5 +90,37 @@ def test_rules_are_fresh_instances_per_run():
 
 def test_fallback_vocabularies_match_the_source():
     """REP004/REP005 lint fixture trees against these copies."""
-    assert DEFAULT_REGISTRY_LAYERS == registry.LAYERS
+    assert DEFAULT_REGISTRY_LAYERS == frozenset(LAYER_GRAPH)
     assert DEFAULT_PERTURBABLE_LAYERS == PERTURBABLE_LAYERS
+
+
+EXTRA_ARTIFACT = '''
+from repro.api.registry import ArtifactResult, artifact
+
+
+@artifact("extra_table", needs=("extra",), title="Extra", paper="Table 0")
+def render_extra_table(study) -> ArtifactResult:
+    """Reads a layer only the session's layer rows declare."""
+    return ArtifactResult()
+'''
+
+
+def test_rep004_reads_the_layer_rows_of_the_session(tmp_path):
+    """A layer is one ``Layer(...)`` row of ``api/session.py``: an
+    artifact may need it with no second list to update."""
+    source = Path(session_module.__file__).read_text()
+    row = 'Layer("sentinel",'
+    assert source.count(row) == 1
+    extra_row = 'Layer("extra", (), lambda c: (), _build_sentinel, lambda c: ""),\n        '
+
+    def lint_tree(name, session_source):
+        root = tmp_path / name
+        (root / "api").mkdir(parents=True)
+        (root / "api" / "session.py").write_text(session_source)
+        (root / "artifacts.py").write_text(EXTRA_ARTIFACT)
+        return lint_paths([root], default_rules(), select=["REP004"])
+
+    assert lint_tree("with_row", source.replace(row, extra_row + row)) == []
+    violations = lint_tree("without_row", source)
+    assert [v.rule for v in violations] == ["REP004"]
+    assert "'extra'" in violations[0].message

@@ -1,14 +1,14 @@
-"""Tests for the conntrack flow table."""
+"""Tests for flow identity and a finished flow's final accounting."""
 
+import numpy as np
 import pytest
 
 from repro.flowmon.conntrack import (
-    ConntrackEvent,
-    ConntrackEventType,
-    ConntrackTable,
     FlowKey,
+    FlowRecord,
     IcmpInfo,
     Protocol,
+    default_packets,
 )
 from repro.net.addr import IpAddress
 
@@ -56,80 +56,23 @@ class TestFlowKey:
         assert FlowKey(Protocol.TCP, SRC6, DST6, 1, 2).is_v6
 
 
-class TestConntrackTable:
-    def test_lifecycle(self):
-        table = ConntrackTable()
-        key = tcp_key()
-        table.new(key, 100.0)
-        assert table.live_count == 1
-        table.account(key, bytes_out=500, bytes_in=15000, packets_out=5, packets_in=12)
-        record = table.destroy(key, 160.0)
-        assert table.live_count == 0
+class TestFlowRecord:
+    def test_totals_and_duration(self):
+        record = FlowRecord(tcp_key(), 100.0, 160.0, 500, 15000, 5, 12)
         assert record.total_bytes == 15500
         assert record.duration == 60.0
         assert record.total_packets == 17
 
-    def test_duplicate_new_rejected(self):
-        table = ConntrackTable()
-        table.new(tcp_key(), 0.0)
-        with pytest.raises(KeyError):
-            table.new(tcp_key(), 1.0)
+    def test_end_before_start_rejected(self):
+        with pytest.raises(ValueError, match="cannot end before it starts"):
+            FlowRecord(tcp_key(), 100.0, 50.0, 0, 0, 0, 0)
 
-    def test_account_unknown_flow(self):
-        with pytest.raises(KeyError):
-            ConntrackTable().account(tcp_key(), bytes_out=1)
+    def test_negative_counters_rejected(self):
+        with pytest.raises(ValueError, match="counters cannot be negative"):
+            FlowRecord(tcp_key(), 0.0, 1.0, -5, 0, 0, 0)
 
-    def test_destroy_unknown_flow(self):
-        with pytest.raises(KeyError):
-            ConntrackTable().destroy(tcp_key(), 0.0)
-
-    def test_destroy_before_start_rejected(self):
-        table = ConntrackTable()
-        table.new(tcp_key(), 100.0)
-        with pytest.raises(ValueError):
-            table.destroy(tcp_key(), 50.0)
-
-    def test_negative_account_rejected(self):
-        table = ConntrackTable()
-        table.new(tcp_key(), 0.0)
-        with pytest.raises(ValueError):
-            table.account(tcp_key(), bytes_out=-5)
-
-    def test_events_fired_in_order(self):
-        table = ConntrackTable()
-        events: list[ConntrackEvent] = []
-        table.subscribe(events.append)
-        key = tcp_key()
-        table.new(key, 10.0)
-        table.destroy(key, 20.0)
-        assert [e.event_type for e in events] == [
-            ConntrackEventType.NEW,
-            ConntrackEventType.DESTROY,
-        ]
-        assert events[0].record is None
-        assert events[1].record is not None
-        assert events[1].record.start_time == 10.0
-
-    def test_observe_flow_shortcut(self):
-        table = ConntrackTable()
-        record = table.observe_flow(tcp_key(), 0.0, 5.0, bytes_out=2800, bytes_in=0)
-        assert record.packets_out == 2
-        assert record.packets_in == 0
-        assert table.flows_created == table.flows_destroyed == 1
-
-    def test_counters(self):
-        table = ConntrackTable()
-        for port in range(5):
-            table.observe_flow(tcp_key(sport=50000 + port), 0.0, 1.0, 10, 10)
-        assert table.flows_created == 5
-        assert table.live_count == 0
-
-    def test_concurrent_flows_independent(self):
-        table = ConntrackTable()
-        key_a, key_b = tcp_key(sport=1000), tcp_key(sport=2000)
-        table.new(key_a, 0.0)
-        table.new(key_b, 1.0)
-        table.account(key_a, bytes_out=100)
-        table.account(key_b, bytes_out=999)
-        assert table.destroy(key_a, 2.0).bytes_out == 100
-        assert table.destroy(key_b, 2.0).bytes_out == 999
+    def test_default_packets(self):
+        assert default_packets(2800) == 2
+        assert default_packets(0) == 0
+        assert default_packets(1) == 1  # any byte moved is at least one packet
+        assert default_packets(np.array([2800, 0, 1])).tolist() == [2, 0, 1]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_models import observe
 from repro.flowmon.conntrack import FlowKey, Protocol
 from repro.flowmon.frame import (
     FLOW_DTYPE,
@@ -75,9 +76,9 @@ class TestFrameConstruction:
 
     def test_peers_interned_in_first_appearance_order(self):
         monitor = _simple_monitor()
-        monitor.observe(_flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
-        monitor.observe(_flow("192.168.0.2", "100.64.0.7", 1001, 6.0))
-        monitor.observe(_flow("192.168.0.3", "100.64.0.9", 1002, 7.0))
+        observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
+        observe(monitor, _flow("192.168.0.2", "100.64.0.7", 1001, 6.0))
+        observe(monitor, _flow("192.168.0.3", "100.64.0.9", 1002, 7.0))
         frame = monitor.frame()
         assert [str(p) for p in frame.peers] == ["100.64.0.9", "100.64.0.7"]
         assert frame.peer.tolist() == [0, 1, 0]
@@ -94,20 +95,20 @@ class TestFrameConstruction:
 class TestFrameCaching:
     def test_frame_cached_until_observe(self):
         monitor = _simple_monitor()
-        monitor.observe(_flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
+        observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
         first = monitor.frame()
         assert monitor.frame() is first
-        monitor.observe(_flow("192.168.0.2", "100.64.0.9", 1001, 6.0))
+        observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1001, 6.0))
         second = monitor.frame()
         assert second is not first
         assert len(second) == 2
 
     def test_records_cached_until_observe(self):
         monitor = _simple_monitor()
-        monitor.observe(_flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
+        observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
         view = monitor.records(scope=FlowScope.EXTERNAL)
         assert monitor.records(scope=FlowScope.EXTERNAL) is view
-        monitor.observe(_flow("192.168.0.2", "100.64.0.9", 1001, 6.0))
+        observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1001, 6.0))
         fresh = monitor.records(scope=FlowScope.EXTERNAL)
         assert fresh is not view
         assert len(fresh) == 2
@@ -122,7 +123,7 @@ class TestFrameCaching:
     def test_version_bumps_on_observe(self):
         monitor = _simple_monitor()
         assert monitor.version == 0
-        monitor.observe(_flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
+        observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
         assert monitor.version == 1
 
 
@@ -140,7 +141,7 @@ class TestAttribution:
 
     def test_unattributed_frame_raises(self):
         monitor = _simple_monitor()
-        monitor.observe(_flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
+        observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
         frame = monitor.frame()
         with pytest.raises(ValueError):
             frame.flow_asn
@@ -158,7 +159,7 @@ class TestAttribution:
         """A log with no external flows (zero interned peers) must yield
         all -1 AS/domain columns, not an IndexError."""
         monitor = _simple_monitor()
-        monitor.observe(_flow("192.168.0.2", "192.168.0.3", 1000, 5.0))  # internal
+        observe(monitor, _flow("192.168.0.2", "192.168.0.3", 1000, 5.0))  # internal
         frame = monitor.frame().with_attribution(
             dataset.universe.routing, dataset.universe.rdns
         )

@@ -2,8 +2,9 @@
 
 import pytest
 
+from reference_models import observe
 from repro.core import daily_fractions
-from repro.flowmon.conntrack import ConntrackTable, FlowKey, IcmpInfo, Protocol
+from repro.flowmon.conntrack import FlowKey, FlowRecord, IcmpInfo, Protocol, default_packets
 from repro.flowmon.export import FlowExporter
 from repro.flowmon.monitor import FlowMonitor, FlowScope, RouterConfig
 from repro.net.addr import IpAddress, Prefix
@@ -21,13 +22,14 @@ def make_monitor() -> FlowMonitor:
     return FlowMonitor(RouterConfig(name="T", lan_v4=LAN4, lan_v6=LAN6))
 
 
-def observe(monitor: FlowMonitor, src: str, dst: str, day: int, v6: bool = False):
-    table = ConntrackTable()
-    monitor.attach(table)
+def observe_tcp(monitor: FlowMonitor, src: str, dst: str, day: int):
     key = FlowKey(
         Protocol.TCP, IpAddress.parse(src), IpAddress.parse(dst), 40000, 443
     )
-    table.observe_flow(key, day * DAY + 100.0, day * DAY + 200.0, 100, 1000)
+    start = day * DAY + 100.0
+    observe(monitor, FlowRecord(
+        key, start, start + 100.0, 100, 1000, default_packets(100), default_packets(1000)
+    ))
 
 
 class TestObservationGaps:
@@ -35,8 +37,8 @@ class TestObservationGaps:
         """A router outage (no flows for some days) must not poison the
         daily-fraction series -- the analysis reports observed days only."""
         monitor = make_monitor()
-        observe(monitor, "192.168.1.5", "8.8.8.8", day=0)
-        observe(monitor, "192.168.1.5", "8.8.8.8", day=5)  # days 1-4 silent
+        observe_tcp(monitor, "192.168.1.5", "8.8.8.8", day=0)
+        observe_tcp(monitor, "192.168.1.5", "8.8.8.8", day=5)  # days 1-4 silent
         universe = ServiceUniverse(build_service_catalog())
         dataset = ResidenceDataset(
             profile=residences_by_name()["A"],
@@ -49,8 +51,8 @@ class TestObservationGaps:
 
     def test_observed_days_sorted(self):
         monitor = make_monitor()
-        observe(monitor, "192.168.1.5", "8.8.8.8", day=7)
-        observe(monitor, "192.168.1.5", "8.8.8.8", day=2)
+        observe_tcp(monitor, "192.168.1.5", "8.8.8.8", day=7)
+        observe_tcp(monitor, "192.168.1.5", "8.8.8.8", day=2)
         assert monitor.observed_days() == [2, 7]
 
 
@@ -59,7 +61,7 @@ class TestTransitTraffic:
         """Flows with no local endpoint are logged as TRANSIT and never
         pollute the external/internal splits."""
         monitor = make_monitor()
-        observe(monitor, "1.1.1.1", "8.8.8.8", day=0)
+        observe_tcp(monitor, "1.1.1.1", "8.8.8.8", day=0)
         assert len(monitor.records(scope=FlowScope.TRANSIT)) == 1
         assert not monitor.records(scope=FlowScope.EXTERNAL)
         assert not monitor.records(scope=FlowScope.INTERNAL)
@@ -68,15 +70,13 @@ class TestTransitTraffic:
 class TestIcmpExport:
     def test_icmp_flow_exports_cleanly(self):
         monitor = make_monitor()
-        table = ConntrackTable()
-        monitor.attach(table)
         key = FlowKey(
             Protocol.ICMP,
             IpAddress.parse("192.168.1.9"),
             IpAddress.parse("9.9.9.9"),
             icmp=IcmpInfo(icmp_type=8, icmp_code=0, icmp_id=77),
         )
-        table.observe_flow(key, 10.0, 12.0, 128, 128, packets_out=2, packets_in=2)
+        observe(monitor, FlowRecord(key, 10.0, 12.0, 128, 128, 2, 2))
         exporter = FlowExporter(monitor, key=b"icmp-export-test-key-0123456789")
         exported = exporter.export_all()
         assert len(exported) == 1

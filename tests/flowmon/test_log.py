@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_models import observe
 from repro.flowmon.conntrack import FlowKey, FlowRecord, IcmpInfo, Protocol
 from repro.flowmon.frame import SCOPE_CODES
 from repro.flowmon.monitor import FlowLog, FlowMonitor, FlowScope, RouterConfig
@@ -52,7 +53,7 @@ def mixed_records(num_days: int = 3, flows_per_day: int = 40) -> list[FlowRecord
 def logged(records) -> FlowMonitor:
     monitor = make_monitor()
     for record in records:
-        monitor.observe(record)
+        observe(monitor, record)
     return monitor
 
 
@@ -159,7 +160,7 @@ class TestProjection:
         for dataset in generated.datasets.values():
             rebuilt = FlowMonitor(dataset.monitor.config)
             for record in dataset.monitor.records():
-                rebuilt.observe(record)
+                observe(rebuilt, record)
             want, got = dataset.monitor.frame(), rebuilt.frame()
             assert got.data.tobytes() == want.data.tobytes()
             assert got.peers == want.peers

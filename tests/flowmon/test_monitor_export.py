@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.flowmon.conntrack import ConntrackTable, FlowKey, FlowRecord, Protocol
+from reference_models import observe
+from repro.flowmon.conntrack import FlowKey, FlowRecord, Protocol
 from repro.flowmon.export import FlowExporter
 from repro.flowmon.monitor import FlowMonitor, FlowScope, RouterConfig
 from repro.net.addr import IpAddress, Prefix
@@ -50,33 +51,31 @@ class TestRouterConfig:
 class TestFlowMonitor:
     def test_classification(self):
         monitor = make_monitor()
-        assert monitor.observe(flow("192.168.1.5", "8.8.8.8")) is FlowScope.EXTERNAL
-        assert monitor.observe(flow("192.168.1.5", "192.168.1.9")) is FlowScope.INTERNAL
-        assert monitor.observe(flow("1.1.1.1", "8.8.8.8")) is FlowScope.TRANSIT
+        assert observe(monitor, flow("192.168.1.5", "8.8.8.8")) is FlowScope.EXTERNAL
+        assert observe(monitor, flow("192.168.1.5", "192.168.1.9")) is FlowScope.INTERNAL
+        assert observe(monitor, flow("1.1.1.1", "8.8.8.8")) is FlowScope.TRANSIT
 
     def test_inbound_external(self):
         monitor = make_monitor()
-        assert monitor.observe(flow("8.8.8.8", "192.168.1.5")) is FlowScope.EXTERNAL
+        assert observe(monitor, flow("8.8.8.8", "192.168.1.5")) is FlowScope.EXTERNAL
 
     def test_daily_binning(self):
         monitor = make_monitor()
-        monitor.observe(flow("192.168.1.5", "8.8.8.8", start=0.5 * DAY))
-        monitor.observe(flow("192.168.1.5", "8.8.8.8", start=2.5 * DAY, end=2.6 * DAY))
+        observe(monitor, flow("192.168.1.5", "8.8.8.8", start=0.5 * DAY))
+        observe(monitor, flow("192.168.1.5", "8.8.8.8", start=2.5 * DAY, end=2.6 * DAY))
         assert monitor.observed_days() == [0, 2]
         assert len(monitor.records(day=0)) == 1
         assert len(monitor.records()) == 2
 
     def test_scope_filter(self):
         monitor = make_monitor()
-        monitor.observe(flow("192.168.1.5", "8.8.8.8"))
-        monitor.observe(flow("192.168.1.5", "192.168.1.9"))
+        observe(monitor, flow("192.168.1.5", "8.8.8.8"))
+        observe(monitor, flow("192.168.1.5", "192.168.1.9"))
         assert len(monitor.records(scope=FlowScope.EXTERNAL)) == 1
         assert len(monitor.records(scope=FlowScope.INTERNAL)) == 1
 
-    def test_attach_to_conntrack(self):
+    def test_logged_flow_projects_back(self):
         monitor = make_monitor()
-        table = ConntrackTable()
-        monitor.attach(table)
         key = FlowKey(
             Protocol.UDP,
             IpAddress.parse("192.168.1.7"),
@@ -84,8 +83,8 @@ class TestFlowMonitor:
             5353,
             53,
         )
-        table.observe_flow(key, 100.0, 101.0, 60, 400)
-        assert monitor.records_seen == 1
+        observe(monitor, FlowRecord(key, 100.0, 101.0, 60, 400, 1, 1))
+        assert monitor.version == 1
         assert monitor.records()[0].key == key
 
     def test_external_peer(self):
@@ -102,7 +101,7 @@ class TestFlowExporter:
     def test_client_anonymized_server_kept(self):
         monitor = make_monitor()
         record = flow("192.168.1.77", "8.8.8.8")
-        monitor.observe(record)
+        observe(monitor, record)
         exporter = FlowExporter(monitor, key=KEY)
         exported = exporter.export_all()[0]
         # Server address intact for attribution.
@@ -114,7 +113,7 @@ class TestFlowExporter:
 
     def test_internal_flow_both_anonymized_no_peer(self):
         monitor = make_monitor()
-        monitor.observe(flow("192.168.1.5", "192.168.1.9"))
+        observe(monitor, flow("192.168.1.5", "192.168.1.9"))
         exported = FlowExporter(monitor, key=KEY).export_all()[0]
         assert exported.peer is None
         assert exported.scope is FlowScope.INTERNAL
@@ -123,15 +122,15 @@ class TestFlowExporter:
 
     def test_v6_client_keeps_prefix(self):
         monitor = make_monitor()
-        monitor.observe(flow("2001:db8:aaaa::42", "2001:db8:ffff::1"))
+        observe(monitor, flow("2001:db8:aaaa::42", "2001:db8:ffff::1"))
         exported = FlowExporter(monitor, key=KEY).export_all()[0]
         assert exported.is_v6
         assert str(exported.anonymized_src).startswith("2001:db8:aaaa:")
 
     def test_deterministic_pseudonyms(self):
         monitor = make_monitor()
-        monitor.observe(flow("192.168.1.77", "8.8.8.8", start=0.0))
-        monitor.observe(flow("192.168.1.77", "9.9.9.9", start=DAY))
+        observe(monitor, flow("192.168.1.77", "8.8.8.8", start=0.0))
+        observe(monitor, flow("192.168.1.77", "9.9.9.9", start=DAY))
         exporter = FlowExporter(monitor, key=KEY)
         day0 = exporter.export_day(0)
         day1 = exporter.export_day(1)
@@ -139,7 +138,7 @@ class TestFlowExporter:
 
     def test_metadata_preserved(self):
         monitor = make_monitor()
-        monitor.observe(flow("192.168.1.5", "8.8.8.8", out_bytes=10, in_bytes=20))
+        observe(monitor, flow("192.168.1.5", "8.8.8.8", out_bytes=10, in_bytes=20))
         exported = FlowExporter(monitor, key=KEY).export_all()[0]
         assert exported.bytes_total == 30
         assert exported.residence == "A"

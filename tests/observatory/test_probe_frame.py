@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from reference_models import ProbeResult, encode_block
 from repro.net.addr import Family
 from repro.observatory.frame import PROBE_DTYPE, ProbeFrame
-from repro.observatory.probe import ProbeResult, ProbeTarget, ProbeVerdict
+from repro.observatory.probe import ProbeTarget, ProbeVerdict
 from repro.observatory.rounds import fleet_country_codes
 from repro.observatory.vantage import NetworkPolicy, VantagePoint
 
@@ -34,7 +35,7 @@ def _result(target: ProbeTarget, verdict: ProbeVerdict) -> ProbeResult:
 
 def _block(round_index, vantage_index, country_index, verdicts):
     results = [_result(t, v) for t, v in zip(TARGETS, verdicts)]
-    return ProbeFrame.encode_block(
+    return encode_block(
         round_index,
         round_index * 7,
         vantage_index,

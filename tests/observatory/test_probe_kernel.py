@@ -3,12 +3,12 @@
 ``run_observatory`` resolves each target once and decides every
 (vantage, round) block as columns.  The ``by_probe`` reference (in
 ``tests/conftest.py``) probes the same world one (vantage, round,
-target) at a time through ``Prober.probe``.  The two frames must be
-byte-identical, with equal interning tables, over generated universes
-(every policy, transformed fleets, adoption drift 0 and 1, a published
-map) and over a hand-built zone database holding the answers generated
-universes never produce.  A what-if sweep must resolve each target once
-per observatory build and probe nothing one at a time.
+target) at a time through ``Prober.probe`` (``tests/reference_models.py``).
+The two frames must be byte-identical, with equal interning tables, over
+generated universes (every policy, transformed fleets, adoption drift 0
+and 1, a published map) and over a hand-built zone database holding the
+answers generated universes never produce.  A what-if sweep must resolve
+each target once per observatory build.
 """
 
 from collections import Counter
@@ -20,7 +20,7 @@ import repro.observatory.rounds as rounds
 from repro.api import Study, StudyConfig, clear_caches
 from repro.net.addr import IpAddress
 from repro.net.dns import DnsRecordType, DnsStatus, Resolver, ZoneDatabase
-from repro.observatory.probe import ProbeVerdict, Prober
+from repro.observatory.probe import ProbeVerdict
 from repro.observatory.resolver import NAT64_PREFIX
 from repro.observatory.rounds import ObservatoryConfig, run_observatory
 from repro.observatory.vantage import NetworkPolicy, VantagePoint, build_vantage_fleet
@@ -219,8 +219,7 @@ KERNEL_WORLD = StudyConfig(
 
 def test_sweep_resolves_each_target_once_per_build(monkeypatch):
     """Over a warm baseline, each of the default grid's five observatory
-    builds resolves every target exactly once and probes nothing one at
-    a time."""
+    builds resolves every target exactly once."""
     clear_caches()
     baseline = Study(KERNEL_WORLD)
     try:
@@ -244,10 +243,8 @@ def test_sweep_resolves_each_target_once_per_build(monkeypatch):
         build = rounds.run_observatory
         resolve = count("resolve", Resolver.resolve_addresses)
         monkeypatch.setattr(Resolver, "resolve_addresses", resolve)
-        monkeypatch.setattr(Prober, "probe", count("probe", Prober.probe))
         monkeypatch.setattr(rounds, "run_observatory", observed)
         run_sweep(baseline, None, parallel=False)
         assert builds == [(70, 70)] * 5
-        assert calls["probe"] == 0
     finally:
         clear_caches()

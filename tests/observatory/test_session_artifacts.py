@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import BUILD_COUNTS, Study, StudyConfig, registry
+from repro.api import Study, StudyConfig, registry
+from repro.telemetry import counts
 
 SMALL = StudyConfig(
     days=6, sites=80, seed=9, probe_targets=40, probe_interval_days=3,
@@ -22,13 +23,13 @@ OBSERVATORY_ARTIFACTS = (
 class TestSessionLayer:
     def test_lazy_build_and_cache(self):
         study = Study(SMALL)
-        before = BUILD_COUNTS["observatory"]
+        before = counts("builds_total")["observatory"]
         obs = study.observatory
-        assert BUILD_COUNTS["observatory"] == before + 1
+        assert counts("builds_total")["observatory"] == before + 1
         assert study.observatory is obs  # instance memo
         # A second session with an equal config shares the build.
         assert Study(SMALL).observatory is obs
-        assert BUILD_COUNTS["observatory"] == before + 1
+        assert counts("builds_total")["observatory"] == before + 1
 
     def test_config_keys_the_cache(self):
         study = Study(SMALL)

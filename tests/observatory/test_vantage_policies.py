@@ -9,12 +9,12 @@ see (broken PMTU).
 
 import pytest
 
+from reference_models import Prober, VantageResolver
 from repro.net.addr import Family, IpAddress
 from repro.net.dns import DnsRecordType, ZoneDatabase
-from repro.observatory.probe import ProbeTarget, ProbeVerdict, Prober
+from repro.observatory.probe import ProbeTarget, ProbeVerdict
 from repro.observatory.resolver import (
     NAT64_PREFIX,
-    VantageResolver,
     nat64_embedded_v4,
     nat64_synthesize,
 )

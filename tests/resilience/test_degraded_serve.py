@@ -11,9 +11,9 @@ import pytest
 
 from repro.api import StudyConfig
 from repro.resilience import FaultPlan, FaultSpec, inject_faults
-from repro.resilience.retry import reset_retry_counts
 from repro.serve import ArtifactService
 from repro.store import set_store
+from repro.telemetry import counts, registry
 
 CONFIG = StudyConfig(days=4, sites=110, probe_targets=50, parallel=False)
 ART = "obs_availability"
@@ -26,10 +26,16 @@ ALWAYS_FAIL = (FaultSpec("build-error", count=64, horizon=64),)
 @pytest.fixture(autouse=True)
 def _isolated():
     set_store(None)
-    reset_retry_counts()
     yield
     set_store(None)
-    reset_retry_counts()
+
+
+@pytest.fixture()
+def degraded():
+    """``degraded()``: the ``serve_degraded_total`` counts added since the
+    test began."""
+    before = counts("serve_degraded_total")
+    return lambda: counts("serve_degraded_total") - before
 
 
 def warmed_service(**kwargs) -> ArtifactService:
@@ -41,7 +47,7 @@ def warmed_service(**kwargs) -> ArtifactService:
 
 
 class TestServeStale:
-    def test_stale_carries_warning_header_and_payload_marker(self):
+    def test_stale_carries_warning_header_and_payload_marker(self, degraded):
         service = warmed_service()
         with inject_faults(FaultPlan(ALWAYS_FAIL, seed=7)):
             response = service.handle("GET", PATH)
@@ -51,9 +57,9 @@ class TestServeStale:
         assert document["degraded"]["stale"] is True
         assert "build failed" in document["degraded"]["reason"]
         assert document["rows"]  # the body is the real last-known-good table
-        assert service.resilience_counts["stale"] == 1
+        assert degraded()["stale"] == 1
 
-    def test_stale_responses_are_not_cacheable(self):
+    def test_stale_responses_are_not_cacheable(self, degraded):
         service = warmed_service()
         with inject_faults(FaultPlan(ALWAYS_FAIL, seed=7)):
             response = service.handle("GET", PATH)
@@ -63,7 +69,7 @@ class TestServeStale:
             # again instead of replaying a cached degraded body.
             assert service.handle("GET", PATH, hot_only=True) is None
             assert service.handle("GET", PATH).status == 200
-        assert service.resilience_counts["stale"] == 2
+        assert degraded()["stale"] == 2
 
     def test_recovery_serves_fresh_once_the_faults_clear(self):
         service = warmed_service()
@@ -90,7 +96,7 @@ class TestServeStale:
 
 
 class TestBreakerAndShedding:
-    def test_breaker_trips_then_sheds_503_when_no_stale_exists(self):
+    def test_breaker_trips_then_sheds_503_when_no_stale_exists(self, degraded):
         service = ArtifactService(CONFIG, store=None)  # cold: nothing good yet
         with inject_faults(FaultPlan(ALWAYS_FAIL, seed=7)):
             for _ in range(3):  # three consecutive build failures trip it
@@ -101,10 +107,10 @@ class TestBreakerAndShedding:
         document = response.json()
         assert "temporarily unavailable" in document["error"]
         assert document["retry_after_s"] == 5.0
-        assert service.resilience_counts["breaker_open"] == 1
-        assert service.resilience_counts["shed"] == 1
+        assert degraded()["breaker_open"] == 1
+        assert degraded()["shed"] == 1
 
-    def test_open_breaker_serves_stale_when_it_can(self):
+    def test_open_breaker_serves_stale_when_it_can(self, degraded):
         service = warmed_service()
         with inject_faults(FaultPlan(ALWAYS_FAIL, seed=7)):
             for _ in range(3):
@@ -112,18 +118,18 @@ class TestBreakerAndShedding:
         response = service.handle("GET", PATH)
         assert response.status == 200
         assert response.json()["degraded"]["reason"] == "circuit breaker open"
-        assert service.resilience_counts["breaker_open"] == 1
-        assert service.resilience_counts["shed"] == 0  # never had to shed
+        assert degraded()["breaker_open"] == 1
+        assert degraded()["shed"] == 0  # never had to shed
 
-    def test_saturated_build_queue_sheds_immediately(self):
+    def test_saturated_build_queue_sheds_immediately(self, degraded):
         service = ArtifactService(CONFIG, store=None, max_build_queue=0)
         response = service.handle("GET", PATH)
         assert response.status == 503
         assert response.header("Retry-After") == "1"
         assert "build queue saturated" in response.json()["error"]
-        assert service.resilience_counts["shed"] == 1
+        assert degraded()["shed"] == 1
 
-    def test_slow_build_serves_fresh_but_counts_against_the_breaker(self):
+    def test_slow_build_serves_fresh_but_counts_against_the_breaker(self, degraded):
         # A nanosecond deadline: every finished build is "slow".  The
         # work is done, so it serves fresh -- degradation only shows in
         # the telemetry and the breaker's failure count.
@@ -131,7 +137,7 @@ class TestBreakerAndShedding:
         response = service.handle("GET", PATH)
         assert response.status == 200
         assert "degraded" not in response.json()
-        assert service.resilience_counts["slow_build"] == 1
+        assert degraded()["slow_build"] == 1
         snapshot = service.health()["resilience"]["breakers"][ART]
         assert snapshot["consecutive_failures"] == 1
         assert snapshot["state"] == "closed"
@@ -148,7 +154,7 @@ class TestHealthz:
             "fallback_contexts", "resubmitted_shards"
         }
 
-    def test_degraded_while_a_breaker_is_open_with_detail(self):
+    def test_degraded_while_a_breaker_is_open_with_detail(self, degraded):
         service = warmed_service()
         with inject_faults(FaultPlan(ALWAYS_FAIL, seed=7)):
             for _ in range(3):
@@ -157,14 +163,14 @@ class TestHealthz:
         assert document["status"] == "degraded"
         resilience = document["resilience"]
         assert resilience["breakers"][ART]["state"] == "open"
-        assert resilience["counts"]["stale"] == 3
+        assert resilience["counts"] == counts("serve_degraded_total")
+        assert degraded()["stale"] == 3
         assert resilience["build_deadline_s"] is None
         assert resilience["max_build_queue"] == 8
 
     def test_healthz_mirrors_the_retry_counters(self):
-        from repro.resilience.retry import RETRY_COUNTS
-
-        RETRY_COUNTS["recovered:store:traffic"] += 1
+        before = counts("retries_total")["recovered:store:traffic"]
+        registry().get("retries_total").inc(event="recovered:store:traffic")
         service = ArtifactService(CONFIG, store=None)
-        counts = service.health()["resilience"]["retry_counts"]
-        assert counts["recovered:store:traffic"] == 1
+        retry_counts = service.health()["resilience"]["retry_counts"]
+        assert retry_counts["recovered:store:traffic"] == before + 1

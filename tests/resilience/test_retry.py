@@ -9,19 +9,18 @@ import pytest
 
 from repro.resilience.retry import (
     DEFAULT_POLICY,
-    RETRY_COUNTS,
     STORE_POLICY,
     RetryPolicy,
     call_with_retry,
-    reset_retry_counts,
 )
+from repro.telemetry import counts
 
 
-@pytest.fixture(autouse=True)
-def _fresh_counts():
-    reset_retry_counts()
-    yield
-    reset_retry_counts()
+@pytest.fixture()
+def retries():
+    """``retries()``: the ``retries_total`` counts added since the test began."""
+    before = counts("retries_total")
+    return lambda: counts("retries_total") - before
 
 
 class FlakyOnce:
@@ -94,7 +93,7 @@ class TestDeterministicBackoff:
 
 
 class TestCallWithRetry:
-    def test_recovers_and_sleeps_the_policy_schedule(self):
+    def test_recovers_and_sleeps_the_policy_schedule(self, retries):
         fn = FlakyOnce(failures=2)
         slept = []
         value = call_with_retry(
@@ -103,33 +102,33 @@ class TestCallWithRetry:
         assert value == "ok"
         assert fn.calls == 3
         assert tuple(slept) == DEFAULT_POLICY.delays("t")[:2]
-        assert RETRY_COUNTS["error:t"] == 2
-        assert RETRY_COUNTS["retry:t"] == 2
-        assert RETRY_COUNTS["recovered:t"] == 1
-        assert RETRY_COUNTS["gaveup:t"] == 0
+        assert retries()["error:t"] == 2
+        assert retries()["retry:t"] == 2
+        assert retries()["recovered:t"] == 1
+        assert retries()["gaveup:t"] == 0
 
-    def test_first_try_success_counts_nothing(self):
+    def test_first_try_success_counts_nothing(self, retries):
         assert call_with_retry(lambda: 42, label="t") == 42
-        assert sum(RETRY_COUNTS.values()) == 0
+        assert sum(retries().values()) == 0
 
-    def test_exhaustion_reraises_the_last_error(self):
+    def test_exhaustion_reraises_the_last_error(self, retries):
         error = OSError("still broken")
         fn = FlakyOnce(failures=99, error=error)
         with pytest.raises(OSError) as excinfo:
             call_with_retry(fn, label="t", sleep=lambda _s: None)
         assert excinfo.value is error
         assert fn.calls == DEFAULT_POLICY.attempts
-        assert RETRY_COUNTS["gaveup:t"] == 1
-        assert RETRY_COUNTS["recovered:t"] == 0
+        assert retries()["gaveup:t"] == 1
+        assert retries()["recovered:t"] == 0
 
-    def test_non_retryable_errors_propagate_immediately(self):
+    def test_non_retryable_errors_propagate_immediately(self, retries):
         fn = FlakyOnce(failures=1, error=ValueError("a bug, not IO"))
         with pytest.raises(ValueError):
             call_with_retry(fn, label="t", sleep=lambda _s: None)
         assert fn.calls == 1
-        assert sum(RETRY_COUNTS.values()) == 0
+        assert sum(retries().values()) == 0
 
-    def test_deadline_budget_stops_before_the_attempt_count(self):
+    def test_deadline_budget_stops_before_the_attempt_count(self, retries):
         policy = RetryPolicy(
             attempts=5, base_delay_s=10.0, max_delay_s=10.0, jitter=0.0,
             timeout_s=1.0,
@@ -141,8 +140,8 @@ class TestCallWithRetry:
                 sleep=lambda _s: None, clock=lambda: 0.0,
             )
         assert fn.calls == 1  # the first 10s backoff already blows the budget
-        assert RETRY_COUNTS["deadline:t"] == 1
-        assert RETRY_COUNTS["gaveup:t"] == 1
+        assert retries()["deadline:t"] == 1
+        assert retries()["gaveup:t"] == 1
 
     def test_on_retry_sees_each_attempt_and_error(self):
         seen = []

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from repro.api import BUILD_COUNTS, StudyConfig, clear_caches
+from repro.api import StudyConfig, clear_caches
 from repro.serve import ArtifactService, etag_matches
 from repro.store import ArtifactStore, set_store
+from repro.telemetry import counts
 
 CONFIG = StudyConfig(days=4, sites=110, probe_targets=50, parallel=False)
 
@@ -224,9 +225,9 @@ class TestTiers:
         service = ArtifactService(CONFIG, store=None)
         assert service.handle("GET", "/v1/artifact/fig5").status == 200
         clear_caches()
-        before = BUILD_COUNTS["census"]
+        before = counts("builds_total")["census"]
         assert service.handle("GET", "/v1/artifact/fig6").status == 200
-        assert BUILD_COUNTS["census"] - before == 1
+        assert counts("builds_total")["census"] - before == 1
 
     def test_hot_cache_eviction(self):
         service = ArtifactService(CONFIG, store=None, hot_limit=2)
@@ -245,13 +246,13 @@ class TestTiers:
             assert rendered.status == 200
 
             clear_caches()
-            before = BUILD_COUNTS.copy()
+            before = counts("builds_total")
             second = ArtifactService(CONFIG, store=store)
             served = second.handle("GET", "/v1/artifact/obs_availability")
             assert served.status == 200
             assert served.json() == rendered.json()
             assert served.header("ETag") == rendered.header("ETag")
-            assert BUILD_COUNTS == before  # document came off disk
+            assert counts("builds_total") == before  # document came off disk
         finally:
             set_store(None)
 

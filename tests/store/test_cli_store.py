@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.api import BUILD_COUNTS, clear_caches
+from repro.api import clear_caches
 from repro.store import set_store
+from repro.telemetry import counts
 
 SCALE = ["--days", "4", "--sites", "110", "--probe-targets", "50"]
 
@@ -46,9 +47,9 @@ class TestStoreWarm:
             "store", "warm", "--store", root, *SCALE, "--artifacts", "none",
         ]) == 0
         clear_caches()
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         assert main(["contrast", "--store", root, *SCALE]) == 0
-        assert BUILD_COUNTS == before  # every layer came off disk
+        assert counts("builds_total") == before  # every layer came off disk
         assert "Three-way contrast" in capsys.readouterr().out
 
     def test_unknown_artifacts_rejected(self, tmp_path):

@@ -2,8 +2,8 @@
 
 The acceptance contract of the warehouse: a cold process pointed at a
 populated store renders every artifact **JSON-equal** to the in-process
-build, with zero layer rebuilds (``BUILD_COUNTS`` unchanged, hits in
-``STORE_COUNTS``), and a damaged entry degrades to a rebuild instead of
+build, with zero layer rebuilds (``builds_total`` unchanged, hits in
+``store_ops_total``), and a damaged entry degrades to a rebuild instead of
 an error.
 """
 
@@ -15,11 +15,11 @@ from collections import Counter
 
 import pytest
 
-from repro.api import BUILD_COUNTS, STORE_COUNTS, Study, StudyConfig, clear_caches, registry
+from repro.api import Study, StudyConfig, clear_caches, registry
 from repro.api.session import _CACHE
 from repro.store import set_store, snapshot_study, warm_start
 from repro.store.serialize import PAYLOAD_FILE
-from repro.telemetry import registry as metrics_registry
+from repro.telemetry import counts, registry as metrics_registry
 
 #: One artifact per layer (deps via ``fig7``, whatif via a one-scenario
 #: grid) -- small enough to build in seconds, wide enough to cover the
@@ -52,17 +52,17 @@ def render_all(config: StudyConfig) -> dict[str, dict]:
 class TestWarmStartFidelity:
     def test_disk_warm_start_is_json_identical_and_rebuild_free(self, store):
         cold = render_all(CONFIG)
-        assert STORE_COUNTS["write:traffic"] >= 1  # write-behind happened
+        assert counts("store_ops_total")["write:traffic"] >= 1  # write-behind happened
 
         clear_caches()
         assert not _CACHE  # genuinely cold in memory
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         warm = render_all(CONFIG)
 
         assert warm == cold  # bit-identical wire format
-        assert BUILD_COUNTS == before  # zero rebuilds: disk served everything
+        assert counts("builds_total") == before  # zero rebuilds: disk served everything
         for layer in ("traffic", "census", "cloud", "observatory", "whatif"):
-            assert STORE_COUNTS[f"hit:{layer}"] >= 1
+            assert counts("store_ops_total")[f"hit:{layer}"] >= 1
 
     def test_warm_start_primes_caches_in_bulk(self, store):
         study = Study(CONFIG)
@@ -73,10 +73,10 @@ class TestWarmStartFidelity:
             "traffic", "census", "cloud", "dependencies", "observatory",
             "sentinel",
         }
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         fresh = Study(CONFIG)
         fresh.traffic, fresh.census, fresh.cloud, fresh.observatory
-        assert BUILD_COUNTS == before
+        assert counts("builds_total") == before
 
     def test_unknown_layer_rejected(self, store):
         with pytest.raises(ValueError, match="unknown layer"):
@@ -147,12 +147,12 @@ class TestDegradation:
         path.write_bytes(bytes(blob))
 
         clear_caches()
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         with pytest.warns(RuntimeWarning, match="could not load the traffic"):
             rebuilt = Study(CONFIG).traffic
         assert rebuilt.num_days == CONFIG.days
-        assert BUILD_COUNTS["traffic"] == before["traffic"] + 1
-        assert STORE_COUNTS["error:traffic"] >= 1
+        assert counts("builds_total")["traffic"] == before["traffic"] + 1
+        assert counts("store_ops_total")["error:traffic"] >= 1
 
     def test_injected_corruption_rebuilds_and_repairs_bit_identically(self, store):
         """Satellite contract: corrupt read -> warn + rebuild + repair.
@@ -170,35 +170,34 @@ class TestDegradation:
         pristine = payload_path.read_bytes()
 
         clear_caches()
-        before = BUILD_COUNTS.copy()
-        writes = STORE_COUNTS["write:traffic"]
+        before = counts("builds_total")
+        writes = counts("store_ops_total")["write:traffic"]
         # count == horizon: the very first blob read comes back corrupted.
         plan = FaultPlan([FaultSpec("corrupt-blob", count=1, horizon=1)], seed=7)
         with inject_faults(plan):
             with pytest.warns(RuntimeWarning, match="could not load the traffic"):
                 rebuilt = Study(CONFIG).traffic
         assert rebuilt.num_days == CONFIG.days
-        assert BUILD_COUNTS["traffic"] == before["traffic"] + 1
-        assert STORE_COUNTS["error:traffic"] >= 1
-        assert STORE_COUNTS["write:traffic"] == writes + 1  # the repair write
+        assert counts("builds_total")["traffic"] == before["traffic"] + 1
+        assert counts("store_ops_total")["error:traffic"] >= 1
+        assert counts("store_ops_total")["write:traffic"] == writes + 1  # the repair write
 
         # Round trip of the repaired entry: bit-identical bytes on disk,
         # and a faultless cold load serves it with zero rebuilds.
         assert payload_path.read_bytes() == pristine
         clear_caches()
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         Study(CONFIG).traffic
-        assert BUILD_COUNTS == before
+        assert counts("builds_total") == before
         assert store.verify() == []
 
     def test_transient_read_fault_is_retried_and_recovered(self, store):
         from repro.resilience import FaultPlan, FaultSpec, inject_faults
-        from repro.resilience.retry import RETRY_COUNTS, reset_retry_counts
 
         Study(CONFIG).traffic
         clear_caches()
-        reset_retry_counts()
-        before = BUILD_COUNTS.copy()
+        retries = counts("retries_total")
+        before = counts("builds_total")
         # Exactly the first read op fails; the retry's second attempt
         # reads clean, so the disk tier still serves -- no rebuild.
         plan = FaultPlan([FaultSpec("store-read", count=1, horizon=1)], seed=7)
@@ -206,36 +205,33 @@ class TestDegradation:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # any warning would fail
                 Study(CONFIG).traffic
-        assert BUILD_COUNTS == before
-        assert STORE_COUNTS["retry:traffic"] >= 1
-        assert RETRY_COUNTS["recovered:store:traffic"] == 1
-        reset_retry_counts()
+        assert counts("builds_total") == before
+        assert counts("store_ops_total")["retry:traffic"] >= 1
+        assert (counts("retries_total") - retries)["recovered:store:traffic"] == 1
 
     def test_exhausted_read_retries_degrade_to_rebuild(self, store):
         from repro.resilience import FaultPlan, FaultSpec, inject_faults
-        from repro.resilience.retry import RETRY_COUNTS, reset_retry_counts
 
         Study(CONFIG).traffic
         clear_caches()
-        reset_retry_counts()
-        before = BUILD_COUNTS.copy()
+        retries = counts("retries_total")
+        before = counts("builds_total")
         # Every read op fails: the store policy gives up, the session
         # falls back to a rebuild instead of erroring out.
         plan = FaultPlan([FaultSpec("store-read", count=8, horizon=8)], seed=7)
         with inject_faults(plan):
             with pytest.warns(RuntimeWarning, match="could not load the traffic"):
                 Study(CONFIG).traffic
-        assert BUILD_COUNTS["traffic"] == before["traffic"] + 1
-        assert STORE_COUNTS["error:traffic"] >= 1
-        assert RETRY_COUNTS["gaveup:store:traffic"] >= 1
-        reset_retry_counts()
+        assert counts("builds_total")["traffic"] == before["traffic"] + 1
+        assert counts("store_ops_total")["error:traffic"] >= 1
+        assert (counts("retries_total") - retries)["gaveup:store:traffic"] >= 1
 
     def test_no_store_means_no_store_traffic(self, tmp_path):
         set_store(None)
         clear_caches()
-        before = STORE_COUNTS.copy()
+        before = counts("store_ops_total")
         Study(CONFIG).census
-        assert STORE_COUNTS == before
+        assert counts("store_ops_total") == before
 
 
 class TestEnvResolution:

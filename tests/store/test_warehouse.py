@@ -216,8 +216,9 @@ class TestIntegrity:
         import warnings
 
         import repro.store.warehouse as warehouse
-        from repro.api import BUILD_COUNTS, Study, StudyConfig, clear_caches
+        from repro.api import Study, StudyConfig, clear_caches
         from repro.store import set_store
+        from repro.telemetry import counts
 
         config = StudyConfig(days=1, sites=30, seed=4)
         key = Study(config).key("census")
@@ -230,17 +231,17 @@ class TestIntegrity:
                 old.setattr(warehouse, "STORE_SCHEMA", old_schema)
                 entry = store._write_entry("layer", "census", key, {PAYLOAD_FILE: stale})
             assert store.load_layer("census", key) is None
-            before = BUILD_COUNTS["census"]
+            before = counts("builds_total")["census"]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 census = Study(config).census
-            assert BUILD_COUNTS["census"] == before + 1
+            assert counts("builds_total")["census"] == before + 1
             assert census.ecosystem.adoption.fqdn
             assert census.published == {}
             assert store.gc() == [f"{entry.digest} (schema {old_schema})"]
             clear_caches()
             assert Study(config).census.ecosystem.adoption.fqdn  # the rebuilt entry loads
-            assert BUILD_COUNTS["census"] == before + 1
+            assert counts("builds_total")["census"] == before + 1
         finally:
             set_store(None)
             clear_caches()

@@ -1,19 +1,14 @@
-"""Instrument semantics: typing, label keying, snapshot/merge, views."""
+"""Instrument semantics: typing, label keying, snapshot/merge, threads."""
 
 import json
 import os
-from collections import Counter
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.telemetry import (
-    DEFAULT_BUCKETS,
-    CounterView,
-    MetricsRegistry,
-    counter_view,
-    registry,
-)
+from repro.telemetry import DEFAULT_BUCKETS, MetricsRegistry, registry
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -151,38 +146,33 @@ class TestRegistry:
         assert c.value() == 0
 
 
-class TestCounterView:
-    def make(self):
-        reg = MetricsRegistry()
-        return counter_view(reg.counter("events_total", "events", ("event",)))
+class TestThreadSafety:
+    """The serve tier counts from the event loop and from executor
+    threads at once: no increment may be lost."""
 
-    def test_mapping_semantics_match_counter(self):
-        view = self.make()
-        view["retry:store"] += 1
-        view["retry:store"] += 1
-        view["gaveup:store"] += 1
-        assert view["retry:store"] == 2
-        assert view["missing"] == 0  # defaultdict-style, like Counter
-        assert dict(view) == {"retry:store": 2, "gaveup:store": 1}
-        assert view == Counter({"retry:store": 2, "gaveup:store": 1})
+    THREADS, INCREMENTS = 16, 10_000
 
-    def test_copy_detaches_from_the_live_instrument(self):
-        view = self.make()
-        view["a"] += 1
-        frozen = view.copy()
-        view["a"] += 1
-        assert frozen == Counter({"a": 1})
-        assert view["a"] == 2
+    def test_concurrent_increments_are_not_lost(self):
+        counter = MetricsRegistry().counter("events_total", "events", ("event",))
+        start = threading.Barrier(self.THREADS)
 
-    def test_clear_resets_the_instrument(self):
-        view = self.make()
-        view["a"] += 3
-        view.clear()
-        assert dict(view) == {}
-        assert len(view) == 0
+        def work():
+            start.wait()
+            for _ in range(self.INCREMENTS):
+                counter.inc(event="served")
 
-    def test_is_a_counterview(self):
-        assert isinstance(self.make(), CounterView)
+        threads = [threading.Thread(target=work) for _ in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counter.value(event="served") == self.THREADS * self.INCREMENTS
 
 
 class TestPrometheusGolden:

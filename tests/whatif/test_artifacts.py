@@ -63,12 +63,12 @@ class TestArtifacts:
         assert rows["US"]["usage_scenario"] == "ispv6:C"
 
     def test_whatif_layer_cached_once(self, study):
-        from repro.api import BUILD_COUNTS
+        from repro.telemetry import counts
 
         study.whatif
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         Study(SMALL).whatif
-        assert BUILD_COUNTS["whatif"] == before["whatif"]
+        assert counts("builds_total")["whatif"] == before["whatif"]
 
 
 class TestCli:

@@ -20,9 +20,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import BUILD_COUNTS, Study, StudyConfig, clear_caches
+from repro.api import Study, StudyConfig, clear_caches
 from repro.api.session import prime_caches
 from repro.core.readiness import census_breakdown
+from repro.telemetry import counts
 from repro.web.ecosystem import SiteStatus
 from repro.whatif import OverlayStudy, run_sweep
 
@@ -184,13 +185,9 @@ def test_default_grid_builds_and_mutates_no_universe(constructions):
         baseline.traffic, baseline.census, baseline.observatory
         digest = hashlib.sha256(pickle.dumps(baseline.census)).hexdigest()
         constructions.clear()
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         run_sweep(baseline, None, parallel=False)
-        deltas = {
-            key: BUILD_COUNTS[key] - before.get(key, 0)
-            for key in set(BUILD_COUNTS) | set(before)
-            if BUILD_COUNTS[key] != before.get(key, 0)
-        }
+        deltas = counts("builds_total") - before
         assert constructions == {}
         assert deltas == {"whatif:traffic": 4, "whatif:census": 1, "whatif:observatory": 5}
         assert hashlib.sha256(pickle.dumps(baseline.census)).hexdigest() == digest

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import BUILD_COUNTS, Study, StudyConfig, clear_caches
+from repro.api import Study, StudyConfig, clear_caches
+from repro.telemetry import counts
 from repro.whatif.events import run_event_sweep
 from repro.whatif.sweep import sweep_grid
 
@@ -33,22 +34,22 @@ def test_twenty_scenario_sweep_rebuilds_zero_baseline_layers():
     specs = tuple(scenario.spec() for scenario in sweep_grid(BASES))
     assert len(specs) >= 20
 
-    before = BUILD_COUNTS.copy()
+    before = counts("builds_total")
     sweep = run_event_sweep(study, specs)
 
     # The acceptance contract: baseline layers never rebuild.
     for layer in ("traffic", "census", "cloud", "observatory", "sentinel"):
-        assert BUILD_COUNTS[layer] == before[layer], layer
+        assert counts("builds_total")[layer] == before[layer], layer
     # No scenario here perturbs traffic or census.
-    assert BUILD_COUNTS["whatif:traffic"] == before["whatif:traffic"]
-    assert BUILD_COUNTS["whatif:census"] == before["whatif:census"]
+    assert counts("builds_total")["whatif:traffic"] == before["whatif:traffic"]
+    assert counts("builds_total")["whatif:census"] == before["whatif:census"]
     # Each overlay builds exactly its own observatory and sentinel scan.
     assert (
-        BUILD_COUNTS["whatif:observatory"] - before["whatif:observatory"]
+        counts("builds_total")["whatif:observatory"] - before["whatif:observatory"]
         == len(specs)
     )
     assert (
-        BUILD_COUNTS["whatif:sentinel"] - before["whatif:sentinel"]
+        counts("builds_total")["whatif:sentinel"] - before["whatif:sentinel"]
         == len(specs)
     )
 
@@ -58,9 +59,9 @@ def test_twenty_scenario_sweep_rebuilds_zero_baseline_layers():
     assert totals == sorted(totals, reverse=True)
 
     # A second sweep over the same grid is pure cache hits.
-    again = BUILD_COUNTS.copy()
+    again = counts("builds_total")
     rerun = run_event_sweep(study, specs)
-    assert BUILD_COUNTS == again
+    assert counts("builds_total") == again
     assert rerun == sweep
 
 

@@ -1,6 +1,6 @@
 """OverlayStudy: perturbed layers rebuild, untouched layers cache-hit.
 
-The cache-reuse accounting tests assert on ``BUILD_COUNTS`` deltas --
+The cache-reuse accounting tests assert on ``builds_total`` deltas --
 the same proof the session memoization tests use -- so "reuses the
 baseline" means *zero* rebuilds of untouched layers, not "was probably
 fast".
@@ -12,12 +12,13 @@ from typing import ClassVar
 import numpy as np
 import pytest
 
-from repro.api import BUILD_COUNTS, Study, StudyConfig
+from repro.api import Study, StudyConfig
+from repro.telemetry import counts
 from repro.whatif import OverlayStudy
 from repro.whatif.spec import Intervention
 
 #: One tiny world private to this module: the seed differs from the
-#: other whatif test modules so the exact BUILD_COUNTS accounting below
+#: other whatif test modules so the exact builds_total accounting below
 #: cannot be satisfied by overlays another module already cached.
 SMALL = StudyConfig(
     days=5, sites=110, seed=13, probe_targets=50, probe_interval_days=2,
@@ -32,16 +33,12 @@ def baseline():
 
 
 def _deltas(before):
-    return {
-        key: BUILD_COUNTS[key] - before.get(key, 0)
-        for key in set(BUILD_COUNTS) | set(before)
-        if BUILD_COUNTS[key] != before.get(key, 0)
-    }
+    return counts("builds_total") - before
 
 
 class TestCacheReuseAccounting:
     def test_observatory_only_overlay_rebuilds_zero_traffic_census(self, baseline):
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         overlay = OverlayStudy(baseline, "nat64:US")
         overlay.observatory
         overlay.traffic  # untouched layer: baseline cache hit
@@ -54,7 +51,7 @@ class TestCacheReuseAccounting:
         assert overlay.observatory is not baseline.observatory
 
     def test_traffic_only_overlay_keeps_census_and_observatory(self, baseline):
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         overlay = OverlayStudy(baseline, "hetimer:300")
         overlay.traffic
         assert overlay.observatory is baseline.observatory
@@ -62,7 +59,7 @@ class TestCacheReuseAccounting:
         assert _deltas(before) == {"whatif:traffic": 1}
 
     def test_census_perturbation_cascades_to_derived_layers(self, baseline):
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         overlay = OverlayStudy(baseline, "dualstack:Cloudflare")
         overlay.census
         overlay.cloud
@@ -77,7 +74,7 @@ class TestCacheReuseAccounting:
 
     def test_same_scenario_twice_is_one_rebuild(self, baseline):
         OverlayStudy(baseline, "nat64:JP").observatory
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         OverlayStudy(baseline, "nat64:JP").observatory
         assert _deltas(before) == {}
 
@@ -101,7 +98,7 @@ class TestOverlayOnAColdBaseline:
         from repro.api import clear_caches
 
         clear_caches()
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         traffic = OverlayStudy(self.COLD, "nat64:DE").traffic
         assert _deltas(before) == {"traffic": 1}
         assert traffic is Study(self.COLD).traffic
@@ -121,7 +118,7 @@ class TestComposedScenarioSharing:
 
         baseline = Study(self.COMPOSED)
         baseline.traffic, baseline.census, baseline.observatory
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         run_sweep(baseline, ("dualstack:Amazon", "dualstack:Amazon+ispv6"), parallel=False)
         # Both scenarios re-race the baseline's traffic draws, but only
         # dualstack touches the census, so the composition reuses its
@@ -324,7 +321,6 @@ class TestTrafficOverlaysReraceTheBaselineDraws:
             OverlayStudy(baseline, _Rediet()).traffic
 
     def test_overlay_over_a_warehouse_baseline_matches_a_fresh_one(self, tmp_path):
-        from repro.api import STORE_COUNTS
         from repro.api.session import _CACHE
         from repro.store import set_store
 
@@ -343,13 +339,13 @@ class TestTrafficOverlaysReraceTheBaselineDraws:
 
         _CACHE.pop(("traffic", Study(config).key("traffic")))
         _CACHE.pop(("traffic", fresh.key("traffic")))
-        hits = STORE_COUNTS["hit:traffic"]
+        hits = counts("store_ops_total")["hit:traffic"]
         set_store(tmp_path / "warehouse")
         try:
             loaded_baseline = Study(config).traffic
         finally:
             set_store(None)
-        assert STORE_COUNTS["hit:traffic"] == hits + 1
+        assert counts("store_ops_total")["hit:traffic"] == hits + 1
         assert loaded_baseline is not fresh_baseline
         loaded = OverlayStudy(config, spec).traffic
         assert loaded is not fresh.traffic

@@ -1,7 +1,7 @@
 """The sweep runner: grid fan-out, cache reuse at scale, delta shapes.
 
 Includes the acceptance scenario: a 20-scenario sweep that rebuilds
-zero traffic/census layers (proven by ``BUILD_COUNTS`` deltas) and
+zero traffic/census layers (proven by ``builds_total`` deltas) and
 whose per-country deltas differ by intervention type -- NAT64 moves
 availability but not readiness, ``dualstack`` moves readiness and
 usage.
@@ -10,7 +10,8 @@ usage.
 import numpy as np
 import pytest
 
-from repro.api import BUILD_COUNTS, Study, StudyConfig
+from repro.api import Study, StudyConfig
+from repro.telemetry import counts
 from repro.whatif import DeltaFrame, run_sweep, sweep_grid
 from repro.whatif.sweep import DELTA_DTYPE
 
@@ -37,10 +38,10 @@ def baseline():
 class TestTwentyScenarioSweep:
     def test_reuses_baseline_census_and_traffic(self, baseline):
         assert len(TWENTY) == 20
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         sweep = run_sweep(baseline, TWENTY, parallel=False)
         for layer in ("traffic", "census", "whatif:traffic", "whatif:census"):
-            assert BUILD_COUNTS[layer] == before.get(layer, 0), layer
+            assert counts("builds_total")[layer] == before.get(layer, 0), layer
         # every scenario rebuilt exactly its own observatory (first run
         # only; scenarios cached by other tests don't rebuild)
         assert sweep.num_scenarios == 20
@@ -122,12 +123,12 @@ class TestParallelSweep:
         study = Study(config)
         study.traffic, study.census, study.observatory
         grid = ["ispv6:C", "hetimer:300"]
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         parallel = run_sweep(study, grid, parallel=2)
         # Worker builds merge back into the parent's builds_total: each
         # overlay re-raced the shipped baseline, none generated traffic.
-        assert BUILD_COUNTS["traffic"] == before.get("traffic", 0)
-        assert BUILD_COUNTS["whatif:traffic"] == before.get("whatif:traffic", 0) + 2
+        assert counts("builds_total")["traffic"] == before.get("traffic", 0)
+        assert counts("builds_total")["whatif:traffic"] == before.get("whatif:traffic", 0) + 2
         sequential = run_sweep(study, grid, parallel=False)
         assert parallel.frame.scenarios == sequential.frame.scenarios
         assert parallel.frame.data.tobytes() == sequential.frame.data.tobytes()
@@ -141,11 +142,11 @@ class TestParallelSweep:
         study = Study(config)
         study.traffic, study.census, study.observatory
         grid = ["dualstack:Amazon", "dualstack:Cloudflare+ispv6", "nat64:US"]
-        before = BUILD_COUNTS.copy()
+        before = counts("builds_total")
         parallel = run_sweep(study, grid, parallel=2)
         # Each census overlay published over the shipped baseline census.
-        assert BUILD_COUNTS["census"] == before.get("census", 0)
-        assert BUILD_COUNTS["whatif:census"] == before.get("whatif:census", 0) + 2
+        assert counts("builds_total")["census"] == before.get("census", 0)
+        assert counts("builds_total")["whatif:census"] == before.get("whatif:census", 0) + 2
         sequential = run_sweep(study, grid, parallel=False)
         assert parallel.frame.scenarios == sequential.frame.scenarios
         assert parallel.frame.data.tobytes() == sequential.frame.data.tobytes()
