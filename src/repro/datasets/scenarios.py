@@ -152,15 +152,21 @@ def realize_residence_study(
 
     Every residence of ``baseline`` is realized
     (:func:`~repro.traffic.draws.realize`) from its draws, with the
-    devices of its profile in ``profiles``, a universe built from
-    ``catalog`` and the Happy Eyeballs timers ``he_config``.  Only what
-    negotiation reads may differ from the baseline's inputs -- device
-    WAN capability, a service's IPv6 support, the timers -- so the
-    result keeps the baseline's households, sessions, servers, sizes
-    and timings (the what-if overlays' common random numbers).  The
-    realized datasets carry no draws of their own.
+    devices of its profile in ``profiles``, the universe of ``catalog``
+    and the Happy Eyeballs timers ``he_config``.  Only what negotiation
+    reads may differ from the baseline's inputs -- device WAN
+    capability, a service's IPv6 support, the timers -- so the result
+    keeps the baseline's households, sessions, servers, sizes and
+    timings (the what-if overlays' common random numbers).  A universe
+    is a function of its catalog, so a ``catalog`` equal to the
+    baseline's (an unpickled copy in a sweep worker included) shares
+    the baseline's universe; any other builds its own.  The realized
+    datasets carry no draws of their own.
     """
-    universe = ServiceUniverse(catalog)
+    if catalog == baseline.universe.catalog:
+        universe = baseline.universe
+    else:
+        universe = ServiceUniverse(catalog)
     by_name = {profile.name: profile for profile in profiles}
     datasets: dict[str, ResidenceDataset] = {}
     for name, base in baseline.datasets.items():

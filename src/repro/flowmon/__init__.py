@@ -7,8 +7,8 @@ byte accounting (``nf_conntrack_acct``), identifies flows by their 5-tuple
 (plus ICMP type/code/id), logs them daily, and uploads CryptoPAN-anonymized
 records to the collection server.
 
-There is one log with two views.  The log is :class:`FlowLog`, an
-append-only set of NumPy columns (one row per finished flow, addresses
+There is one log with two views.  The log is :class:`FlowLog`, one
+set of NumPy columns (one row per finished flow, addresses
 interned): each row holds what a conntrack DESTROY event carries, and the
 traffic generator writes its finished flows into the log directly.  The
 views derive from it on first use: the columnar
@@ -16,8 +16,8 @@ views derive from it on first use: the columnar
 scope, family, protocol, bytes, packets, duration, interned peer / AS /
 domain ids) that the vectorized analyses read, and the :class:`FlowRecord`
 projection (:meth:`FlowMonitor.records`) for the exporter.  Both follow the
-canonical order -- days ascending, scopes in declaration order, appends
-within -- so record-loop and columnar analyses agree bit-for-bit.
+canonical order -- days ascending, scopes in declaration order, log
+order within -- so record-loop and columnar analyses agree bit-for-bit.
 """
 
 from repro.flowmon.conntrack import FlowKey, FlowRecord, IcmpInfo, Protocol

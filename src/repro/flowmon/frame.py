@@ -18,7 +18,7 @@ stored as per-peer lookup arrays (:attr:`FlowFrame.peer_asn`,
 single fancy-indexing expression.
 
 Rows are ordered exactly like ``FlowMonitor.records()`` (days ascending,
-scopes in :class:`FlowScope` declaration order, appends within) so
+scopes in :class:`FlowScope` declaration order, log order within) so
 positional and first-appearance semantics of the original record loops
 are preserved bit-for-bit by the vectorized analyses.
 """
@@ -97,31 +97,30 @@ class FlowFrame:
         rebuilds it when the log grows.
         """
         order, scope, src_local = monitor.layout()
-        rows = monitor.log.rows[order]
+        rows = monitor.log.rows  # each field read is gathered on its own
         scope, src_local = scope[order], src_local[order]
         addresses = monitor.log.addresses
         family = np.fromiter(
             (a.family.value for a in addresses), dtype=np.int8, count=len(addresses)
         )
-        start = rows["start"]
+        src, dst, start = rows["src"][order], rows["dst"][order], rows["start"][order]
+        bytes_in, bytes_out = rows["bytes_in"][order], rows["bytes_out"][order]
         data = np.empty(rows.size, dtype=FLOW_DTYPE)
         data["day"] = start // _DAY
         data["hour"] = start // _HOUR
         data["scope"] = scope
-        data["family"] = family[rows["src"]]
-        data["protocol"] = rows["protocol"]
-        data["bytes"] = rows["bytes_in"] + rows["bytes_out"]
-        data["bytes_in"] = rows["bytes_in"]
-        data["bytes_out"] = rows["bytes_out"]
-        data["packets"] = rows["packets_in"] + rows["packets_out"]
-        data["duration"] = rows["end"] - start
+        data["family"] = family[src]
+        data["protocol"] = rows["protocol"][order]
+        data["bytes"] = bytes_in + bytes_out
+        data["bytes_in"] = bytes_in
+        data["bytes_out"] = bytes_out
+        data["packets"] = (rows["packets_in"] + rows["packets_out"])[order]
+        data["duration"] = (rows["end"] - rows["start"])[order]
         data["start_time"] = start
         # The external peer is whichever endpoint is not local; peers are
         # interned in the order they first appear.
         external = scope == SCOPE_CODES[FlowScope.EXTERNAL]
-        peer_ids, inverse = first_appearance(
-            np.where(src_local, rows["dst"], rows["src"])[external]
-        )
+        peer_ids, inverse = first_appearance(np.where(src_local, dst, src)[external])
         data["peer"] = -1
         data["peer"][external] = inverse
         return cls(data=data, peers=tuple(addresses[i] for i in peer_ids.tolist()))
@@ -296,13 +295,28 @@ def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(unique_keys, inverse)``: the distinct keys in
     first-appearance order (the insertion order of a ``dict``-based
-    loop) and each row's index into them.
+    loop) and each row's index into them.  Keys spanning no more values
+    than there are keys (address ids, server codes) find their first
+    rows by a scatter over that range, in no more memory than a sort;
+    wider keys are sorted.
     """
-    uniq, first_index, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first_index, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
+    n = keys.size
+    low = int(keys.min()) if n else 0
+    span = int(keys.max()) - low + 1 if n else 0
+    if span > n:
+        uniq, first_index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first_index, kind="stable")
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        return uniq[order], rank[inverse]
+    offset = keys.astype(np.int64) - low
+    first = np.full(span, n, dtype=np.int64)
+    np.minimum.at(first, offset, np.arange(n))
+    seen = np.flatnonzero(first < n)
+    order = seen[np.argsort(first[seen])]  # offsets in first-appearance order
+    rank = np.empty(span, dtype=np.int64)
     rank[order] = np.arange(order.size)
-    return uniq[order], rank[inverse]
+    return (order + low).astype(keys.dtype), rank[offset]
 
 
 def group_sums(

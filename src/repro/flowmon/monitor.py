@@ -1,10 +1,10 @@
 """The router-resident flow monitor.
 
-Logs every finished flow into one append-only column log
-(:class:`FlowLog`), classifies flows by scope (external LAN<->WAN vs.
-internal LAN<->LAN, the split of the paper's Table 1) and address
-family, and serves the log as per-day record batches, mirroring the
-daily upload cadence of section 3.1.
+Logs every finished flow into one column log (:class:`FlowLog`),
+classifies flows by scope (external LAN<->WAN vs. internal LAN<->LAN,
+the split of the paper's Table 1) and address family, and serves the
+log as per-day record batches, mirroring the daily upload cadence of
+section 3.1.
 """
 
 from __future__ import annotations
@@ -82,130 +82,64 @@ LOG_DTYPE = np.dtype(
     ]
 )
 
-#: The integer fields, in the order :meth:`FlowLog.append` buffers them.
-_INT_FIELDS = tuple(name for name in LOG_DTYPE.names if name not in ("start", "end"))
-_NO_ICMP = (-1, 0, 0)
+_NO_ICMP = -1  # ``icmp_type`` of a flow that carries no ICMP info
 
 
 class FlowLog:
-    """The append-only column log every finished flow lands in.
+    """The column log every finished flow lands in.
 
-    Appends go into two flat Python lists; :meth:`seal` validates the
-    pending rows and moves them into one :data:`LOG_DTYPE` array.  That
-    array, with the interned address table, is the whole log: frames,
-    records, the warehouse payload and worker transfers derive from it.
+    One :data:`LOG_DTYPE` array (:attr:`rows`) with the interned address
+    table (:attr:`addresses`) is the whole log: frames, records, the
+    warehouse payload and worker transfers derive from it.  Logs are
+    made whole (:meth:`from_columns`), never appended to.
     """
 
     def __init__(
         self, addresses: Sequence[IpAddress] = (), rows: np.ndarray | None = None
     ) -> None:
         self.addresses: list[IpAddress] = list(addresses)
-        self._ids = {address: index for index, address in enumerate(self.addresses)}
-        self._rows = np.empty(0, dtype=LOG_DTYPE) if rows is None else rows
-        self._ints: list[int] = []
-        self._floats: list[float] = []
+        self.rows = np.empty(0, dtype=LOG_DTYPE) if rows is None else rows
 
     def __reduce__(self):
         return (FlowLog, (self.addresses, self.rows))
 
     def __len__(self) -> int:
-        return self._rows.size + len(self._floats) // 2
-
-    def _intern(self, address: IpAddress) -> int:
-        index = self._ids[address] = len(self.addresses)
-        self.addresses.append(address)
-        return index
-
-    def append(
-        self,
-        protocol: int,
-        src: IpAddress,
-        dst: IpAddress,
-        sport: int,
-        dport: int,
-        start: float,
-        end: float,
-        bytes_out: int,
-        bytes_in: int,
-        packets_out: int,
-        packets_in: int,
-        icmp: tuple[int, int, int] | None = None,
-    ) -> None:
-        """Log one finished flow (``protocol`` is a :class:`Protocol`
-        value; ``icmp`` the (type, code, id) of ICMP flows).  Checked when
-        the log is sealed."""
-        ids = self._ids
-        src_id = ids.get(src)
-        if src_id is None:
-            src_id = self._intern(src)
-        dst_id = ids.get(dst)
-        if dst_id is None:
-            dst_id = self._intern(dst)
-        self._ints.extend(
-            (protocol, src_id, dst_id, sport, dport, *(icmp or _NO_ICMP),
-             bytes_out, bytes_in, packets_out, packets_in)
-        )
-        self._floats.extend((start, end))
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The sealed log (seals pending appends first)."""
-        if self._floats:
-            self.seal()
-        return self._rows
+        return self.rows.size
 
     @classmethod
     def from_columns(
         cls, addresses: Sequence[IpAddress], columns: dict[str, np.ndarray]
     ) -> "FlowLog":
-        """A sealed log of whole columns, one per :data:`LOG_DTYPE`
-        field (``icmp_type`` -1 where a flow carries no ICMP info) with
-        ``src``/``dst`` as ids into ``addresses``; checked like
-        :meth:`seal` checks appends."""
-        ints = np.column_stack([columns[name] for name in _INT_FIELDS]).astype(
-            np.int64, copy=False
+        """A log of whole columns, one per :data:`LOG_DTYPE` field
+        (``icmp_type`` -1 where a flow carries no ICMP info) with
+        ``src``/``dst`` as ids into ``addresses``.  The columns are
+        checked as given, before any narrowing cast, then packed once."""
+        family = np.fromiter(
+            (a.family.value for a in addresses), dtype=np.int8, count=len(addresses)
         )
-        floats = np.column_stack((columns["start"], columns["end"])).astype(
-            np.float64, copy=False
-        )
-        return cls(addresses, _checked_rows(ints, floats, addresses))
-
-    def seal(self) -> np.ndarray:
-        """Validate the pending appends and move them into the array."""
-        ints = np.array(self._ints, dtype=np.int64).reshape(-1, len(_INT_FIELDS))
-        floats = np.array(self._floats, dtype=np.float64).reshape(-1, 2)
-        new = _checked_rows(ints, floats, self.addresses)
-        self._rows = np.concatenate((self._rows, new)) if self._rows.size else new
-        self._ints, self._floats = [], []
-        return self._rows
+        _check_columns(columns, family)
+        rows = np.empty(len(columns["start"]), dtype=LOG_DTYPE)
+        for name in LOG_DTYPE.names:
+            rows[name] = columns[name]
+        return cls(addresses, rows)
 
 
-def _checked_rows(
-    ints: np.ndarray, floats: np.ndarray, addresses: Sequence[IpAddress]
-) -> np.ndarray:
-    """Validate rows given as an integer and a float matrix (fields in
-    :data:`LOG_DTYPE` order) and pack them into :data:`LOG_DTYPE`."""
-    family = np.array([a.family.value for a in addresses], dtype=np.int8)
-    _check_rows(ints, floats, family)
-    rows = np.empty(len(floats), dtype=LOG_DTYPE)
-    for column, name in enumerate(_INT_FIELDS):
-        rows[name] = ints[:, column]
-    rows["start"], rows["end"] = floats[:, 0], floats[:, 1]
-    return rows
-
-
-def _check_rows(ints: np.ndarray, floats: np.ndarray, family: np.ndarray) -> None:
+def _check_columns(columns: dict[str, np.ndarray], family: np.ndarray) -> None:
     """The checks of ``IcmpInfo``, ``FlowKey``, ``FlowRecord`` and the
     monitor's day binning, vectorized; raises the same ``ValueError``."""
-    protocol, src, dst, sport, dport, icmp_type, icmp_code, icmp_id = ints[:, :8].T
-    start, end = floats.T
+    protocol, src, dst, sport, dport, icmp_type, icmp_code, icmp_id, start, end = (
+        columns[name]
+        for name in (
+            "protocol", "src", "dst", "sport", "dport",
+            "icmp_type", "icmp_code", "icmp_id", "start", "end",
+        )
+    )
     icmp = protocol == Protocol.ICMP.value
-    has_info = icmp_type != _NO_ICMP[0]
-    ports = ints[:, 3:5]
-    bad_ports = ports[~icmp[:, None] & ((ports < 0) | (ports > 0xFFFF))]
+    has_info = icmp_type != _NO_ICMP
     checks = (
         (
-            has_info & ((icmp_type < 0) | (icmp_type > 255) | (icmp_code < 0) | (icmp_code > 255)),
+            has_info
+            & ((icmp_type < 0) | (icmp_type > 255) | (icmp_code < 0) | (icmp_code > 255)),
             "ICMP type and code must fit in one byte",
         ),
         (has_info & ((icmp_id < 0) | (icmp_id > 0xFFFF)), "ICMP id must fit in two bytes"),
@@ -214,19 +148,29 @@ def _check_rows(ints: np.ndarray, floats: np.ndarray, family: np.ndarray) -> Non
         (icmp & ((sport != 0) | (dport != 0)), "ICMP flows have no ports"),
         (~icmp & has_info, "only ICMP flows carry IcmpInfo"),
         (end < start, "flow cannot end before it starts"),
-        ((ints[:, 8:] < 0).any(axis=1), "counters cannot be negative"),
+        (
+            (columns["bytes_out"] < 0) | (columns["bytes_in"] < 0)
+            | (columns["packets_out"] < 0) | (columns["packets_in"] < 0),
+            "counters cannot be negative",
+        ),
         (start < 0, "timestamps before the sim epoch are not allowed"),
     )
     for bad, message in checks:
         if bad.any():
             raise ValueError(message)
-    if bad_ports.size:
-        raise ValueError(f"port {bad_ports[0]} out of range")
+    sport_bad = (sport < 0) | (sport > 0xFFFF)
+    dport_bad = (dport < 0) | (dport > 0xFFFF)
+    bad_ports = ~icmp & (sport_bad | dport_bad)
+    if bad_ports.any():
+        row = int(np.argmax(bad_ports))  # the first offending row
+        raise ValueError(
+            f"port {sport[row] if sport_bad[row] else dport[row]} out of range"
+        )
 
 
 @dataclass
 class FlowMonitor:
-    """Collects finished flows into one append-only column log.
+    """Collects finished flows into one column log.
 
     :attr:`log` is the monitor's only storage: one row per finished
     flow, holding what a conntrack DESTROY event carries.  The traffic
@@ -238,7 +182,7 @@ class FlowMonitor:
     :class:`FlowRecord` projection (:meth:`records`, :attr:`daily_logs`)
     for the exporter and record-level tests.  Both follow the canonical
     order: days ascending, scopes in :class:`FlowScope` declaration
-    order, appends within.
+    order, log order within.
     """
 
     config: RouterConfig
@@ -255,8 +199,8 @@ class FlowMonitor:
 
     @property
     def version(self) -> int:
-        """Flows logged so far.  The log is append-only, so the count is
-        also the staleness stamp of any view derived from it."""
+        """Flows logged so far.  A log only ever gains rows, so the count
+        is also the staleness stamp of any view derived from it."""
         return len(self.log)
 
     def _fresh(self) -> None:

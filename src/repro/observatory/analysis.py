@@ -302,14 +302,19 @@ def census_readiness_shares(
 
 
 def traffic_v6_byte_fraction(traffic: ResidenceStudy) -> float:
-    """External IPv6 byte fraction aggregated over every residence."""
+    """External IPv6 byte fraction aggregated over every residence.
+
+    Reads each monitor's core frame: the signal needs no AS or domain,
+    so no peer is attributed for it.
+    """
     total = 0
     v6 = 0
     for dataset in traffic.datasets.values():
-        frame = dataset.frame().select(scope=FlowScope.EXTERNAL)
-        volume = frame.total_bytes
+        frame = dataset.monitor.frame()
+        external = frame.rows_matching(scope=FlowScope.EXTERNAL)
+        volume = frame.total_bytes[external]
         total += int(volume.sum())
-        v6 += int(volume[frame.is_v6].sum())
+        v6 += int(volume[frame.is_v6[external]].sum())
     return _share(v6, total)
 
 

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.flowmon.conntrack import Protocol, default_packets
+from repro.flowmon.frame import first_appearance
 from repro.flowmon.monitor import FlowLog
 from repro.happyeyeballs.algorithm import (
     DEFAULT_RESOLUTION_TIME,
@@ -291,23 +292,24 @@ def realize(
     probe_count = probes["probes"].astype(np.int64)
     probe_bytes = 64 * probe_count
 
-    kept_conn = conn[kept]
-    syn_conn = conn[syn]
+    # Each field a flow reads is gathered on its own, not whole rows.
+    kept_at, syn_at = np.flatnonzero(kept), np.flatnonzero(syn)
+    kept_v6, syn_v6 = v6[kept_at], ~v6[syn_at]
+    syn_start = conn["start"][syn_at]
     parts = (
         _part(  # each kept connection's flow
-            2 * conn_seq[kept], kept_conn["protocol"],
-            _device_code(kept_conn["device"], v6[kept]),
-            _server_code(server_base, conn_server[kept], v6[kept]),
-            kept_conn["dport"], kept_conn["start"], kept_conn["end"],
-            kept_conn["bytes_out"], kept_conn["bytes_in"],
+            2 * conn_seq[kept_at], conn["protocol"][kept_at],
+            _device_code(conn["device"][kept_at], kept_v6),
+            _server_code(server_base, conn_server[kept_at], kept_v6),
+            conn["dport"][kept_at], conn["start"][kept_at], conn["end"][kept_at],
+            conn["bytes_out"][kept_at], conn["bytes_in"][kept_at],
         ),
         _part(  # the dual-SYN flow right after it, over the other family
-            2 * conn_seq[syn] + 1, TCP,
-            _device_code(syn_conn["device"], ~v6[syn]),
-            _server_code(server_base, conn_server[syn], ~v6[syn]),
-            syn_conn["dport"], syn_conn["start"],
-            syn_conn["start"] + syn_conn["syn_duration"],
-            syn_conn["syn_bytes_out"], syn_conn["syn_bytes_in"],
+            2 * conn_seq[syn_at] + 1, TCP,
+            _device_code(conn["device"][syn_at], syn_v6),
+            _server_code(server_base, conn_server[syn_at], syn_v6),
+            conn["dport"][syn_at], syn_start, syn_start + conn["syn_duration"][syn_at],
+            conn["syn_bytes_out"][syn_at], conn["syn_bytes_in"][syn_at],
         ),
         _part(  # ICMP echo requests: type 8, code 0
             2 * draws.sequence(PROBE), ICMP,
@@ -338,15 +340,9 @@ def realize(
 
     ends = np.empty(2 * order.size, dtype=np.int64)
     ends[0::2], ends[1::2] = rows["src"], rows["dst"]
-    codes, first_seen, inverse = np.unique(ends, return_index=True, return_inverse=True)
-    by_first = np.argsort(first_seen)
-    ids = np.empty(codes.size, dtype=np.int64)
-    ids[by_first] = np.arange(codes.size)
-    ids = ids[inverse.reshape(-1)]
+    codes, ids = first_appearance(ends)
     rows["src"], rows["dst"] = ids[0::2], ids[1::2]
-    addresses = [
-        _address(code, devices, servers, server_base) for code in codes[by_first].tolist()
-    ]
+    addresses = [_address(code, devices, servers, server_base) for code in codes.tolist()]
 
     return FlowLog.from_columns(addresses, rows)
 

@@ -450,8 +450,8 @@ def _generate_residence(
 
     Rebuilds the (deterministic) service universe from the pickled
     catalog, so only the catalog, profile, and scalars cross the process
-    boundary on the way in, and only the sealed flow log (its column
-    array and address table), the devices and the draws on the way out.
+    boundary on the way in, and only the flow log (its column array and
+    address table), the devices and the draws on the way out.
     Because every residence draws from the RNG substream ``(seed,
     "residence:<name>")``, the result is bit-identical to the sequential
     path.

@@ -32,7 +32,6 @@ from repro.util.timeutil import (
     HOUR,
     MINUTE,
     WEEK,
-    SimClock,
     TimeWindow,
     day_index,
     day_of_week,
@@ -65,7 +64,6 @@ __all__ = [
     "HOUR",
     "MINUTE",
     "WEEK",
-    "SimClock",
     "TimeWindow",
     "day_index",
     "day_of_week",

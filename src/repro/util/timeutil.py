@@ -4,8 +4,7 @@ All substrates share one convention: time is a float count of seconds since
 the start of the observation window ("sim-epoch").  Day 0 begins at t=0 and
 is a Monday, matching how the paper's MSTL analysis indexes daily and weekly
 seasonality.  Helper functions convert timestamps to day index, hour-of-day,
-and day-of-week; :class:`SimClock` provides a monotonic clock for components
-that need ordered events (the flow monitor, Happy Eyeballs races).
+and day-of-week; :class:`TimeWindow` is a half-open observation window.
 """
 
 from __future__ import annotations
@@ -89,32 +88,3 @@ class TimeWindow:
             raise ValueError("a window must span at least one day")
         return cls(start=start_day * DAY, end=(start_day + num_days) * DAY)
 
-
-class SimClock:
-    """A monotonic simulated clock.
-
-    It refuses to move backwards, so event logs kept against it are
-    always time-sorted.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError("clock cannot start before the sim epoch")
-        self._now = start
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> float:
-        """Move the clock forward by ``seconds`` and return the new time."""
-        if seconds < 0:
-            raise ValueError("the clock cannot run backwards")
-        self._now += seconds
-        return self._now
-
-    def advance_to(self, timestamp: float) -> float:
-        """Move the clock to ``timestamp`` (no-op if already past it)."""
-        if timestamp > self._now:
-            self._now = timestamp
-        return self._now

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_models import observe
 from repro.flowmon.conntrack import FlowKey, Protocol
@@ -9,6 +11,7 @@ from repro.flowmon.frame import (
     FLOW_DTYPE,
     SCOPE_CODES,
     day_sums,
+    first_appearance,
     group_sums,
 )
 from repro.flowmon.monitor import FlowMonitor, FlowScope, RouterConfig
@@ -194,6 +197,25 @@ class TestGroupHelpers:
         assert uniq.tolist() == [7, 3, 9]
         assert counts.tolist() == [3, 2, 1]
         assert sums.tolist() == [100101, 10010, 1000]
+
+    @settings(max_examples=100, derandomize=True)
+    @given(
+        st.lists(st.integers(min_value=-3, max_value=40), max_size=60),
+        st.sampled_from([1, 1000]),  # 1 keeps keys dense; 1000 spreads them
+        st.sampled_from([(np.int64, 0), (np.int64, 2**40), (np.int64, -(2**40)), (np.int32, -7)]),
+    )
+    def test_first_appearance_equals_a_dict_loop(self, values, stride, typed_offset):
+        """Keys in a narrow range (interned by a scatter) and keys spread
+        wide (sorted) intern exactly like a ``dict`` loop."""
+        dtype, offset = typed_offset
+        keys = np.array([v * stride + offset for v in values], dtype=dtype)
+        index: dict[int, int] = {}
+        inverse = [index.setdefault(key, len(index)) for key in keys.tolist()]
+        uniq, got = first_appearance(keys)
+        assert uniq.dtype == keys.dtype
+        assert uniq.tolist() == list(index)
+        assert got.dtype == np.int64
+        assert got.tolist() == inverse
 
     def test_group_sums_empty(self):
         uniq, counts, (sums,) = group_sums(np.array([], dtype=np.int64), [np.array([], dtype=np.int64)])

@@ -1,9 +1,9 @@
-"""The column log: seal-time checks, the record projection, persistence."""
+"""The column log: its row checks, the record projection, persistence."""
 
 import numpy as np
 import pytest
 
-from reference_models import observe
+from reference_models import AppendLog, observe
 from repro.flowmon.conntrack import FlowKey, FlowRecord, IcmpInfo, Protocol
 from repro.flowmon.frame import SCOPE_CODES
 from repro.flowmon.monitor import FlowLog, FlowMonitor, FlowScope, RouterConfig
@@ -58,7 +58,10 @@ def logged(records) -> FlowMonitor:
 
 
 class TestSealChecks:
-    """Each check the object path makes, raised by the sealed log."""
+    """Each check the object path makes, raised when the reference
+    appender seals: its int64 columns go through ``FlowLog.from_columns``,
+    so a value that a narrowing cast would wrap (``sport=70000``) is still
+    refused."""
 
     GOOD = dict(
         protocol=TCP, src=LAN4, dst=WAN4, sport=40000, dport=443, start=5.0,
@@ -90,14 +93,14 @@ class TestSealChecks:
         ],
     )
     def test_bad_row_refused_at_seal(self, change, message):
-        log = FlowLog()
+        log = AppendLog()
         log.append(**self.GOOD)
         log.append(**{**self.GOOD, **change})
         with pytest.raises(ValueError, match=message):
             log.seal()
 
     def test_good_rows_seal(self):
-        log = FlowLog()
+        log = AppendLog()
         log.append(**self.GOOD)
         log.append(**{**self.GOOD, "protocol": ICMP, "sport": 0, "dport": 0, "icmp": (0, 0, 9)})
         rows = log.seal()
@@ -106,7 +109,7 @@ class TestSealChecks:
         assert rows["dst"].tolist() == [1, 1]
 
     def test_appends_after_a_seal_extend_the_log(self):
-        log = FlowLog()
+        log = AppendLog()
         log.append(**self.GOOD)
         log.seal()
         log.append(**{**self.GOOD, "start": 7.0, "end": 8.0})

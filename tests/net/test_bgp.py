@@ -116,3 +116,41 @@ class TestRoutingTable:
                 if prefix.contains(address) and plen > best_len:
                     best_len, best_asn = plen, asn
             assert table.origin_of(address) == best_asn
+
+    @settings(max_examples=50, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**128 - 1),
+                st.integers(min_value=0, max_value=128),
+                st.integers(min_value=1, max_value=65000),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.lists(st.integers(min_value=0, max_value=2**128 - 1), min_size=1, max_size=20),
+        st.booleans(),
+    )
+    def test_v6_lpm_matches_brute_force(self, raw_prefixes, queries, default_route):
+        """The IPv6 twin: 128-bit values, /0 through /128.  Every other
+        query gets its own host route (/128), so the walk must reach the
+        last bit; ``::/0`` is announced in some examples, so a miss must
+        fall back to the root's route or to none."""
+        table = RoutingTable()
+        installed: dict[tuple[int, int], int] = {}
+        routes = [*raw_prefixes, *((value, 128, 64999) for value in queries[::2])]
+        if default_route:
+            routes.append((0, 0, 65000))
+        for value, length, asn in routes:
+            prefix = Prefix.of(IpAddress.v6(value), length)
+            table.announce(prefix, asn)
+            installed[(prefix.address.value, prefix.length)] = asn
+
+        for query_value in queries:
+            address = IpAddress.v6(query_value)
+            best_len, best_asn = -1, None
+            for (pvalue, plen), asn in installed.items():
+                prefix = Prefix(IpAddress.v6(pvalue), plen)
+                if prefix.contains(address) and plen > best_len:
+                    best_len, best_asn = plen, asn
+            assert table.origin_of(address) == best_asn

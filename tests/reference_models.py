@@ -6,7 +6,9 @@ tests compare the column paths against them:
 
 * :func:`observe` logs one finished flow (what a conntrack DESTROY
   event carries) into a monitor's log, one record at a time, where the
-  traffic generator writes whole columns;
+  traffic generator writes whole columns; :class:`AppendLog` is the
+  log it appends to, which checks its rows through the program's own
+  :meth:`~repro.flowmon.monitor.FlowLog.from_columns`;
 * :class:`Prober` probes one (vantage, target) pair through its own
   :class:`VantageResolver` and two :class:`~repro.happyeyeballs.
   algorithm.HappyEyeballs` races, and :func:`encode_block` writes its
@@ -18,12 +20,12 @@ tests compare the column paths against them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.flowmon.conntrack import FlowRecord
-from repro.flowmon.monitor import FlowMonitor, FlowScope
+from repro.flowmon.monitor import LOG_DTYPE, FlowLog, FlowMonitor, FlowScope
 from repro.happyeyeballs.algorithm import HappyEyeballs, HappyEyeballsConfig
 from repro.net.addr import Family, IpAddress
 from repro.net.dns import DnsResponse, DnsStatus, Resolver, ZoneDatabase
@@ -49,9 +51,97 @@ from repro.util.timeutil import day_index
 # -- flows -------------------------------------------------------------------
 
 
+#: The integer fields, in the order :meth:`AppendLog.append` buffers them.
+_INT_FIELDS = tuple(name for name in LOG_DTYPE.names if name not in ("start", "end"))
+_NO_ICMP = (-1, 0, 0)
+
+
+class AppendLog(FlowLog):
+    """A :class:`~repro.flowmon.monitor.FlowLog` that takes one finished
+    flow at a time.
+
+    Appends go into two flat Python lists; :meth:`seal` checks the
+    pending rows (as int64 and float64 columns, through
+    :meth:`FlowLog.from_columns`) and moves them into :attr:`rows`,
+    which seals first when read.  It pickles as a plain ``FlowLog``.
+    """
+
+    def __init__(
+        self, addresses: Sequence[IpAddress] = (), rows: np.ndarray | None = None
+    ) -> None:
+        self._ints: list[int] = []
+        self._floats: list[float] = []
+        super().__init__(addresses, rows)
+        self._ids = {address: index for index, address in enumerate(self.addresses)}
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The sealed log (seals pending appends first)."""
+        if self._floats:
+            self.seal()
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: np.ndarray) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._rows.size + len(self._floats) // 2
+
+    def _intern(self, address: IpAddress) -> int:
+        index = self._ids[address] = len(self.addresses)
+        self.addresses.append(address)
+        return index
+
+    def append(
+        self,
+        protocol: int,
+        src: IpAddress,
+        dst: IpAddress,
+        sport: int,
+        dport: int,
+        start: float,
+        end: float,
+        bytes_out: int,
+        bytes_in: int,
+        packets_out: int,
+        packets_in: int,
+        icmp: tuple[int, int, int] | None = None,
+    ) -> None:
+        """Log one finished flow (``protocol`` is a :class:`Protocol`
+        value; ``icmp`` the (type, code, id) of ICMP flows).  Checked when
+        the log is sealed."""
+        ids = self._ids
+        src_id = ids.get(src)
+        if src_id is None:
+            src_id = self._intern(src)
+        dst_id = ids.get(dst)
+        if dst_id is None:
+            dst_id = self._intern(dst)
+        self._ints.extend(
+            (protocol, src_id, dst_id, sport, dport, *(icmp or _NO_ICMP),
+             bytes_out, bytes_in, packets_out, packets_in)
+        )
+        self._floats.extend((start, end))
+
+    def seal(self) -> np.ndarray:
+        """Check the pending appends and move them into the array."""
+        ints = np.array(self._ints, dtype=np.int64).reshape(-1, len(_INT_FIELDS))
+        floats = np.array(self._floats, dtype=np.float64).reshape(-1, 2)
+        columns = {name: ints[:, i] for i, name in enumerate(_INT_FIELDS)}
+        columns["start"], columns["end"] = floats[:, 0], floats[:, 1]
+        new = FlowLog.from_columns(self.addresses, columns).rows
+        self._rows = np.concatenate((self._rows, new)) if self._rows.size else new
+        self._ints, self._floats = [], []
+        return self._rows
+
+
 def observe(monitor: FlowMonitor, record: FlowRecord) -> FlowScope:
-    """Log one finished flow into ``monitor``; returns its scope."""
+    """Log one finished flow into ``monitor``; returns its scope.  A
+    monitor's sealed log is reopened as an :class:`AppendLog` first."""
     day_index(record.start_time)  # refuse pre-epoch flows up front
+    if not isinstance(monitor.log, AppendLog):
+        monitor.log = AppendLog(monitor.log.addresses, monitor.log.rows)
     key = record.key
     icmp = key.icmp
     monitor.log.append(

@@ -5,7 +5,6 @@ import pytest
 from repro.util.timeutil import (
     DAY,
     HOUR,
-    SimClock,
     TimeWindow,
     day_index,
     day_of_week,
@@ -75,26 +74,3 @@ class TestTimeWindow:
         with pytest.raises(ValueError):
             TimeWindow.from_days(0, 0)
 
-
-class TestSimClock:
-    def test_advance(self):
-        clock = SimClock()
-        assert clock.now == 0.0
-        clock.advance(5.0)
-        assert clock.now == 5.0
-
-    def test_advance_to_never_backwards(self):
-        clock = SimClock(start=100.0)
-        clock.advance_to(50.0)
-        assert clock.now == 100.0
-        clock.advance_to(150.0)
-        assert clock.now == 150.0
-
-    def test_negative_advance_rejected(self):
-        clock = SimClock()
-        with pytest.raises(ValueError):
-            clock.advance(-1.0)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock(start=-1.0)

@@ -355,3 +355,51 @@ class TestTrafficOverlaysReraceTheBaselineDraws:
             assert [str(p) for p in got.peers] == [str(p) for p in frame.peers]
             assert got.peer_asn.tobytes() == frame.peer_asn.tobytes()
             assert got.domains == frame.domains
+
+
+class TestUniverseSharing:
+    """A traffic overlay whose catalog equals the baseline's re-races over
+    the baseline's ``ServiceUniverse``; one that changes the catalog (a
+    ``dualstack:*`` provider's servers gain IPv6) builds its own."""
+
+    #: Private to this class, so no other test's overlay is a cache hit.
+    CONFIG = StudyConfig(
+        days=3, sites=105, seed=2207, probe_targets=40, probe_interval_days=2,
+        parallel=False,
+    )
+
+    @pytest.fixture(scope="class")
+    def warm(self):
+        study = Study(self.CONFIG)
+        study.traffic
+        return study
+
+    @pytest.fixture()
+    def universes(self, monkeypatch):
+        """The catalogs of the ``ServiceUniverse``s built during the test."""
+        from repro.traffic.universe import ServiceUniverse
+
+        built = []
+        init = ServiceUniverse.__init__
+
+        def counted(universe, catalog):
+            built.append(catalog)
+            init(universe, catalog)
+
+        monkeypatch.setattr(ServiceUniverse, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("spec", ["ispv6", "hetimer:300"])
+    def test_unchanged_catalog_builds_no_universe(self, warm, universes, spec):
+        traffic = OverlayStudy(warm, spec).traffic
+        assert universes == []
+        assert traffic.universe is warm.traffic.universe
+        for dataset in traffic.datasets.values():
+            assert dataset.universe is warm.traffic.universe
+
+    def test_changed_catalog_builds_one_universe(self, warm, universes):
+        traffic = OverlayStudy(warm, "dualstack:Amazon").traffic
+        assert len(universes) == 1
+        assert traffic.universe is not warm.traffic.universe
+        for dataset in traffic.datasets.values():
+            assert dataset.universe is traffic.universe
