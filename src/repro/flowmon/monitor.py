@@ -176,13 +176,14 @@ class FlowMonitor:
     flow, holding what a conntrack DESTROY event carries.  The traffic
     generator writes its finished flows into the log directly.
 
-    Two views derive from the log, each built on first use and dropped
-    when the log grows: the columnar :class:`~repro.flowmon.frame.
-    FlowFrame` (:meth:`frame`) the analyses read, and the
-    :class:`FlowRecord` projection (:meth:`records`, :attr:`daily_logs`)
-    for the exporter and record-level tests.  Both follow the canonical
-    order: days ascending, scopes in :class:`FlowScope` declaration
-    order, log order within.
+    Two views derive from the log, each built on first use and kept (a
+    log is built whole; code that appends to one drops the views
+    itself): the columnar :class:`~repro.flowmon.frame.FlowFrame`
+    (:meth:`frame`) the analyses read, and the :class:`FlowRecord`
+    projection (:meth:`records`, :attr:`daily_logs`) for the exporter
+    and record-level tests.  Both follow the canonical order: days
+    ascending, scopes in :class:`FlowScope` declaration order, log order
+    within.
     """
 
     config: RouterConfig
@@ -191,24 +192,10 @@ class FlowMonitor:
     _projection: dict[tuple, list[FlowRecord]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _views_at: int = field(default=0, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         # The record projection is rebuilt on demand, never persisted.
         return {**self.__dict__, "_projection": {}}
-
-    @property
-    def version(self) -> int:
-        """Flows logged so far.  A log only ever gains rows, so the count
-        is also the staleness stamp of any view derived from it."""
-        return len(self.log)
-
-    def _fresh(self) -> None:
-        """Drop the derived views if the log grew since they were built."""
-        if self._views_at != len(self.log):
-            self._views_at = len(self.log)
-            self._frame_cache = None
-            self._projection = {}
 
     def classify(self, record: FlowRecord) -> FlowScope:
         src_local = self.config.is_local(record.key.src)
@@ -242,9 +229,7 @@ class FlowMonitor:
 
     def frame(self):
         """The columnar :class:`~repro.flowmon.frame.FlowFrame` view of
-        this log (core columns only, no attribution), built once and
-        rebuilt after the log grows."""
-        self._fresh()
+        this log (core columns only, no attribution), built once."""
         if self._frame_cache is None:
             from repro.flowmon.frame import FlowFrame
 
@@ -257,10 +242,9 @@ class FlowMonitor:
         """All logged flows as records, optionally filtered by scope and/or day.
 
         Records are a projection of the log, built on first use (sharing
-        the log's interned addresses) and kept until the log grows --
-        treat the returned list as read-only.
+        the log's interned addresses) and kept -- treat the returned list
+        as read-only.
         """
-        self._fresh()
         key = (scope, day)
         found = self._projection.get(key)
         if found is None:

@@ -12,18 +12,37 @@ codec splits the difference:
   value is **externalized** into a single ``.npz`` member (named
   ``arr_0``, ``arr_1``, ... in first-appearance order), loadable with
   ``allow_pickle=False`` -- no code execution hides in the array file;
-* the remaining graph is pickled with each externalized array replaced
-  by a persistent-id reference, so the pickle stays small and the two
-  files round-trip to the original object (shared arrays stay shared:
-  one id, one ``.npz`` member, one loaded object).
+* the remaining graph is pickled with each externalized array reduced
+  to a ``_stored_array(name)`` call, so the pickle stays small and the
+  two files round-trip to the original object (shared arrays stay
+  shared: the pickle memo writes one call, one ``.npz`` member, and
+  loads one object).
 
-Object-dtype arrays (none exist in the layer values today) stay inline
-in the pickle: ``np.savez`` would need ``allow_pickle=True`` for them,
-which would defeat the point of the split.
+The encode is the pickler's ``dispatch_table``: it maps ``np.ndarray``
+to the reducer, so the pickler makes a Python call only for arrays, not
+for every object it visits.  The decode resolves ``_stored_array`` to a
+lookup in the loaded npz members (``find_class``); called any other way,
+``_stored_array`` raises.  It runs with the cyclic garbage collector
+paused: the unpickler allocates the whole graph and frees almost
+nothing, so a collection it triggers finds no garbage, only cost (over
+half of a census load, with the collector on).
+
+Neither side may hold itself in a reference cycle: the reducer and the
+decode's lookup are closures over the arrays dict, never bound methods.
+A bound method in the pickler's own dispatch table would keep the
+pickler and its memo -- as large as the graph -- alive until the next
+collection.
+
+Object-dtype arrays (none exist in the layer values today) keep their
+own reduction and stay inline in the pickle: ``np.savez`` would need
+``allow_pickle=True`` for them, which would defeat the point of the
+split.
 """
 
 from __future__ import annotations
 
+import copyreg
+import gc
 import io
 import pickle
 from typing import Any
@@ -35,42 +54,51 @@ PAYLOAD_FILE = "payload.pkl"
 ARRAYS_FILE = "arrays.npz"
 
 
+def _stored_array(name: str) -> np.ndarray:
+    """The global a payload names for each externalized array; only
+    :func:`load_value` resolves it (to the npz member ``name``)."""
+    raise pickle.UnpicklingError(
+        f"array {name!r} lives in {ARRAYS_FILE}: load payloads with load_value"
+    )
+
+
 class _ExternalizingPickler(pickle.Pickler):
-    """Pickler that swaps ndarrays for persistent ids into an npz dict."""
+    """Pickler that reduces ndarrays to :func:`_stored_array` calls,
+    collecting each array into ``arrays`` under its npz member name."""
 
     def __init__(self, buffer: io.BytesIO, arrays: dict[str, np.ndarray]) -> None:
-        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self._arrays = arrays
-        self._ids: dict[int, str] = {}
+        def reduce_array(array: np.ndarray) -> tuple:
+            if array.dtype.hasobject:
+                return array.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+            name = f"arr_{len(arrays)}"
+            arrays[name] = array
+            return _stored_array, (name,)
 
-    def persistent_id(self, obj: Any) -> str | None:
-        # ``persistent_id`` runs before the pickle memo, so shared
-        # arrays must be deduplicated here or they would be stored (and
-        # loaded) once per reference instead of once per object.
-        if type(obj) is np.ndarray and not obj.dtype.hasobject:
-            name = self._ids.get(id(obj))
-            if name is None:
-                name = f"arr_{len(self._arrays)}"
-                self._ids[id(obj)] = name
-                self._arrays[name] = obj
-            return name
-        return None
+        # Read by the base initializer, so it is set first.
+        self.dispatch_table = {**copyreg.dispatch_table, np.ndarray: reduce_array}
+        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class _ExternalizedUnpickler(pickle.Unpickler):
-    """Unpickler resolving persistent ids from the loaded npz arrays."""
+    """Unpickler resolving :func:`_stored_array` to the loaded npz arrays."""
 
     def __init__(self, buffer: io.BytesIO, arrays: dict[str, np.ndarray]) -> None:
         super().__init__(buffer)
-        self._arrays = arrays
 
-    def persistent_load(self, pid: str) -> np.ndarray:
-        try:
-            return self._arrays[pid]
-        except KeyError:
-            raise pickle.UnpicklingError(
-                f"payload references array {pid!r} missing from {ARRAYS_FILE}"
-            ) from None
+        def stored_array(name: str) -> np.ndarray:
+            try:
+                return arrays[name]
+            except KeyError:
+                raise pickle.UnpicklingError(
+                    f"payload references array {name!r} missing from {ARRAYS_FILE}"
+                ) from None
+
+        self._stored_array = stored_array
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == "_stored_array":
+            return self._stored_array
+        return super().find_class(module, name)
 
 
 def dump_value(value: Any) -> dict[str, bytes]:
@@ -98,4 +126,11 @@ def load_value(files: dict[str, bytes]) -> Any:
     if blob is not None:
         with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
-    return _ExternalizedUnpickler(io.BytesIO(files[PAYLOAD_FILE]), arrays).load()
+    unpickler = _ExternalizedUnpickler(io.BytesIO(files[PAYLOAD_FILE]), arrays)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return unpickler.load()
+    finally:
+        if enabled:
+            gc.enable()

@@ -56,7 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: longitudinal round re-decides from.
 #: 5: census payloads carry the AAAA records a what-if published over the
 #: shared universe; a schema-4 census would load without them.
-STORE_SCHEMA = 5
+#: 6: payloads name each externalized array by a ``_stored_array`` call
+#: instead of a persistent id, and a census shares one embedded resource
+#: object per distinct ``(fqdn, type)``; schema-5 payloads would not load.
+STORE_SCHEMA = 6
 
 #: The payload filename of rendered-artifact entries.
 ARTIFACT_FILE = "artifact.json"

@@ -146,7 +146,6 @@ class ResidenceDataset:
     devices: list[Device] = field(default_factory=list)
     draws: TrafficDraws | None = field(default=None, repr=False, compare=False)
     _frame: "FlowFrame | None" = field(default=None, repr=False, compare=False)
-    _frame_version: int = field(default=-1, repr=False, compare=False)
 
     def external_records(self):
         return self.monitor.records(scope=FlowScope.EXTERNAL)
@@ -159,15 +158,12 @@ class ResidenceDataset:
 
         Built once (core columns from the monitor, AS/domain attribution
         resolved per unique external peer against this dataset's
-        universe) and cached; rebuilt only if the monitor logs new flows.
+        universe) and cached.
         """
-        monitor = self.monitor
-        if self._frame is None or self._frame_version != monitor.version:
-            frame = monitor.frame().with_attribution(
+        if self._frame is None:
+            self._frame = self.monitor.frame().with_attribution(
                 self.universe.routing, self.universe.rdns
             )
-            self._frame = frame
-            self._frame_version = monitor.version
         return self._frame
 
 

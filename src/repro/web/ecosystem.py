@@ -370,6 +370,9 @@ class WebEcosystem:
         cfg = self.config
         rng = self._rng.substream("sites")
         assert self.pool is not None
+        # One object per distinct embedded resource, shared by every page
+        # that embeds it; local, so it is neither stored nor kept.
+        resources: dict[tuple[str, ResourceType], EmbeddedResource] = {}
         for entry in self.toplist:
             status_draw = rng.random()
             if status_draw < cfg.nxdomain_rate:
@@ -407,7 +410,7 @@ class WebEcosystem:
             self._materialize_tenant(tenant)
 
             third_parties = self._draw_site_third_parties(rng)
-            website = self._build_website(entry, tenant, third_parties, rng)
+            website = self._build_website(entry, tenant, third_parties, rng, resources)
             self.plans[entry.etld1] = SitePlan(
                 entry, plan_status, tenant=tenant,
                 website=website, third_parties=third_parties,
@@ -453,8 +456,16 @@ class WebEcosystem:
         tenant: Tenant,
         third_parties: list[ThirdPartyService],
         rng: RngStream,
+        resources: dict[tuple[str, ResourceType], EmbeddedResource],
     ) -> Website:
         cfg = self.config
+
+        def embed(page: Page, fqdn: str, rtype: ResourceType) -> None:
+            resource = resources.get((fqdn, rtype))
+            if resource is None:
+                resource = resources[fqdn, rtype] = EmbeddedResource(fqdn, rtype)
+            page.resources.append(resource)
+
         main_host = tenant.main_placement.fqdn
         website = Website(etld1=entry.etld1, rank=entry.rank, main_host=main_host)
         website.redirects[entry.etld1] = main_host
@@ -502,7 +513,7 @@ class WebEcosystem:
                 rtype = rng.weighted_choice(
                     list(_FIRST_PARTY_TYPES), list(_FIRST_PARTY_TYPES.values())
                 )
-                page.resources.append(EmbeddedResource(host, rtype))
+                embed(page, host, rtype)
             for service_3p in third_parties:
                 if path != "/" and not rng.bernoulli(cfg.third_party_spread):
                     continue
@@ -512,11 +523,7 @@ class WebEcosystem:
                 for placement in rng.sample(
                     tenant_3p.placements, rng.randint(2, 4)
                 ):
-                    page.resources.append(
-                        EmbeddedResource(
-                            placement.fqdn, service_3p.draw_resource_type(rng)
-                        )
-                    )
+                    embed(page, placement.fqdn, service_3p.draw_resource_type(rng))
             page.internal_links = [p for p in paths if p != path]
             website.pages[path] = page
         return website

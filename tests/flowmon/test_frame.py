@@ -96,6 +96,9 @@ class TestFrameConstruction:
 
 
 class TestFrameCaching:
+    """A monitor builds each view once and keeps it; the log is built
+    whole, and the tests' appender (``observe``) drops the views itself."""
+
     def test_frame_cached_until_observe(self):
         monitor = _simple_monitor()
         observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
@@ -105,6 +108,7 @@ class TestFrameCaching:
         second = monitor.frame()
         assert second is not first
         assert len(second) == 2
+        assert monitor.frame() is second
 
     def test_records_cached_until_observe(self):
         monitor = _simple_monitor()
@@ -115,6 +119,7 @@ class TestFrameCaching:
         fresh = monitor.records(scope=FlowScope.EXTERNAL)
         assert fresh is not view
         assert len(fresh) == 2
+        assert monitor.records(scope=FlowScope.EXTERNAL) is fresh
 
     def test_dataset_frame_cached_and_attributed(self, dataset):
         frame = dataset.frame()
@@ -123,11 +128,11 @@ class TestFrameCaching:
         assert frame.peer_domain is not None
         assert len(frame.peer_asn) == len(frame.peers)
 
-    def test_version_bumps_on_observe(self):
+    def test_observe_grows_the_log(self):
         monitor = _simple_monitor()
-        assert monitor.version == 0
+        assert len(monitor.log) == 0
         observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
-        assert monitor.version == 1
+        assert len(monitor.log) == 1
 
 
 class TestAttribution:

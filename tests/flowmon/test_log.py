@@ -193,7 +193,7 @@ class TestStoreRoundTrip:
         assert list(clone.datasets) == list(generated.datasets)
         for name, dataset in generated.datasets.items():
             loaded = clone.datasets[name]
-            assert loaded.monitor.version == dataset.monitor.version
+            assert len(loaded.monitor.log) == len(dataset.monitor.log)
             assert loaded._frame is not None  # no attribution work on load
             want, got = dataset.frame(), loaded.frame()
             assert got.data.tobytes() == want.data.tobytes()

@@ -138,7 +138,9 @@ class AppendLog(FlowLog):
 
 def observe(monitor: FlowMonitor, record: FlowRecord) -> FlowScope:
     """Log one finished flow into ``monitor``; returns its scope.  A
-    monitor's sealed log is reopened as an :class:`AppendLog` first."""
+    monitor's sealed log is reopened as an :class:`AppendLog` first, and
+    the views derived from the log are dropped (the monitor keeps them
+    once built: in ``src/`` a log is built whole)."""
     day_index(record.start_time)  # refuse pre-epoch flows up front
     if not isinstance(monitor.log, AppendLog):
         monitor.log = AppendLog(monitor.log.addresses, monitor.log.rows)
@@ -150,6 +152,8 @@ def observe(monitor: FlowMonitor, record: FlowRecord) -> FlowScope:
         record.bytes_out, record.bytes_in, record.packets_out, record.packets_in,
         None if icmp is None else (icmp.icmp_type, icmp.icmp_code, icmp.icmp_id),
     )
+    monitor._frame_cache = None
+    monitor._projection = {}
     return monitor.classify(record)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.addr import Family
 from repro.net.dns import DnsRecordType, DnsStatus
+from repro.store.serialize import dump_value, load_value
 from repro.web.ecosystem import SiteStatus, WebEcosystem, WebEcosystemConfig
 
 
@@ -151,3 +152,26 @@ class TestBuild:
             seen[Family.V4].update(a.addresses)
         # Far fewer distinct edge addresses than sites.
         assert len(seen[Family.V4]) < len(eco.plans)
+
+
+def _assert_resources_shared(eco: WebEcosystem) -> None:
+    """Every page embedding an equal resource holds the one object."""
+    shared: dict = {}
+    references = 0
+    for plan in eco.plans.values():
+        if plan.website is None:
+            continue
+        for page in plan.website.pages.values():
+            for resource in page.resources:
+                references += 1
+                key = (resource.fqdn, resource.resource_type)
+                assert shared.setdefault(key, resource) is resource
+    assert len(shared) < references  # pages do share resources
+
+
+class TestSharedResources:
+    def test_equal_resources_are_one_object(self, eco):
+        _assert_resources_shared(eco)
+
+    def test_sharing_survives_a_store_round_trip(self, eco):
+        _assert_resources_shared(load_value(dump_value(eco)))
