@@ -24,19 +24,18 @@ persist and later processes warm-start from disk; ``repro store`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
+from typing import Callable, ContextManager
 
 from repro.api import Study, StudyConfig, jsonify, registry
+from repro.api.session import OVERRIDE_KEYS
 from repro.datasets.scenarios import SCALE_PRESETS
 
 #: Keywords accepted alongside registered artifact names.
 _META = ("all", "list")
-
-#: Subcommands dispatched before artifact parsing (and offered by the
-#: did-you-mean hint when a first argument matches nothing).
-_SUBCOMMANDS = ("store", "serve", "lint", "resilience", "sentinel", "trace", "prof")
 
 
 def version_string() -> str:
@@ -51,24 +50,24 @@ def version_string() -> str:
 
         return repro.__version__
 
-#: StudyConfig fields overridable per artifact via ``name@key=value,...``.
-_OVERRIDE_KEYS = (
-    "days", "sites", "seed", "link_clicks", "parallel",
-    "probe_targets", "probe_interval_days",
-)
+
+def _log(message: str) -> None:
+    """Progress and build lines go to stderr, never into the output."""
+    print(message, file=sys.stderr, flush=True)
 
 
 def parse_artifact_spec(value: str) -> tuple[str, dict[str, int]]:
     """Split ``name@key=value,...`` into the name and its config overrides."""
     name, _, override_text = value.partition("@")
+    keys = (*OVERRIDE_KEYS, "parallel")
     overrides: dict[str, int] = {}
     if override_text:
         for item in override_text.split(","):
             key, sep, raw = item.partition("=")
-            if not sep or key not in _OVERRIDE_KEYS:
+            if not sep or key not in keys:
                 raise ValueError(
                     f"bad override {item!r}; expected key=value with key in "
-                    f"{', '.join(_OVERRIDE_KEYS)}"
+                    f"{', '.join(keys)}"
                 )
             try:
                 overrides[key] = int(raw)
@@ -291,22 +290,8 @@ def _render_list(fmt: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "store":
-        return _store_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from repro.devtools.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "resilience":
-        return _resilience_main(argv[1:])
-    if argv and argv[0] == "sentinel":
-        return _sentinel_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "prof":
-        return _prof_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     requested = list(dict.fromkeys(args.artifacts))
@@ -334,9 +319,6 @@ def main(argv: list[str] | None = None) -> int:
             expanded.append(item)
     expanded = list(dict.fromkeys(expanded))
 
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
-
     from repro.telemetry import span
 
     studies: dict[StudyConfig, Study] = {}
@@ -348,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
                 config = base.replace(**overrides) if overrides else base
             except ValueError as exc:
                 parser.error(f"{item}: {exc}")
-            study = studies.setdefault(config, Study(config, log=log))
+            study = studies.setdefault(config, Study(config, log=_log))
             results.append((item, config, study.artifact(name)))
 
     if args.format == "json":
@@ -379,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.telemetry_json).write_text(
             json.dumps(telemetry_document(), indent=2) + "\n"
         )
-        log(f"# telemetry: wrote {args.telemetry_json}")
+        _log(f"# telemetry: wrote {args.telemetry_json}")
     return 0
 
 
@@ -414,7 +396,7 @@ def _format_age(age_s: float) -> str:
 
 def _sentinel_main(argv: list[str]) -> int:
     """``python -m repro sentinel`` -- the significance event feed."""
-    from repro.sentinel.config import SEVERITIES, severity_rank
+    from repro.sentinel.config import SEVERITIES, keeps_event
 
     parser = argparse.ArgumentParser(
         prog="repro sentinel",
@@ -442,18 +424,14 @@ def _sentinel_main(argv: list[str]) -> int:
     country = args.country.strip().upper() if args.country else None
     _activate_store(args, parser)
     config = _config_from_args(args, parser)
-
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
-
-    feed = Study(config, log=log).sentinel
-    min_rank = severity_rank(args.min_severity)
+    feed = Study(config, log=_log).sentinel
     events = [
         event
         for event in feed.events
-        if event.day >= args.since
-        and (country is None or event.scope == country)
-        and severity_rank(event.severity) >= min_rank
+        if keeps_event(
+            event.day, event.scope, event.severity,
+            args.since, country, args.min_severity,
+        )
     ]
     if args.format == "json":
         document = {
@@ -490,157 +468,110 @@ def _sentinel_main(argv: list[str]) -> int:
     return 0
 
 
-def _trace_main(argv: list[str]) -> int:
-    """``python -m repro trace`` -- run artifacts under the span tracer."""
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Run artifacts and export the build span tree -- compact "
-        "JSON (--format tree) or chrome://tracing Trace Event Format "
-        "(--format chrome; load the file via the tracing UI or Perfetto).",
-    )
-    parser.add_argument(
-        "artifacts",
-        nargs="*",
-        metavar="artifact",
-        help="artifact names to run under the tracer (default: all)",
-    )
-    parser.add_argument("--format", choices=("tree", "chrome"), default="tree",
-                        help="export shape (default: tree)")
+def _capture_parser(
+    command: str, description: str, formats: tuple[str, ...]
+) -> argparse.ArgumentParser:
+    """The parser ``repro trace`` and ``repro prof`` share."""
+    parser = argparse.ArgumentParser(prog=f"repro {command}", description=description)
+    parser.add_argument("artifacts", nargs="*", metavar="artifact",
+                        help="artifact names to run (default: all)")
+    parser.add_argument("--format", choices=formats, default=formats[0],
+                        help=f"export shape (default: {formats[0]})")
     parser.add_argument("--output", "-o", default=None, metavar="PATH",
                         help="write the JSON here instead of stdout")
     _add_store_argument(parser)
     _add_version_argument(parser)
     _add_scale_arguments(parser)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _run_captured(
+    command: str, args: argparse.Namespace, parser: argparse.ArgumentParser,
+    export: Callable[[list], dict], capture: ContextManager = contextlib.nullcontext(),
+) -> int:
+    """Run the chosen artifacts inside ``capture`` and a ``<command>:run``
+    span, then write ``export(roots)`` as JSON to ``--output`` or stdout."""
     names = list(dict.fromkeys(args.artifacts)) or registry.names()
     unknown = [name for name in names if name not in registry.names()]
     if unknown:
-        parser.error(
-            f"unknown artifacts: {', '.join(unknown)} "
-            "(try: python -m repro list)"
-        )
+        parser.error(f"unknown artifacts: {', '.join(unknown)} (try: python -m repro list)")
     _activate_store(args, parser)
     config = _config_from_args(args, parser)
 
-    from repro.telemetry import chrome_trace, recent_spans, reset_trace, span, span_tree
-
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
+    from repro.telemetry import recent_spans, reset_trace, span
 
     reset_trace()  # export exactly this run, not whatever came before
-    study = Study(config, log=log)
-    with span("trace:run", artifacts=len(names), scale=args.scale):
+    study = Study(config, log=_log)
+    with capture, span(f"{command}:run", artifacts=len(names), scale=args.scale):
         for name in names:
             study.artifact(name)
-    roots = recent_spans()
-    if args.format == "chrome":
-        document: dict = chrome_trace(roots)
-    else:
-        document = {"spans": [span_tree(root) for root in roots]}
-    text = json.dumps(document, indent=2)
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(text + "\n")
-        log(f"# trace: wrote {args.format} JSON to {args.output}")
-    else:
+    text = json.dumps(export(recent_spans()), indent=2)
+    if not args.output:
         print(text)
+        return 0
+    from pathlib import Path
+
+    Path(args.output).write_text(text + "\n")
+    _log(f"# {command}: wrote {args.format} JSON to {args.output}")
     return 0
+
+
+def _trace_main(argv: list[str]) -> int:
+    """``python -m repro trace`` -- run artifacts under the span tracer."""
+    parser = _capture_parser(
+        "trace",
+        "Run artifacts and export the build span tree -- compact "
+        "JSON (--format tree) or chrome://tracing Trace Event Format "
+        "(--format chrome; load the file via the tracing UI or Perfetto).",
+        ("tree", "chrome"),
+    )
+    args = parser.parse_args(argv)
+
+    from repro.telemetry import chrome_trace, span_tree
+
+    def export(roots: list) -> dict:
+        if args.format == "chrome":
+            return chrome_trace(roots)
+        return {"spans": [span_tree(root) for root in roots]}
+
+    return _run_captured("trace", args, parser, export)
 
 
 def _prof_main(argv: list[str]) -> int:
     """``python -m repro prof`` -- run artifacts under span profiling."""
-    parser = argparse.ArgumentParser(
-        prog="repro prof",
-        description="Run artifacts with span-scoped CPU profiling and "
+    parser = _capture_parser(
+        "prof",
+        "Run artifacts with span-scoped CPU profiling and "
         "export the deterministic call trees -- compact JSON "
         "(--format tree) or speedscope flamegraph format "
         "(--format speedscope; load the file at speedscope.app).",
+        ("tree", "speedscope"),
     )
-    parser.add_argument(
-        "artifacts",
-        nargs="*",
-        metavar="artifact",
-        help="artifact names to run under the profiler (default: all)",
-    )
-    parser.add_argument("--format", choices=("tree", "speedscope"),
-                        default="tree",
-                        help="export shape (default: tree)")
-    parser.add_argument("--output", "-o", default=None, metavar="PATH",
-                        help="write the JSON here instead of stdout")
     parser.add_argument("--spans", default="artifact:*", metavar="P1,P2,...",
                         help="span-name patterns to capture (exact names or "
                         "trailing-* prefixes; default: artifact:*)")
     parser.add_argument("--memory", action="store_true",
                         help="also capture tracemalloc peaks on build spans "
                         "(build_peak_bytes{layer} + Span.peak_bytes)")
-    _add_store_argument(parser)
-    _add_version_argument(parser)
-    _add_scale_arguments(parser)
     args = parser.parse_args(argv)
-    names = list(dict.fromkeys(args.artifacts)) or registry.names()
-    unknown = [name for name in names if name not in registry.names()]
-    if unknown:
-        parser.error(
-            f"unknown artifacts: {', '.join(unknown)} "
-            "(try: python -m repro list)"
-        )
     patterns = tuple(part for part in args.spans.split(",") if part)
     if not patterns:
         parser.error("--spans needs at least one pattern")
-    _activate_store(args, parser)
-    config = _config_from_args(args, parser)
 
-    from repro.prof import (
-        profiled_spans,
-        profiling,
-        speedscope_document,
-    )
-    from repro.telemetry import recent_spans, reset_trace, span
+    from repro.prof import profile_entries, profiled_spans, profiling, speedscope_document
 
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
+    def export(roots: list) -> dict:
+        captured = profiled_spans(roots)
+        if not captured:
+            _log(f"# prof: no spans matched {args.spans!r} -- "
+                 "try --spans 'artifact:*' or 'build:*'")
+        if args.format == "speedscope":
+            return speedscope_document([(node.name, node.profile) for node in captured])
+        return {"spans": list(patterns), "count": len(captured),
+                "profiles": profile_entries(captured)}
 
-    reset_trace()  # export exactly this run, not whatever came before
-    study = Study(config, log=log)
-    with profiling(spans=patterns, memory=args.memory):
-        with span("prof:run", artifacts=len(names), scale=args.scale):
-            for name in names:
-                study.artifact(name)
-    captured = profiled_spans(recent_spans())
-    if not captured:
-        log(
-            f"# prof: no spans matched {args.spans!r} -- "
-            "try --spans 'artifact:*' or 'build:*'"
-        )
-    if args.format == "speedscope":
-        document: dict = speedscope_document(
-            [(node.name, node.profile) for node in captured]
-        )
-    else:
-        document = {
-            "spans": list(patterns),
-            "count": len(captured),
-            "profiles": [
-                {
-                    "span": node.name,
-                    "labels": dict(sorted(node.labels.items())),
-                    "duration_ms": round(node.duration_s * 1000.0, 3),
-                    "peak_bytes": node.peak_bytes,
-                    "profile": node.profile,
-                }
-                for node in captured
-            ],
-        }
-    text = json.dumps(document, indent=2)
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(text + "\n")
-        log(f"# prof: wrote {args.format} JSON to {args.output}")
-    else:
-        print(text)
-    return 0
+    capture = profiling(spans=patterns, memory=args.memory)
+    return _run_captured("prof", args, parser, export, capture)
 
 
 def _store_main(argv: list[str]) -> int:
@@ -770,20 +701,17 @@ def _store_main(argv: list[str]) -> int:
         if unknown:
             parser.error(f"unknown artifacts: {', '.join(unknown)}")
 
-    def log(message: str) -> None:
-        print(message, file=sys.stderr)
-
-    study = Study(config, log=log)
+    study = Study(config, log=_log)
     try:
         entries = snapshot_study(store, study, layers)
     except ValueError as exc:
         parser.error(str(exc))
     for layer, entry in entries.items():
-        log(f"# stored {layer}: {entry.digest[:12]} ({entry.total_bytes:,} bytes)")
+        _log(f"# stored {layer}: {entry.digest[:12]} ({entry.total_bytes:,} bytes)")
     for name in artifact_names:
         store.save_artifact(name, artifact_key(config, name),
                             artifact_document(study, name))
-    log(
+    _log(
         f"# warm: {len(entries)} layers + {len(artifact_names)} artifacts -> "
         f"{store.root} ({store.total_bytes():,} bytes)"
     )
@@ -888,13 +816,29 @@ def _serve_main(argv: list[str]) -> int:
     from repro.serve import ArtifactService, run_server
 
     service = ArtifactService(config, store=store)
-
-    def log(message: str) -> None:
-        print(message, file=sys.stderr, flush=True)
-
     return run_server(
-        service, args.host, args.port, warm=not args.no_warm, log=log
+        service, args.host, args.port, warm=not args.no_warm, log=_log
     )
+
+
+def _lint_main(argv: list[str]) -> int:
+    """``python -m repro lint`` -- the replint static analyzer."""
+    from repro.devtools.lint.cli import main as lint_main
+
+    return lint_main(argv)
+
+
+#: Subcommands, dispatched before artifact parsing (and offered by the
+#: did-you-mean hint when a first argument matches nothing).
+_SUBCOMMANDS = {
+    "store": _store_main,
+    "serve": _serve_main,
+    "lint": _lint_main,
+    "resilience": _resilience_main,
+    "sentinel": _sentinel_main,
+    "trace": _trace_main,
+    "prof": _prof_main,
+}
 
 
 if __name__ == "__main__":

@@ -266,6 +266,15 @@ class StudyConfig:
         return tuple(scenario.spec() for scenario in default_sweep_grid())
 
 
+#: The :class:`StudyConfig` fields a request may override, as query
+#: parameters (``/v1/artifact/fig5?sites=900``) or through the CLI's
+#: ``name@key=value``.  The CLI adds ``parallel``; a request never sets
+#: it, because a client does not choose the server's worker count.
+OVERRIDE_KEYS = (
+    "days", "sites", "seed", "link_clicks", "probe_targets", "probe_interval_days",
+)
+
+
 # -- the layer graph ---------------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from repro.prof.capture import (
     disable_profiling,
     enable_profiling,
     match_span,
+    profile_entries,
     profiled_spans,
     profiling,
     profiling_enabled,
@@ -50,6 +51,7 @@ __all__ = [
     "disable_profiling",
     "enable_profiling",
     "match_span",
+    "profile_entries",
     "profiled_spans",
     "profiling",
     "profiling_enabled",

@@ -210,3 +210,18 @@ def profiled_spans(
     for root in roots:
         walk(root)
     return found
+
+
+def profile_entries(captured: Sequence["Span"]) -> list[dict]:
+    """The ``profiles`` entries of a tree-format export, one per captured
+    span (``repro prof`` and ``GET /v1/profile``)."""
+    return [
+        {
+            "span": node.name,
+            "labels": dict(sorted(node.labels.items())),
+            "duration_ms": round(node.duration_s * 1000.0, 3),
+            "peak_bytes": node.peak_bytes,
+            "profile": node.profile,
+        }
+        for node in captured
+    ]

@@ -34,6 +34,17 @@ def severity_rank(severity: str) -> int:
     return SEVERITIES.index(severity)
 
 
+def keeps_event(
+    day: int, scope: str, severity: str, since: int, country: str | None, min_severity: str
+) -> bool:
+    """The feed filter of ``repro sentinel`` and ``/v1/events`` (a
+    ``None`` country keeps every scope)."""
+    return (
+        day >= since and country in (None, scope)
+        and severity_rank(severity) >= severity_rank(min_severity)
+    )
+
+
 @dataclass(frozen=True)
 class SentinelConfig:
     """The deviation model's knobs, frozen so cache keys stay honest.

@@ -2,12 +2,10 @@
 
 :class:`ArtifactService` maps read-only API requests onto the artifact
 registry, the :class:`~repro.api.session.Study` session, and the
-warehouse::
-
-    GET /healthz                      liveness + cache/warmer state
-    GET /v1/artifacts                 the registry listing (names, layers)
-    GET /v1/artifact/<name>?days=7    one rendered artifact as JSON
-    GET /v1/contrast/<country>        one country's three-way contrast row
+warehouse.  Every route is one row of :data:`ROUTES` (its path, handler,
+declared query parameters, and whether the config overrides apply), and
+:func:`parse_query` is the one query parser: a route's query becomes
+typed handler arguments and the effective :class:`StudyConfig`, or a 400.
 
 Responses are canonical JSON bytes with a strong ``ETag`` derived from
 the content digest; ``If-None-Match`` revalidation returns ``304``, and
@@ -28,6 +26,7 @@ answer cached requests while an executor thread renders a cold one.
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import gzip
 import hashlib
 import json
@@ -35,14 +34,15 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.api import Study, StudyConfig, jsonify, registry
-from repro.api.session import _WRITE_BEHIND_FAILURES
+from repro.api.session import _WRITE_BEHIND_FAILURES, OVERRIDE_KEYS
 from repro.datasets.scenarios import SCALE_PRESETS
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_hook
+from repro.sentinel.config import SEVERITIES, keeps_event
 from repro.telemetry import (
     counts,
     recent_spans,
@@ -51,32 +51,9 @@ from repro.telemetry import (
     span_tree,
 )
 
-#: Config fields a request may override via query parameters -- the
-#: same set the CLI's ``name@key=value`` overrides accept.
-QUERY_OVERRIDES = (
-    "days",
-    "sites",
-    "seed",
-    "link_clicks",
-    "probe_targets",
-    "probe_interval_days",
-)
-
 #: Bodies below this size are served identity-encoded even to
 #: gzip-accepting clients (the header overhead would exceed the win).
 MIN_GZIP_BYTES = 256
-
-#: The public endpoint table (rendered into listings and 404 bodies).
-ENDPOINTS = (
-    "/healthz",
-    "/metrics",
-    "/v1/artifacts",
-    "/v1/artifact/<name>",
-    "/v1/contrast/<country>",
-    "/v1/events",
-    "/v1/profile",
-    "/v1/trace",
-)
 
 #: Serving-tier instruments.  ``serve_requests_total`` is the name the
 #: CI serve-smoke greps out of ``/metrics``; the hot-cache and 304
@@ -109,32 +86,6 @@ _DEGRADED = _metrics_registry().counter(
     "degraded serves, per mode (stale | shed | slow_build | breaker_open)",
     ("mode",),
 )
-
-
-def endpoint_label(path: str) -> str:
-    """Collapse a request path onto its endpoint family (metric label).
-
-    Raw paths would explode the ``serve_requests_total`` label space
-    (every artifact name, every typo'd URL its own series); the label
-    is the route, not the route's argument.
-    """
-    if path in ("/healthz", "/health"):
-        return "/healthz"
-    if path == "/metrics":
-        return "/metrics"
-    if path in ("/v1/artifacts", "/v1/artifacts/"):
-        return "/v1/artifacts"
-    if path.startswith("/v1/artifact/"):
-        return "/v1/artifact/<name>"
-    if path.startswith("/v1/contrast/"):
-        return "/v1/contrast/<country>"
-    if path in ("/v1/events", "/v1/events/"):
-        return "/v1/events"
-    if path in ("/v1/profile", "/v1/profile/"):
-        return "/v1/profile"
-    if path in ("/v1/trace", "/v1/trace/"):
-        return "/v1/trace"
-    return "<other>"
 
 
 def _server_version() -> str:
@@ -198,6 +149,159 @@ class ServiceError(Exception):
         self.headers = headers
 
 
+# -- the request grammar -----------------------------------------------------
+
+
+def _refuse(status: int, error: str, **fields: Any) -> ServiceError:
+    """An error response: ``error``, then each of ``fields`` not ``None``."""
+    return ServiceError(
+        status, {"error": error, **{k: v for k, v in fields.items() if v is not None}}
+    )
+
+
+@dataclass(frozen=True)
+class Param:
+    """One query parameter a route declares: ``kind`` is ``"count"`` (an
+    integer >= 0), ``"text"`` (non-empty after stripping), ``"int"`` (a
+    config field, which :class:`StudyConfig` validates) or the tuple of
+    choices, which errors call ``noun``.  Omitted, it is ``default``."""
+
+    name: str
+    kind: str | tuple[str, ...]
+    default: Any = None
+    noun: str = ""
+
+    def parse(self, raw: str) -> Any:
+        """The typed value of one raw query value, or a 400."""
+        if isinstance(self.kind, tuple):
+            if raw in self.kind:
+                return raw
+            raise _refuse(400, f"unknown {self.noun or self.name} {raw!r}", known=list(self.kind))
+        if self.kind == "text":
+            if raw.strip():
+                return raw
+            raise _refuse(400, f"parameter {self.name!r} must not be empty")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise _refuse(400, f"parameter {self.name!r} needs an integer, got {raw!r}") from None
+        if self.kind == "count" and value < 0:
+            raise _refuse(400, f"{self.name!r} must be >= 0")
+        return value
+
+
+#: What a route the config overrides apply to accepts besides its own
+#: parameters: a scale preset, then the config fields a request may set.
+CONFIG_PARAMS = (
+    Param("scale", tuple(sorted(SCALE_PRESETS))),
+    *(Param(key, "int") for key in OVERRIDE_KEYS),
+)
+
+
+class Route:
+    """One row of the route table: a ``path`` whose trailing ``<arg>``
+    takes the rest of the request path, and the :class:`ArtifactService`
+    ``handler`` that answers.  It gets the arg and each of ``params`` by
+    name, plus the effective ``config`` and ``hot_only`` if the config
+    overrides apply.  ``prefix``, ``arg`` and ``declared`` are derived once."""
+
+    def __init__(
+        self, path: str, handler: str, params: tuple[Param, ...] = (), config: bool = False
+    ) -> None:
+        self.path, self.handler, self.params, self.config = path, handler, params, config
+        self.prefix, _, arg = path.partition("<")
+        self.arg = arg.removesuffix(">")
+        accepted = (*params, *(CONFIG_PARAMS if config else ()))
+        self.declared = {param.name: param for param in accepted}
+
+
+#: The route table: dispatch, metric labels and :data:`ENDPOINTS` all
+#: derive from it.
+ROUTES = (
+    Route("/healthz", "_healthz"),
+    Route("/metrics", "_metrics_endpoint"),
+    Route("/v1/artifacts", "_listing"),
+    Route("/v1/artifact/<name>", "_artifact", config=True),
+    Route("/v1/contrast/<country>", "_contrast", config=True),
+    Route("/v1/events", "_events", (
+        Param("since", "count", 0),
+        Param("country", "text"),
+        Param("min_severity", SEVERITIES, SEVERITIES[0], "severity"),
+    ), config=True),
+    Route("/v1/profile", "_profile_endpoint", (
+        Param("span", "text"),
+        Param("format", ("tree", "speedscope"), "tree"),
+        Param("last", "count"),
+    )),
+    Route("/v1/trace", "_trace_endpoint", (Param("last", "count"),)),
+)
+
+#: The public endpoint list (rendered into listings and 404 bodies).
+ENDPOINTS = tuple(route.path for route in ROUTES)
+
+_EXACT_ROUTES = {route.path: route for route in ROUTES if not route.arg}
+_ARG_ROUTES = tuple(route for route in ROUTES if route.arg)
+#: What a path no route names matches: a 404, labelled ``<other>``.
+_NO_ROUTE = Route("<other>", "")
+
+
+def match_route(path: str) -> tuple[Route, str]:
+    """The route a path names and its ``<arg>``, ignoring one trailing slash."""
+    route = _EXACT_ROUTES.get(path.removesuffix("/"))
+    if route is not None:
+        return route, ""
+    for route in _ARG_ROUTES:
+        if path.startswith(route.prefix):
+            return route, path[len(route.prefix):].removesuffix("/")
+    return _NO_ROUTE, ""
+
+
+def endpoint_label(path: str) -> str:
+    """The ``endpoint`` label :meth:`ArtifactService.handle` records for a path:
+    its route's, so the label space stays bounded (no series per typo'd URL)."""
+    return match_route(path)[0].path
+
+
+def parse_query(
+    route: Route, query: str, base: StudyConfig
+) -> tuple[dict[str, Any], StudyConfig]:
+    """A route's query as typed handler arguments and the effective config.
+
+    The config is ``base`` with the scale preset, then the explicit
+    overrides applied, whatever their order.  An undeclared, repeated or
+    ill-typed parameter, or a config :class:`StudyConfig` rejects, is a
+    400 :class:`ServiceError`.
+    """
+    values = {param.name: param.default for param in route.params}
+    if not query:
+        return values, base
+    overrides: dict[str, int] = {}
+    seen: set[str] = set()
+    for name, raw in parse_qsl(query, keep_blank_values=True):
+        param = route.declared.get(name)
+        if param is None:
+            close = difflib.get_close_matches(name, route.declared, n=3, cutoff=0.5)
+            raise _refuse(
+                400, f"unknown parameter {name!r}", known=list(route.declared),
+                did_you_mean=close or None,
+            )
+        if name in seen:
+            raise _refuse(400, f"parameter {name!r} is repeated")
+        seen.add(name)
+        value = param.parse(raw)
+        if name == "scale":
+            preset = SCALE_PRESETS[value]
+            overrides = {"days": preset.days, "sites": preset.sites, **overrides}
+        elif param.kind == "int":
+            overrides[name] = value
+        else:
+            values[name] = value
+    try:
+        return values, base.replace(**overrides) if overrides else base
+    except ValueError as exc:
+        raise _refuse(400, str(exc)) from None
+
+
 @dataclass(frozen=True)
 class _Encoded:
     """One cacheable response body: canonical JSON, gzip twin, ETag.
@@ -218,7 +322,7 @@ class _Encoded:
     cache: bool = True
 
     @classmethod
-    def from_document(cls, document: dict) -> "_Encoded":
+    def from_document(cls, document: dict, stale: bool = False) -> "_Encoded":
         body = json.dumps(document, separators=(",", ":")).encode("utf-8")
         etag = f'"{hashlib.sha256(body).hexdigest()[:20]}"'
         gzipped = (
@@ -226,7 +330,7 @@ class _Encoded:
             if len(body) >= MIN_GZIP_BYTES
             else None
         )
-        return cls(body=body, gzipped=gzipped, etag=etag)
+        return cls(body=body, gzipped=gzipped, etag=etag, stale=stale)
 
     @classmethod
     def from_text(cls, text: str, content_type: str) -> "_Encoded":
@@ -300,6 +404,7 @@ class ArtifactService:
         build_deadline_s: float | None = None,
         max_build_queue: int = 8,
     ) -> None:
+        from repro.observatory.vantage import build_vantage_fleet
         from repro.store.warehouse import active_store
 
         self.config = config if config is not None else StudyConfig()
@@ -319,6 +424,8 @@ class ArtifactService:
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
         self._build_waiters = 0
+        #: The contrast's rows: the vantage fleet's countries, sorted.
+        self.countries = tuple(sorted({vantage.country for vantage in build_vantage_fleet()}))
 
     # -- request entry points ----------------------------------------------
 
@@ -346,38 +453,38 @@ class ArtifactService:
             path, query = unquote(split.path), split.query
         except ValueError:
             path, query = target, ""
-        endpoint = endpoint_label(path)
-        with span("serve:request", method=method, endpoint=endpoint) as req_span:
-            response = self._handle(method, path, query, headers, hot_only)
+        route, arg = match_route(path)
+        with span("serve:request", method=method, endpoint=route.path) as req_span:
+            response = self._handle(method, path, route, arg, query, headers, hot_only)
             if response is None:
                 req_span.discard()
                 return None  # hot_only miss: caller re-runs off-loop
             req_span.labels["status"] = str(response.status)
-        _REQUESTS.inc(endpoint=endpoint)
+        _REQUESTS.inc(endpoint=route.path)
         _RESPONSES.inc(status=str(response.status))
-        _REQUEST_SECONDS.observe(req_span.duration_s, endpoint=endpoint)
+        _REQUEST_SECONDS.observe(req_span.duration_s, endpoint=route.path)
         if response.status == 304:
             _NOT_MODIFIED.inc()
         return response
 
     def _handle(
-        self,
-        method: str,
-        path: str,
-        query: str,
-        headers: dict[str, str],
-        hot_only: bool,
+        self, method: str, path: str, route: Route, arg: str, query: str,
+        headers: dict[str, str], hot_only: bool,
     ) -> Response | None:
         try:
             if method not in ("GET", "HEAD"):
-                raise ServiceError(
-                    405,
-                    {
-                        "error": f"method {method} not allowed; this API is read-only",
-                        "allow": ["GET", "HEAD"],
-                    },
+                raise _refuse(
+                    405, f"method {method} not allowed; this API is read-only",
+                    allow=["GET", "HEAD"],
                 )
-            encoded = self._resolve(path, query, hot_only)
+            if route is _NO_ROUTE:
+                raise _refuse(404, f"unknown path {path!r}", endpoints=list(ENDPOINTS))
+            arguments, config = parse_query(route, query, self.config)
+            if route.arg:
+                arguments[route.arg] = arg
+            if route.config:
+                arguments.update(config=config, hot_only=hot_only)
+            encoded = getattr(self, route.handler)(**arguments)
             if encoded is None:
                 return None  # hot_only miss: caller re-runs off-loop
         except ServiceError as error:
@@ -394,30 +501,6 @@ class ArtifactService:
         return self._respond(
             200, encoded, method, headers,
             cache=encoded.cache and not encoded.stale,
-        )
-
-    def _resolve(self, path: str, query: str, hot_only: bool) -> _Encoded | None:
-        if path in ("/healthz", "/health"):
-            return _Encoded.from_document(self.health())
-        if path == "/metrics":
-            return self._metrics_endpoint(query)
-        if path in ("/v1/trace", "/v1/trace/"):
-            return self._trace_endpoint(query)
-        if path in ("/v1/profile", "/v1/profile/"):
-            return self._profile_endpoint(query)
-        if path in ("/v1/artifacts", "/v1/artifacts/"):
-            return self._listing()
-        if path.startswith("/v1/artifact/"):
-            name = path[len("/v1/artifact/"):]
-            return self._artifact(name, query, hot_only)
-        if path.startswith("/v1/contrast/"):
-            country = path[len("/v1/contrast/"):]
-            return self._contrast(country, query, hot_only)
-        if path in ("/v1/events", "/v1/events/"):
-            return self._events(query, hot_only)
-        raise ServiceError(
-            404,
-            {"error": f"unknown path {path!r}", "endpoints": list(ENDPOINTS)},
         )
 
     def _respond(
@@ -557,10 +640,11 @@ class ArtifactService:
             "config": jsonify(dataclasses.asdict(self.config)),
         }
 
-    def _metrics_endpoint(self, query: str) -> _Encoded:
+    def _healthz(self) -> _Encoded:
+        return _Encoded.from_document(self.health())
+
+    def _metrics_endpoint(self) -> _Encoded:
         """``GET /metrics``: the whole registry, Prometheus text format."""
-        if query:
-            raise ServiceError(400, {"error": "/metrics takes no parameters"})
         from repro.prof import refresh_process_gauges
 
         refresh_process_gauges()
@@ -580,24 +664,8 @@ class ArtifactService:
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
-    def _trace_endpoint(self, query: str) -> _Encoded:
+    def _trace_endpoint(self, last: int | None) -> _Encoded:
         """``GET /v1/trace?last=N``: recent request/build span trees."""
-        last: int | None = None
-        for param, raw in parse_qsl(query, keep_blank_values=True):
-            if param != "last":
-                raise ServiceError(
-                    400,
-                    {"error": f"unknown parameter {param!r}", "known": ["last"]},
-                )
-            try:
-                last = int(raw)
-            except ValueError:
-                raise ServiceError(
-                    400,
-                    {"error": f"parameter 'last' needs an integer, got {raw!r}"},
-                ) from None
-            if last < 0:
-                raise ServiceError(400, {"error": "'last' must be >= 0"})
         spans = recent_spans(last)
         document = {
             "last": last,
@@ -606,7 +674,9 @@ class ArtifactService:
         }
         return dataclasses.replace(_Encoded.from_document(document), cache=False)
 
-    def _profile_endpoint(self, query: str) -> _Encoded:
+    def _profile_endpoint(
+        self, span: str | None, format: str, last: int | None
+    ) -> _Encoded:
         """``GET /v1/profile?span=<pattern>&format=...&last=N``.
 
         The span-profiling surface: every recent span carrying a
@@ -617,71 +687,29 @@ class ArtifactService:
         returns one speedscope file ready to load in the UI.  Always
         uncacheable: every request observes the live span ring.
         """
-        from repro.prof import profiled_spans, profiling_enabled, speedscope_document
+        from repro.prof import (
+            profile_entries,
+            profiled_spans,
+            profiling_enabled,
+            speedscope_document,
+        )
 
-        span_filter: str | None = None
-        fmt = "tree"
-        last: int | None = None
-        for param, raw in parse_qsl(query, keep_blank_values=True):
-            if param == "span":
-                if not raw:
-                    raise ServiceError(
-                        400, {"error": "parameter 'span' must not be empty"}
-                    )
-                span_filter = raw
-            elif param == "format":
-                if raw not in ("tree", "speedscope"):
-                    raise ServiceError(
-                        400,
-                        {
-                            "error": f"unknown format {raw!r}",
-                            "known": ["tree", "speedscope"],
-                        },
-                    )
-                fmt = raw
-            elif param == "last":
-                try:
-                    last = int(raw)
-                except ValueError:
-                    raise ServiceError(
-                        400,
-                        {"error": f"parameter 'last' needs an integer, got {raw!r}"},
-                    ) from None
-                if last < 0:
-                    raise ServiceError(400, {"error": "'last' must be >= 0"})
-            else:
-                raise ServiceError(
-                    400,
-                    {
-                        "error": f"unknown parameter {param!r}",
-                        "known": ["span", "format", "last"],
-                    },
-                )
-        captured = profiled_spans(recent_spans(last), span_filter)
-        if fmt == "speedscope":
+        captured = profiled_spans(recent_spans(last), span)
+        if format == "speedscope":
             document = speedscope_document(
                 [(node.name, node.profile) for node in captured]
             )
         else:
             config = profiling_enabled()
             document = {
-                "span": span_filter,
+                "span": span,
                 "last": last,
                 "count": len(captured),
                 "profiling": {
                     "enabled": config is not None,
                     "spans": list(config.spans) if config is not None else [],
                 },
-                "profiles": [
-                    {
-                        "span": node.name,
-                        "labels": dict(sorted(node.labels.items())),
-                        "duration_ms": round(node.duration_s * 1000.0, 3),
-                        "peak_bytes": node.peak_bytes,
-                        "profile": node.profile,
-                    }
-                    for node in captured
-                ],
+                "profiles": profile_entries(captured),
             }
         return dataclasses.replace(_Encoded.from_document(document), cache=False)
 
@@ -707,198 +735,84 @@ class ArtifactService:
         }
         return self._hot_put(key, _Encoded.from_document(document))
 
-    def _artifact(self, name: str, query: str, hot_only: bool) -> _Encoded | None:
+    def _artifact(
+        self, name: str, config: StudyConfig, hot_only: bool
+    ) -> _Encoded | None:
         if not name or "/" in name:
-            raise ServiceError(
-                404,
-                {"error": f"bad artifact path {name!r}", "endpoints": list(ENDPOINTS)},
-            )
+            raise _refuse(404, f"bad artifact path {name!r}", endpoints=list(ENDPOINTS))
         if name not in registry.names():
-            close = registry.suggest(name)
-            payload: dict[str, Any] = {"error": f"unknown artifact {name!r}"}
-            if close:
-                payload["did_you_mean"] = close
-            payload["see"] = "/v1/artifacts"
-            raise ServiceError(404, payload)
-        config = self._config_from_query(query)
-        key = ("artifact", name, config.result_key)
-        hit = self._hot_get(key)
-        if hit is not None:
-            return hit
-        if hot_only:
-            return None
-        encoded = self._render_artifact(name, config)
-        if encoded.stale:
-            return encoded  # never hot-cache a degraded body
-        return self._hot_put(key, encoded)
+            raise _refuse(
+                404, f"unknown artifact {name!r}",
+                did_you_mean=registry.suggest(name) or None, see="/v1/artifacts",
+            )
+        return self._view(("artifact", name), name, config, hot_only)
 
-    def _contrast(self, country: str, query: str, hot_only: bool) -> _Encoded | None:
-        config = self._config_from_query(query)
+    def _contrast(
+        self, country: str, config: StudyConfig, hot_only: bool
+    ) -> _Encoded | None:
         code = country.strip().upper()
-        key = ("contrast", code, config.result_key)
-        hit = self._hot_get(key)
-        if hit is not None:
-            return hit
-        if hot_only:
-            return None  # rendering the contrast may build; go off-loop
-        contrast = self._render_artifact("contrast", config)
-        full = json.loads(contrast.body.decode("utf-8"))
-        rows = {row["country"]: row for row in full["rows"]}
-        if code not in rows:
-            import difflib
+        if code not in self.countries:
+            close = difflib.get_close_matches(code, self.countries, n=3, cutoff=0.3)
+            raise _refuse(
+                404, f"unknown country {country!r}", countries=self.countries,
+                did_you_mean=close or None,
+            )
 
-            close = difflib.get_close_matches(code, sorted(rows), n=3, cutoff=0.3)
-            payload: dict[str, Any] = {
-                "error": f"unknown country {country!r}",
-                "countries": sorted(rows),
-            }
-            if close:
-                payload["did_you_mean"] = close
-            raise ServiceError(404, payload)
-        document = {
-            "country": code,
-            "config": full["config"],
-            "columns": full["columns"],
-            "row": rows[code],
-            "metadata": full["metadata"],
-            "source": "/v1/artifact/contrast",
-        }
-        if contrast.stale:
-            # Derived from a stale full table: stays marked, stays uncached.
-            document["degraded"] = full.get("degraded", {"stale": True})
-            return dataclasses.replace(_Encoded.from_document(document), stale=True)
-        return self._hot_put(key, _Encoded.from_document(document))
+        def country_row(rows: list[dict]) -> tuple[dict, dict]:
+            [row] = [row for row in rows if row["country"] == code]
+            return {"country": code}, {"row": row}
 
-    def _events(self, query: str, hot_only: bool) -> _Encoded | None:
-        """``GET /v1/events?since=<day>&country=<CC>&min_severity=<s>``.
+        return self._view(("contrast", code), "contrast", config, hot_only, country_row)
 
-        A filtered view over the ``sentinel_events`` artifact, so it
-        inherits the warehouse/compute tiers and the degraded path; an
-        empty ``events`` list is a valid 200 ("silence is valid data").
-        All three filter parameters are validated to 400s -- bad input
-        must never surface as a 500 from ``int()``.
-        """
-        from urllib.parse import urlencode
+    def _events(
+        self, since: int, country: str | None, min_severity: str,
+        config: StudyConfig, hot_only: bool,
+    ) -> _Encoded | None:
+        """``GET /v1/events``: a filtered view of ``sentinel_events``; an
+        empty ``events`` list is a valid 200 ("silence is valid data")."""
+        code = country.strip().upper() if country is not None else None
 
-        from repro.sentinel.config import SEVERITIES, severity_rank
+        def feed(rows: list[dict]) -> tuple[dict, dict]:
+            events = [
+                row for row in rows
+                if keeps_event(row["day"], row["scope"], row["severity"], since, code, min_severity)
+            ]
+            head = {"since": since, "country": code, "min_severity": min_severity}
+            return {**head, "count": len(events)}, {"events": events}
 
-        since = 0
-        country: str | None = None
-        min_severity = SEVERITIES[0]
-        scale_pairs: list[tuple[str, str]] = []
-        for param, raw in parse_qsl(query, keep_blank_values=True):
-            if param == "since":
-                try:
-                    since = int(raw)
-                except ValueError:
-                    raise ServiceError(
-                        400,
-                        {"error": f"parameter 'since' needs an integer, got {raw!r}"},
-                    ) from None
-                if since < 0:
-                    raise ServiceError(400, {"error": "'since' must be >= 0"})
-            elif param == "country":
-                country = raw.strip().upper()
-                if not country:
-                    raise ServiceError(
-                        400, {"error": "parameter 'country' must not be empty"}
-                    )
-            elif param == "min_severity":
-                if raw not in SEVERITIES:
-                    raise ServiceError(
-                        400,
-                        {
-                            "error": f"unknown severity {raw!r}",
-                            "known": list(SEVERITIES),
-                        },
-                    )
-                min_severity = raw
-            else:
-                # Scale/override parameters fall through to the shared
-                # config parser, which 400s anything it doesn't know.
-                scale_pairs.append((param, raw))
-        config = self._config_from_query(urlencode(scale_pairs))
-        key = ("events", since, country, min_severity, config.result_key)
-        hit = self._hot_get(key)
-        if hit is not None:
-            return hit
-        if hot_only:
-            return None  # rendering the feed may build; go off-loop
-        full_encoded = self._render_artifact("sentinel_events", config)
-        full = json.loads(full_encoded.body.decode("utf-8"))
-        min_rank = severity_rank(min_severity)
-        events = [
-            row
-            for row in full["rows"]
-            if row["day"] >= since
-            and (country is None or row["scope"] == country)
-            and severity_rank(row["severity"]) >= min_rank
-        ]
-        document = {
-            "since": since,
-            "country": country,
-            "min_severity": min_severity,
-            "count": len(events),
-            "config": full["config"],
-            "columns": full["columns"],
-            "events": events,
-            "metadata": full["metadata"],
-            "source": "/v1/artifact/sentinel_events",
-        }
-        if full_encoded.stale:
-            # Derived from a stale feed: stays marked, stays uncached.
-            document["degraded"] = full.get("degraded", {"stale": True})
-            return dataclasses.replace(_Encoded.from_document(document), stale=True)
-        return self._hot_put(key, _Encoded.from_document(document))
+        key = ("events", since, code, min_severity)
+        return self._view(key, "sentinel_events", config, hot_only, feed)
 
     # -- resolution helpers -------------------------------------------------
 
-    def _config_from_query(self, query: str) -> StudyConfig:
-        """The request's effective config: base + scale preset + overrides."""
-        if not query:
-            return self.config
-        overrides: dict[str, int] = {}
-        config = self.config
-        for param, raw in parse_qsl(query, keep_blank_values=True):
-            if param == "scale":
-                if raw not in SCALE_PRESETS:
-                    raise ServiceError(
-                        400,
-                        {
-                            "error": f"unknown scale {raw!r}",
-                            "known": sorted(SCALE_PRESETS),
-                        },
-                    )
-                preset = SCALE_PRESETS[raw]
-                overrides.setdefault("days", preset.days)
-                overrides.setdefault("sites", preset.sites)
-                continue
-            if param not in QUERY_OVERRIDES:
-                import difflib
-
-                close = difflib.get_close_matches(
-                    param, [*QUERY_OVERRIDES, "scale"], n=3, cutoff=0.5
-                )
-                payload: dict[str, Any] = {
-                    "error": f"unknown parameter {param!r}",
-                    "known": ["scale", *QUERY_OVERRIDES],
-                }
-                if close:
-                    payload["did_you_mean"] = close
-                raise ServiceError(400, payload)
-            try:
-                overrides[param] = int(raw)
-            except ValueError:
-                raise ServiceError(
-                    400,
-                    {"error": f"parameter {param!r} needs an integer, got {raw!r}"},
-                ) from None
-        if overrides:
-            try:
-                config = config.replace(**overrides)
-            except ValueError as exc:
-                raise ServiceError(400, {"error": str(exc)}) from None
-        return config
+    def _view(
+        self, key: tuple, artifact: str, config: StudyConfig, hot_only: bool,
+        derive: Callable[[list[dict]], tuple[dict, dict]] | None = None,
+    ) -> _Encoded | None:
+        """An artifact, or the head and body fields ``derive`` takes from its
+        rows, framed by its config, columns and metadata.  Hot-cached under
+        ``key`` plus the config's result key; a stale render's view stays
+        marked stale, and uncached."""
+        key = (*key, config.result_key)
+        hit = self._hot_get(key)
+        if hit is not None:
+            return hit
+        if hot_only:
+            return None  # rendering may build; go off-loop
+        encoded = self._render_artifact(artifact, config)
+        if derive is not None:
+            full = json.loads(encoded.body.decode("utf-8"))
+            head, body = derive(full["rows"])
+            document = {
+                **head, "config": full["config"], "columns": full["columns"], **body,
+                "metadata": full["metadata"], "source": f"/v1/artifact/{artifact}",
+            }
+            if encoded.stale:
+                document["degraded"] = full.get("degraded", {"stale": True})
+            encoded = _Encoded.from_document(document, stale=encoded.stale)
+        if encoded.stale:
+            return encoded  # never hot-cache a degraded body
+        return self._hot_put(key, encoded)
 
     def _render_artifact(self, name: str, config: StudyConfig) -> _Encoded:
         """Warehouse -> compute: the slow tiers of the artifact path.
@@ -1043,7 +957,7 @@ class ArtifactService:
     def _stale_encoded(self, document: dict, reason: str) -> _Encoded:
         _DEGRADED.inc(mode="stale")
         marked = {**document, "degraded": {"stale": True, "reason": reason}}
-        return dataclasses.replace(_Encoded.from_document(marked), stale=True)
+        return _Encoded.from_document(marked, stale=True)
 
     def _remember_good(self, key: tuple, document: dict) -> None:
         with self._hot_lock:
@@ -1103,7 +1017,7 @@ class ArtifactService:
         self.warmer.total = len(wanted)
         for name in wanted:
             try:
-                self._artifact(name, "", hot_only=False)
+                self._artifact(name, self.config, hot_only=False)
                 self.warmer.warmed += 1
             except Exception as exc:  # pragma: no cover - defensive
                 self.warmer.errors.append(f"{name}: {exc}")

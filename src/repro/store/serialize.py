@@ -22,10 +22,12 @@ The encode is the pickler's ``dispatch_table``: it maps ``np.ndarray``
 to the reducer, so the pickler makes a Python call only for arrays, not
 for every object it visits.  The decode resolves ``_stored_array`` to a
 lookup in the loaded npz members (``find_class``); called any other way,
-``_stored_array`` raises.  It runs with the cyclic garbage collector
-paused: the unpickler allocates the whole graph and frees almost
-nothing, so a collection it triggers finds no garbage, only cost (over
-half of a census load, with the collector on).
+``_stored_array`` raises.  Any other global must be a class defined
+under ``repro`` or one of :data:`_FOREIGN_GLOBALS`; a payload naming
+anything else is refused before it runs.  The decode runs with the cyclic
+garbage collector paused: the unpickler allocates the whole graph and
+frees almost nothing, so a collection it triggers finds no garbage,
+only cost (over half of a census load, with the collector on).
 
 Neither side may hold itself in a reference cycle: the reducer and the
 decode's lookup are closures over the arrays dict, never bound methods.
@@ -62,6 +64,19 @@ def _stored_array(name: str) -> np.ndarray:
     )
 
 
+#: The globals outside ``repro`` stored layers name: ``Counter``, NumPy's
+#: generator state and inline object-dtype arrays (``numpy.core`` is 1.x's).
+_FOREIGN_GLOBALS = {
+    "collections": {"Counter"},
+    "numpy": {"dtype", "ndarray"},
+    "numpy._core.multiarray": {"_reconstruct"},
+    "numpy.core.multiarray": {"_reconstruct"},
+    "numpy.random._pcg64": {"PCG64"},
+    "numpy.random._pickle": {"__bit_generator_ctor", "__generator_ctor"},
+    "numpy.random.bit_generator": {"SeedSequence", "__pyx_unpickle_SeedSequence"},
+}
+
+
 class _ExternalizingPickler(pickle.Pickler):
     """Pickler that reduces ndarrays to :func:`_stored_array` calls,
     collecting each array into ``arrays`` under its npz member name."""
@@ -80,7 +95,8 @@ class _ExternalizingPickler(pickle.Pickler):
 
 
 class _ExternalizedUnpickler(pickle.Unpickler):
-    """Unpickler resolving :func:`_stored_array` to the loaded npz arrays."""
+    """Unpickler resolving :func:`_stored_array` to the loaded npz arrays,
+    and refusing every global no layer stores."""
 
     def __init__(self, buffer: io.BytesIO, arrays: dict[str, np.ndarray]) -> None:
         super().__init__(buffer)
@@ -98,7 +114,16 @@ class _ExternalizedUnpickler(pickle.Unpickler):
     def find_class(self, module: str, name: str) -> Any:
         if module == __name__ and name == "_stored_array":
             return self._stored_array
-        return super().find_class(module, name)
+        if name in _FOREIGN_GLOBALS.get(module, ()):
+            return super().find_class(module, name)
+        if module.partition(".")[0] == "repro":
+            found = super().find_class(module, name)
+            # A dotted name walks attributes: check where the class lives.
+            if isinstance(found, type) and found.__module__.partition(".")[0] == "repro":
+                return found
+        raise pickle.UnpicklingError(
+            f"payload names {module}.{name}, which is not a class stored layers use"
+        )
 
 
 def dump_value(value: Any) -> dict[str, bytes]:

@@ -176,6 +176,17 @@ class TestContrastEndpoint:
         assert response.status == 404
         assert "DE" in response.json()["countries"]
 
+    def test_unknown_country_starts_no_build(self):
+        clear_caches()
+        service = ArtifactService(CONFIG, store=None)
+        before = counts("builds_total")
+        assert service.handle("GET", "/v1/contrast/XX?sites=31").status == 404
+        assert counts("builds_total") == before
+
+    def test_fleet_countries_are_the_contrast_rows(self, service):
+        rows = service.handle("GET", "/v1/artifact/contrast").json()["rows"]
+        assert list(service.countries) == sorted(row["country"] for row in rows)
+
 
 class TestDegradation:
     def test_unexpected_exception_becomes_500(self, service, monkeypatch):

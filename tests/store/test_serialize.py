@@ -3,11 +3,16 @@ the collector, and what they leave behind."""
 
 import gc
 import io
+import os
 import pickle
+import subprocess
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.__main__ import main as cli_main
+from repro.net.addr import Family
 from repro.store.serialize import (
     ARRAYS_FILE,
     PAYLOAD_FILE,
@@ -70,6 +75,65 @@ class TestEncode:
         payload = dump_value({"column": np.arange(3)})[PAYLOAD_FILE]
         with pytest.raises(pickle.UnpicklingError):
             pickle.loads(payload)
+
+
+class Outsider:
+    """A class from outside ``repro``: no stored layer names one."""
+
+
+def _call_payload(module: str, name: str, *args: str) -> bytes:
+    """A protocol-4 payload calling the global ``module``/``name`` with
+    ``args``; ``STACK_GLOBAL`` follows a dotted ``name`` by attribute."""
+
+    def text(value: str) -> bytes:
+        data = value.encode()
+        return pickle.BINUNICODE + len(data).to_bytes(4, "little") + data
+
+    target = text(module) + text(name) + pickle.STACK_GLOBAL
+    call = pickle.MARK + b"".join(map(text, args)) + pickle.TUPLE + pickle.REDUCE
+    return pickle.PROTO + b"\x04" + target + call + pickle.STOP
+
+
+class TestResolve:
+    @pytest.mark.parametrize(
+        "value",
+        [subprocess.Popen, os.system, eval, cli_main, Outsider()],
+        ids=["subprocess.Popen", "os.system", "builtins.eval", "repro-function", "test-class"],
+    )
+    def test_refuses_what_no_layer_stores(self, value):
+        with pytest.raises(pickle.UnpicklingError, match="not a class stored layers use"):
+            load_value({PAYLOAD_FILE: pickle.dumps(value)})
+
+    @pytest.mark.parametrize(
+        ("module", "name"),
+        [("repro.store.serialize", "io.FileIO"), ("repro.serve.service", "gzip.GzipFile")],
+    )
+    def test_refuses_a_dotted_name_leaving_repro(self, module, name, tmp_path):
+        target = tmp_path / "written"
+        payload = _call_payload(module, name, str(target), "w")
+        with pytest.raises(pickle.UnpicklingError, match="not a class stored layers use"):
+            load_value({PAYLOAD_FILE: payload})
+        assert not target.exists()
+        pickle.loads(payload).close()  # plain pickle follows the chain and writes
+        assert target.exists()
+
+    def test_refuses_a_foreign_class_a_repro_module_imports(self):
+        payload = _call_payload("repro.util.procpool", "ProcessPoolExecutor")
+        with pytest.raises(pickle.UnpicklingError, match="not a class stored layers use"):
+            load_value({PAYLOAD_FILE: payload})
+
+    def test_resolves_what_layers_store(self):
+        value = {
+            "counter": Counter("aab"),
+            "rng": np.random.default_rng(3),
+            "family": Family.V6,
+            "mixed": np.array([1, "two", None], dtype=object),
+        }
+        loaded = load_value(dump_value(value))
+        assert loaded["counter"] == Counter("aab")
+        assert loaded["rng"].integers(1 << 30) == value["rng"].integers(1 << 30)
+        assert loaded["family"] is Family.V6
+        assert loaded["mixed"].tolist() == [1, "two", None]
 
 
 class TestCollector:

@@ -1,7 +1,6 @@
 """The warehouse itself: addressing, codec, integrity, maintenance."""
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,31 +16,22 @@ from repro.store.serialize import ARRAYS_FILE, PAYLOAD_FILE
 from repro.store.warehouse import STORE_SCHEMA
 
 
-@dataclass
-class Carrier:
-    """A layer-shaped object: arrays, a shared array, plain fields."""
-
-    data: np.ndarray
-    lookup: np.ndarray
-    alias: np.ndarray  # same object as ``lookup``
-    label: str
-    numbers: tuple
-
-
-def make_carrier() -> Carrier:
+def make_carrier() -> dict:
+    """A layer-shaped value: arrays, a shared array, plain fields.  Plain
+    containers, because the codec refuses classes from outside ``repro``."""
     structured = np.zeros(
         5, dtype=np.dtype([("day", np.int32), ("bytes", np.int64)])
     )
     structured["day"] = np.arange(5)
     structured["bytes"] = np.arange(5) * 1000
     lookup = np.array([1.5, -2.5, 3.25])
-    return Carrier(
-        data=structured,
-        lookup=lookup,
-        alias=lookup,
-        label="residence-A",
-        numbers=(1, 2, 3),
-    )
+    return {
+        "data": structured,
+        "lookup": lookup,
+        "alias": lookup,  # same object as ``lookup``
+        "label": "residence-A",
+        "numbers": (1, 2, 3),
+    }
 
 
 class TestCodec:
@@ -49,12 +39,12 @@ class TestCodec:
         files = dump_value(make_carrier())
         assert set(files) == {PAYLOAD_FILE, ARRAYS_FILE}
         loaded = load_value(files)
-        assert loaded.label == "residence-A"
-        assert loaded.numbers == (1, 2, 3)
-        np.testing.assert_array_equal(loaded.data["bytes"], np.arange(5) * 1000)
-        np.testing.assert_array_equal(loaded.lookup, [1.5, -2.5, 3.25])
+        assert loaded["label"] == "residence-A"
+        assert loaded["numbers"] == (1, 2, 3)
+        np.testing.assert_array_equal(loaded["data"]["bytes"], np.arange(5) * 1000)
+        np.testing.assert_array_equal(loaded["lookup"], [1.5, -2.5, 3.25])
         # the shared array stays one object after the round trip
-        assert loaded.alias is loaded.lookup
+        assert loaded["alias"] is loaded["lookup"]
 
     def test_shared_arrays_stored_once(self):
         files = dump_value(make_carrier())
@@ -104,7 +94,7 @@ class TestStoreRoundTrip:
         assert store.has_layer("traffic", key)
         assert entry.kind == "layer" and entry.name == "traffic"
         loaded = store.load_layer("traffic", key)
-        np.testing.assert_array_equal(loaded.data["day"], np.arange(5))
+        np.testing.assert_array_equal(loaded["data"]["day"], np.arange(5))
 
     def test_artifact_save_load(self, tmp_path):
         store = ArtifactStore(tmp_path)
