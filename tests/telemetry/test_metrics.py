@@ -218,3 +218,26 @@ class TestPrometheusGolden:
             assert f"# TYPE {name} {kind}" in lines
         assert 'request_seconds_bucket{le="+Inf"} 4' in lines
         assert "request_seconds_count 4" in lines
+
+    def test_labeled_histogram_lines(self):
+        """Each series' labels (escaped) lead every bucket line, then ``le``;
+        its sum and count lines carry the labels alone."""
+        reg = MetricsRegistry()
+        h = reg.histogram("op_seconds", "latency", ("op", "target"), buckets=(0.01, 0.5))
+        h.observe(0.25, op="read", target='a"b\\c\nd')
+        h.observe(2.0, op="read", target='a"b\\c\nd')
+        h.observe(0.001, op="write", target="x")
+        assert reg.render_prometheus().splitlines() == [
+            "# HELP op_seconds latency",
+            "# TYPE op_seconds histogram",
+            r'op_seconds_bucket{op="read",target="a\"b\\c\nd",le="0.01"} 0',
+            r'op_seconds_bucket{op="read",target="a\"b\\c\nd",le="0.5"} 1',
+            r'op_seconds_bucket{op="read",target="a\"b\\c\nd",le="+Inf"} 2',
+            r'op_seconds_sum{op="read",target="a\"b\\c\nd"} 2.25',
+            r'op_seconds_count{op="read",target="a\"b\\c\nd"} 2',
+            'op_seconds_bucket{op="write",target="x",le="0.01"} 1',
+            'op_seconds_bucket{op="write",target="x",le="0.5"} 1',
+            'op_seconds_bucket{op="write",target="x",le="+Inf"} 1',
+            'op_seconds_sum{op="write",target="x"} 0.001',
+            'op_seconds_count{op="write",target="x"} 1',
+        ]
