@@ -623,7 +623,9 @@ def _store_main(argv: list[str]) -> int:
         # The index totals come off the registry gauges the warehouse
         # maintains (refreshed here so a read-only process adopts the
         # on-disk index), not from a second objects/ rescan.
-        indexed_entries, indexed_bytes = store.refresh_gauges()
+        indexed = store.refresh_gauges().values()
+        indexed_entries = len(indexed)
+        indexed_bytes = sum(info.get("bytes", 0) for info in indexed)
         if args.format == "json":
             print(json.dumps(
                 {

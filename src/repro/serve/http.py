@@ -3,9 +3,11 @@
 Pure stdlib (``asyncio`` streams plus :mod:`http` for status phrases):
 an accept loop, a minimal request parser (GET/HEAD, header dict,
 keep-alive), and a two-tier dispatch -- requests answerable from the
-service's hot cache resolve inline on the event loop; anything that
-might compute (a cold artifact, a fresh scale) runs in the default
-executor so one expensive render never stalls the cached fast path.
+service's hot cache resolve inline on the event loop, and so do views
+(a contrast row, a filtered event feed) whose parent artifact is hot,
+since they derive from it without rendering; anything that might
+compute (a cold artifact, a fresh scale) runs in the default executor
+so one expensive render never stalls the cached fast path.
 
 Startup optionally launches the **warmer** in an executor thread: the
 server binds and answers ``/healthz`` immediately while the default
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import asyncio
 from http import HTTPStatus
-from typing import Callable
+from typing import Awaitable, Callable
 
 from repro.serve.service import ArtifactService, Response
 
@@ -39,15 +41,10 @@ _MAX_DRAIN_BODY = 1 << 20
 #: Read failures that mean "the peer is gone or silent", not "the peer
 #: sent garbage": a keep-alive connection half-closing mid-request head
 #: (:class:`asyncio.IncompleteReadError`), the idle timeout expiring
-#: (``TimeoutError``; ``asyncio.TimeoutError`` is its alias on 3.11+,
-#: spelled out for 3.10 readers), or a reset (:class:`ConnectionError`).
-#: Each ends the connection quietly -- no traceback, no 400.
-_QUIET_READ_ERRORS = (
-    asyncio.TimeoutError,
-    TimeoutError,
-    asyncio.IncompleteReadError,
-    ConnectionError,
-)
+#: (``TimeoutError``, which ``asyncio.timeout`` raises), or a reset
+#: (:class:`ConnectionError`).  Each ends the connection quietly -- no
+#: traceback, no 400.
+_QUIET_READ_ERRORS = (TimeoutError, asyncio.IncompleteReadError, ConnectionError)
 
 
 def _reason(status: int) -> str:
@@ -74,14 +71,24 @@ def _encode_response(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
+async def _read(read: Awaitable[bytes]) -> bytes | None:
+    """One read under the idle deadline; ``None`` if the peer went quiet.
+
+    ``asyncio.timeout`` bounds the read in place, where ``wait_for``
+    would wrap each read (every header line) in a task of its own.
+    """
+    try:
+        async with asyncio.timeout(IDLE_TIMEOUT_S):
+            return await read
+    except _QUIET_READ_ERRORS:
+        return None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, str, dict[str, str]] | None:
     """Parse one request head; ``None`` on clean EOF/idle close."""
-    try:
-        line = await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT_S)
-    except _QUIET_READ_ERRORS:
-        return None
+    line = await _read(reader.readline())
     if not line:
         return None
     parts = line.decode("latin-1", "replace").strip().split()
@@ -90,9 +97,8 @@ async def _read_request(
     method, target, version = parts
     headers: dict[str, str] = {}
     while True:
-        try:
-            header_line = await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT_S)
-        except _QUIET_READ_ERRORS:
+        header_line = await _read(reader.readline())
+        if header_line is None:
             return None
         if header_line in (b"\r\n", b"\n", b""):
             break
@@ -110,11 +116,8 @@ async def _read_request(
         raise ValueError("malformed Content-Length") from None
     if length < 0 or length > _MAX_DRAIN_BODY:
         raise ValueError(f"unreasonable Content-Length {length}")
-    if length:
-        try:
-            await asyncio.wait_for(reader.readexactly(length), IDLE_TIMEOUT_S)
-        except _QUIET_READ_ERRORS:
-            return None
+    if length and await _read(reader.readexactly(length)) is None:
+        return None
     return method, target, version, headers
 
 

@@ -8,25 +8,31 @@ declared query parameters, and whether the config overrides apply), and
 typed handler arguments and the effective :class:`StudyConfig`, or a 400.
 
 Responses are canonical JSON bytes with a strong ``ETag`` derived from
-the content digest; ``If-None-Match`` revalidation returns ``304``, and
-bodies compress with gzip when the client accepts it.  Resolution is a
-three-tier read: an in-memory **hot cache** of encoded responses, then
-the warehouse's rendered-artifact entries, then an actual compute
-through the session (which itself reads through the warehouse for layer
-payloads and writes freshly rendered artifacts behind).
+the content digest; ``If-None-Match`` revalidation returns ``304``, and a
+body is gzipped the first time a client that accepts gzip asks for it.
+Resolution is a three-tier read: an in-memory **hot cache** of encoded
+responses, then the warehouse's rendered-artifact entries, then an
+actual compute through the session (which itself reads through the
+warehouse for layer payloads and writes freshly rendered artifacts
+behind).  A view of an artifact (one contrast row, a filtered event
+feed) that misses the hot cache derives from its parent artifact's hot
+entry when there is one, so it renders, reads and decodes nothing.
 
 The class is deliberately socket-free -- the asyncio front end
 (:mod:`repro.serve.http`) calls :meth:`handle`, and tests can drive the
 full semantics (routing, ETags, gzip, error suggestions) without a
-server.  Everything here is thread-safe: the hot path takes no locks
-and computes serialize behind one build lock, so the event loop can
-answer cached requests while an executor thread renders a cold one.
+server.  Everything here is thread-safe: the hot path holds one short
+lock around each hot-cache lookup and never waits on a build, and
+computes serialize behind one build lock, so the event loop can answer
+cached and derivable requests while an executor thread renders a cold
+one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import difflib
+import functools
 import gzip
 import hashlib
 import json
@@ -304,46 +310,44 @@ def parse_query(
 
 @dataclass(frozen=True)
 class _Encoded:
-    """One cacheable response body: canonical JSON, gzip twin, ETag.
+    """One cacheable response body: canonical JSON, ETag, gzip twin.
 
-    ``stale`` marks a last-known-good document served because the
-    builder is degraded: it carries a ``Warning`` header, is never hot-
-    cached, and never ETag-revalidates (a later fresh render must win).
-    ``cache=False`` marks an inherently uncacheable body (``/metrics``,
-    ``/v1/trace``: every scrape is a new observation) -- no ETag, no
-    revalidation.
+    ``document`` is what a JSON body was encoded from; a view derives from
+    it instead of decoding ``body`` again, and it takes no part in
+    comparisons.  ``stale`` marks a last-known-good document served
+    because the builder is degraded: it carries a ``Warning`` header, is
+    never hot-cached, and never ETag-revalidates (a later fresh render
+    must win).  ``cache=False`` marks an inherently uncacheable body
+    (``/metrics``, ``/v1/trace``: every scrape is a new observation) --
+    no ETag, no revalidation.
     """
 
     body: bytes
-    gzipped: bytes | None
     etag: str
     stale: bool = False
     content_type: str = "application/json; charset=utf-8"
     cache: bool = True
+    document: Any = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def gzipped(self) -> bytes | None:
+        """The gzip twin, compressed the first time a client asks for it
+        (``None`` below :data:`MIN_GZIP_BYTES`)."""
+        if len(self.body) < MIN_GZIP_BYTES:
+            return None
+        return gzip.compress(self.body, compresslevel=6, mtime=0)
 
     @classmethod
     def from_document(cls, document: dict, stale: bool = False) -> "_Encoded":
         body = json.dumps(document, separators=(",", ":")).encode("utf-8")
         etag = f'"{hashlib.sha256(body).hexdigest()[:20]}"'
-        gzipped = (
-            gzip.compress(body, compresslevel=6, mtime=0)
-            if len(body) >= MIN_GZIP_BYTES
-            else None
-        )
-        return cls(body=body, gzipped=gzipped, etag=etag, stale=stale)
+        return cls(body=body, etag=etag, stale=stale, document=document)
 
     @classmethod
     def from_text(cls, text: str, content_type: str) -> "_Encoded":
         """A non-JSON, never-cached body (the Prometheus exposition)."""
-        body = text.encode("utf-8")
-        gzipped = (
-            gzip.compress(body, compresslevel=6, mtime=0)
-            if len(body) >= MIN_GZIP_BYTES
-            else None
-        )
         return cls(
-            body=body,
-            gzipped=gzipped,
+            body=text.encode("utf-8"),
             etag='"uncached"',
             content_type=content_type,
             cache=False,
@@ -408,6 +412,8 @@ class ArtifactService:
         from repro.store.warehouse import active_store
 
         self.config = config if config is not None else StudyConfig()
+        #: The ``config`` section of ``/healthz`` and the listing.
+        self._config_document = jsonify(dataclasses.asdict(self.config))
         self.store = store if store is not None else active_store()
         self.hot_limit = hot_limit
         self.build_deadline_s = build_deadline_s
@@ -529,8 +535,8 @@ class ArtifactService:
                 return Response(status=304, headers=tuple(out), body=b"")
         body = encoded.body
         if (
-            encoded.gzipped is not None
-            and "gzip" in headers.get("accept-encoding", "").lower()
+            "gzip" in headers.get("accept-encoding", "").lower()
+            and encoded.gzipped is not None
         ):
             out.append(("Content-Encoding", "gzip"))
             body = encoded.gzipped
@@ -564,30 +570,27 @@ class ArtifactService:
         degraded = bool(self.warmer.errors) or any(
             snapshot["state"] != "closed" for snapshot in breakers.values()
         )
+        # The store's index (one manifest read) gives its gauges and the
+        # store side of the per-layer memory breakdown; the heap side
+        # comes from build_peak_bytes (populated only when memory
+        # profiling ran).
         store_gauges = None
-        if self.store is not None:
-            try:
-                entries, size = self.store.refresh_gauges()
-                store_gauges = {"entries": entries, "bytes": size}
-            # Same contract as the /metrics scrape path: a health poll
-            # must not fail over a damaged manifest; store verify/gc is
-            # the repair surface.
-            # replint: allow[REP007] health path: gauges simply stay at their last values
-            except Exception:  # pragma: no cover - defensive
-                pass
-        # Per-layer bytes on disk vs peak heap while building: the
-        # store side comes from the warehouse index, the heap side from
-        # build_peak_bytes (populated only when memory profiling ran).
         store_layer_bytes: dict[str, int] = {}
         if self.store is not None:
             try:
-                for entry in self.store.entries():
-                    if entry.kind == "layer":
-                        store_layer_bytes[entry.name] = (
-                            store_layer_bytes.get(entry.name, 0)
-                            + entry.total_bytes
-                        )
-            # replint: allow[REP007] health path: the breakdown simply omits the store side
+                indexed = list(self.store.refresh_gauges().values())
+                for info in indexed:
+                    if info["kind"] == "layer":
+                        name = info["name"]
+                        store_layer_bytes[name] = store_layer_bytes.get(name, 0) + info["bytes"]
+                store_gauges = {
+                    "entries": len(indexed),
+                    "bytes": sum(info["bytes"] for info in indexed),
+                }
+            # Same contract as the /metrics scrape path: a health poll
+            # must not fail over a damaged manifest; store verify/gc is
+            # the repair surface.
+            # replint: allow[REP007] health path: the store side simply stays empty
             except Exception:  # pragma: no cover - defensive
                 pass
         heap_peaks = build_peaks()
@@ -637,7 +640,7 @@ class ArtifactService:
                 "trace": "/v1/trace",
                 "profile": "/v1/profile",
             },
-            "config": jsonify(dataclasses.asdict(self.config)),
+            "config": self._config_document,
         }
 
     def _healthz(self) -> _Encoded:
@@ -720,7 +723,7 @@ class ArtifactService:
             return hit
         document = {
             "endpoints": list(ENDPOINTS),
-            "config": jsonify(dataclasses.asdict(self.config)),
+            "config": self._config_document,
             "artifacts": [
                 {
                     "name": spec.name,
@@ -791,28 +794,37 @@ class ArtifactService:
     ) -> _Encoded | None:
         """An artifact, or the head and body fields ``derive`` takes from its
         rows, framed by its config, columns and metadata.  Hot-cached under
-        ``key`` plus the config's result key; a stale render's view stays
-        marked stale, and uncached."""
+        ``key`` plus the config's result key.
+
+        A view that misses derives from its parent artifact's hot entry
+        when there is one (on this thread, ``hot_only`` included: the
+        work is bounded by the parent's rows).  Otherwise the parent
+        renders off-loop and, if fresh, enters the hot cache itself; a
+        stale render's view stays marked stale, and uncached."""
         key = (*key, config.result_key)
         hit = self._hot_get(key)
         if hit is not None:
             return hit
-        if hot_only:
-            return None  # rendering may build; go off-loop
-        encoded = self._render_artifact(artifact, config)
-        if derive is not None:
-            full = json.loads(encoded.body.decode("utf-8"))
-            head, body = derive(full["rows"])
-            document = {
-                **head, "config": full["config"], "columns": full["columns"], **body,
-                "metadata": full["metadata"], "source": f"/v1/artifact/{artifact}",
-            }
-            if encoded.stale:
-                document["degraded"] = full.get("degraded", {"stale": True})
-            encoded = _Encoded.from_document(document, stale=encoded.stale)
-        if encoded.stale:
-            return encoded  # never hot-cache a degraded body
-        return self._hot_put(key, encoded)
+        parent_key = ("artifact", artifact, config.result_key)
+        parent = self._hot_lookup(parent_key) if derive is not None else None
+        if parent is None:
+            if hot_only:
+                return None  # rendering may build; go off-loop
+            parent = self._render_artifact(artifact, config)
+            if not parent.stale:
+                self._hot_put(parent_key, parent)
+        if derive is None:
+            return parent
+        full = parent.document
+        head, body = derive(full["rows"])
+        document = {
+            **head, "config": full["config"], "columns": full["columns"], **body,
+            "metadata": full["metadata"], "source": f"/v1/artifact/{artifact}",
+        }
+        if parent.stale:
+            document["degraded"] = full.get("degraded", {"stale": True})
+            return _Encoded.from_document(document, stale=True)  # never hot-cached
+        return self._hot_put(key, _Encoded.from_document(document))
 
     def _render_artifact(self, name: str, config: StudyConfig) -> _Encoded:
         """Warehouse -> compute: the slow tiers of the artifact path.
@@ -984,14 +996,20 @@ class ArtifactService:
         return dropped
 
     def _hot_get(self, key: tuple) -> _Encoded | None:
-        with self._hot_lock:
-            encoded = self._hot.get(key)
-            if encoded is not None:
-                self._hot.move_to_end(key)
+        """A request's hot-cache probe: counts one hit or one miss."""
+        encoded = self._hot_lookup(key)
         if encoded is not None:
             _HOT_HITS.inc()
         else:
             _HOT_MISSES.inc()
+        return encoded
+
+    def _hot_lookup(self, key: tuple) -> _Encoded | None:
+        """The hot entry under ``key``, refreshed in the LRU order; uncounted."""
+        with self._hot_lock:
+            encoded = self._hot.get(key)
+            if encoded is not None:
+                self._hot.move_to_end(key)
         return encoded
 
     def _hot_put(self, key: tuple, encoded: _Encoded) -> _Encoded:

@@ -474,16 +474,19 @@ class ArtifactStore:
         _STORE_ENTRIES.set(len(indexed))
         _STORE_BYTES.set(sum(info.get("bytes", 0) for info in indexed.values()))
 
-    def refresh_gauges(self) -> tuple[int, int]:
-        """Point the store gauges at this store's index; returns the values.
+    def refresh_gauges(self) -> dict[str, dict]:
+        """Point the store gauges at this store's index; returns the index.
 
         The manifest writer keeps the gauges current for the writing
         process; a read-only process (``store ls``, a cold server)
         calls this to adopt the on-disk index into its own exposition.
+        The index maps each entry's digest to its ``kind``, ``name``,
+        ``key``, ``bytes`` and ``created_at``, so readers of those need
+        not open any ``meta.json``.
         """
         indexed = self.manifest().get("entries", {})
         self._set_gauges(indexed)
-        return len(indexed), sum(info.get("bytes", 0) for info in indexed.values())
+        return indexed
 
     def _index_entry(self, entry: StoreEntry) -> None:
         manifest = self.manifest()

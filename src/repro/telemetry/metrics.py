@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
+from itertools import accumulate
 from typing import Any
 
 #: Latency buckets (seconds) shared by the request/build/store
@@ -318,33 +319,26 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n" if lines else ""
 
     @staticmethod
-    def _labels(
-        names: tuple[str, ...], values: tuple[str, ...], extra: str = ""
-    ) -> str:
+    def _labels(names: tuple[str, ...], values: tuple[str, ...]) -> str:
         pairs = [
             f'{name}="{_escape_label(value)}"'
             for name, value in zip(names, values)
         ]
-        if extra:
-            pairs.append(extra)
         return "{" + ",".join(pairs) + "}" if pairs else ""
 
     def _render_histogram(
         self, instrument: MetricHistogram, lines: list[str]
     ) -> None:
+        name = instrument.name
+        bounds = [*(_format_value(b) for b in instrument.buckets), "+Inf"]
         for key, sample in instrument.sample_items():
-            cumulative = 0
-            bounds = [*(_format_value(b) for b in instrument.buckets), "+Inf"]
-            for bound, count in zip(bounds, sample["buckets"]):
-                cumulative += count
-                le = 'le="%s"' % bound
-                label_text = self._labels(instrument.labelnames, key, le)
-                lines.append(f"{instrument.name}_bucket{label_text} {cumulative}")
             label_text = self._labels(instrument.labelnames, key)
-            lines.append(
-                f"{instrument.name}_sum{label_text} {_format_value(sample['sum'])}"
-            )
-            lines.append(f"{instrument.name}_count{label_text} {sample['count']}")
+            # A bucket line's labels are the series' own, then ``le``.
+            opening = label_text[:-1] + "," if label_text else "{"
+            for bound, cumulative in zip(bounds, accumulate(sample["buckets"])):
+                lines.append(f'{name}_bucket{opening}le="{bound}"}} {cumulative}')
+            lines.append(f"{name}_sum{label_text} {_format_value(sample['sum'])}")
+            lines.append(f"{name}_count{label_text} {sample['count']}")
 
 
 #: The process-wide default registry every instrumented subsystem uses.

@@ -171,5 +171,39 @@ class TestHealthzStoreGauges:
         finally:
             set_store(None)
 
+    def test_layer_bytes_come_from_the_index_alone(self, tmp_path, monkeypatch):
+        """The per-layer store bytes equal the sums over the entries on
+        disk, and a health poll reads the manifest and no ``meta.json``."""
+        clear_caches()  # the layers must build, so they are written behind
+        store = set_store(tmp_path / "warehouse")
+        try:
+            service = ArtifactService(CONFIG, store=store)
+            assert service.handle("GET", "/v1/artifact/obs_availability").status == 200
+            expected: dict[str, int] = {}
+            for entry in store.entries():
+                if entry.kind == "layer":
+                    expected[entry.name] = expected.get(entry.name, 0) + entry.total_bytes
+            assert expected
+
+            read_text, read = Path.read_text, []
+
+            def spy(path, *args, **kwargs):
+                read.append(path.name)
+                return read_text(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "read_text", spy)
+            health = service.health()
+        finally:
+            set_store(None)
+        assert read == ["manifest.json"]
+        assert {
+            layer: sides["store_bytes"]
+            for layer, sides in health["memory"].items()
+            if sides["store_bytes"] is not None
+        } == expected
+        assert health["telemetry"]["store_gauges"]["bytes"] == sum(
+            entry.total_bytes for entry in store.entries()
+        )
+
     def test_health_without_store_reports_none(self, service):
         assert service.health()["telemetry"]["store_gauges"] is None

@@ -11,6 +11,7 @@ client library.
 import asyncio
 import json
 
+import repro.serve.http as serve_http
 from repro.api import StudyConfig
 from repro.serve import ArtifactService, start_server
 
@@ -227,6 +228,28 @@ class TestHttpServer:
             await writer.wait_closed()
 
             # The listener survives: a fresh connection still serves.
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            status, _headers, _body = await request(reader, writer, "/healthz")
+            assert status == 200
+            writer.close()
+            await writer.wait_closed()
+
+        run(scenario)
+
+    def test_half_a_head_is_closed_quietly_at_the_idle_deadline(self, monkeypatch):
+        """A client that stops mid-head is dropped once a read outlasts
+        ``IDLE_TIMEOUT_S``: no response bytes, and the listener lives on."""
+        monkeypatch.setattr(serve_http, "IDLE_TIMEOUT_S", 0.2)
+
+        async def scenario(port, service):
+            for partial in (b"GET /healthz HTTP/1.1\r\nHost: t\r\n", b"GET /hea"):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(partial)  # and then nothing, without closing
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), 10) == b""
+                writer.close()
+                await writer.wait_closed()
+
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             status, _headers, _body = await request(reader, writer, "/healthz")
             assert status == 200
