@@ -623,9 +623,7 @@ def _store_main(argv: list[str]) -> int:
         # The index totals come off the registry gauges the warehouse
         # maintains (refreshed here so a read-only process adopts the
         # on-disk index), not from a second objects/ rescan.
-        indexed = store.refresh_gauges().values()
-        indexed_entries = len(indexed)
-        indexed_bytes = sum(info.get("bytes", 0) for info in indexed)
+        indexed_entries, indexed_bytes, _ = store.refresh_gauges()
         if args.format == "json":
             print(json.dumps(
                 {

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
-import functools
 import gzip
 import hashlib
 import json
@@ -329,13 +328,22 @@ class _Encoded:
     cache: bool = True
     document: Any = field(default=None, compare=False, repr=False)
 
-    @functools.cached_property
+    @property
     def gzipped(self) -> bytes | None:
         """The gzip twin, compressed the first time a client asks for it
-        (``None`` below :data:`MIN_GZIP_BYTES`)."""
+        (``None`` below :data:`MIN_GZIP_BYTES`).
+
+        Kept in the instance dict with no lock (``functools.cached_property``
+        holds one lock for every instance on 3.11, so one thread's first
+        compress would wait on another's): two threads racing on the same
+        body each compress it, and the first result stays."""
         if len(self.body) < MIN_GZIP_BYTES:
             return None
-        return gzip.compress(self.body, compresslevel=6, mtime=0)
+        twin = self.__dict__.get("_gzipped")
+        if twin is None:
+            twin = gzip.compress(self.body, compresslevel=6, mtime=0)
+            twin = self.__dict__.setdefault("_gzipped", twin)
+        return twin
 
     @classmethod
     def from_document(cls, document: dict, stale: bool = False) -> "_Encoded":
@@ -534,12 +542,10 @@ class ArtifactService:
             if etag_matches(headers.get("if-none-match"), encoded.etag):
                 return Response(status=304, headers=tuple(out), body=b"")
         body = encoded.body
-        if (
-            "gzip" in headers.get("accept-encoding", "").lower()
-            and encoded.gzipped is not None
-        ):
+        twin = encoded.gzipped if "gzip" in headers.get("accept-encoding", "").lower() else None
+        if twin is not None:
             out.append(("Content-Encoding", "gzip"))
-            body = encoded.gzipped
+            body = twin
         if method == "HEAD":
             out.append(("Content-Length", str(len(body))))
             body = b""
@@ -578,15 +584,14 @@ class ArtifactService:
         store_layer_bytes: dict[str, int] = {}
         if self.store is not None:
             try:
-                indexed = list(self.store.refresh_gauges().values())
-                for info in indexed:
-                    if info["kind"] == "layer":
+                entries, total, indexed = self.store.refresh_gauges()
+                store_gauges = {"entries": entries, "bytes": total}
+                by_layer: dict[str, int] = {}
+                for info in indexed.values():
+                    if info.get("kind") == "layer":
                         name = info["name"]
-                        store_layer_bytes[name] = store_layer_bytes.get(name, 0) + info["bytes"]
-                store_gauges = {
-                    "entries": len(indexed),
-                    "bytes": sum(info["bytes"] for info in indexed),
-                }
+                        by_layer[name] = by_layer.get(name, 0) + info.get("bytes", 0)
+                store_layer_bytes = by_layer
             # Same contract as the /metrics scrape path: a health poll
             # must not fail over a damaged manifest; store verify/gc is
             # the repair surface.

@@ -470,23 +470,27 @@ class ArtifactStore:
         self._set_gauges(manifest.get("entries", {}))
 
     @staticmethod
-    def _set_gauges(indexed: dict) -> None:
-        _STORE_ENTRIES.set(len(indexed))
-        _STORE_BYTES.set(sum(info.get("bytes", 0) for info in indexed.values()))
+    def _set_gauges(indexed: dict) -> tuple[int, int]:
+        """Set the store gauges from an index; returns (entries, bytes)."""
+        entries = len(indexed)
+        total = sum(info.get("bytes", 0) for info in indexed.values())
+        _STORE_ENTRIES.set(entries)
+        _STORE_BYTES.set(total)
+        return entries, total
 
-    def refresh_gauges(self) -> dict[str, dict]:
-        """Point the store gauges at this store's index; returns the index.
+    def refresh_gauges(self) -> tuple[int, int, dict[str, dict]]:
+        """Point the store gauges at this store's index.
 
         The manifest writer keeps the gauges current for the writing
         process; a read-only process (``store ls``, a cold server)
         calls this to adopt the on-disk index into its own exposition.
-        The index maps each entry's digest to its ``kind``, ``name``,
-        ``key``, ``bytes`` and ``created_at``, so readers of those need
-        not open any ``meta.json``.
+        Returns the entry count and byte total the gauges now show, and
+        the index, which maps each entry's digest to its ``kind``,
+        ``name``, ``key``, ``bytes`` and ``created_at``, so readers of
+        those need not open any ``meta.json``.
         """
         indexed = self.manifest().get("entries", {})
-        self._set_gauges(indexed)
-        return indexed
+        return (*self._set_gauges(indexed), indexed)
 
     def _index_entry(self, entry: StoreEntry) -> None:
         manifest = self.manifest()

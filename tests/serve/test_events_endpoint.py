@@ -9,7 +9,7 @@ import pytest
 from repro.api import StudyConfig, clear_caches
 from repro.sentinel.config import SEVERITIES, severity_rank
 from repro.serve import ArtifactService
-from repro.store import set_store
+from repro.store import ArtifactStore, set_store
 
 CONFIG = StudyConfig(days=6, sites=140, probe_targets=70, parallel=False)
 
@@ -204,6 +204,30 @@ class TestHealthzStoreGauges:
         assert health["telemetry"]["store_gauges"]["bytes"] == sum(
             entry.total_bytes for entry in store.entries()
         )
+
+    def test_an_entry_without_bytes_counts_zero_everywhere(self, tmp_path):
+        """The gauges, the health totals and the layer breakdown read one
+        index the same way: an entry missing ``bytes`` counts 0 in each."""
+        from repro.store.warehouse import STORE_SCHEMA
+        from repro.telemetry import registry
+
+        store = ArtifactStore(tmp_path / "warehouse")
+        store.root.mkdir()
+        store.manifest_path.write_text(json.dumps({"schema": STORE_SCHEMA, "entries": {
+            "a1": {"kind": "layer", "name": "census", "bytes": 300},
+            "a2": {"kind": "layer", "name": "census"},
+            "a3": {"kind": "layer", "name": "traffic", "bytes": 40},
+            "a4": {"kind": "artifact", "name": "table1", "bytes": 5},
+        }}))
+        health = ArtifactService(CONFIG, store=store).health()
+        assert health["telemetry"]["store_gauges"] == {"entries": 4, "bytes": 345}
+        assert registry().get("store_bytes").value() == 345
+        assert store.refresh_gauges()[:2] == (4, 345)
+        assert {
+            layer: sides["store_bytes"]
+            for layer, sides in health["memory"].items()
+            if sides["store_bytes"] is not None
+        } == {"census": 300, "traffic": 40}
 
     def test_health_without_store_reports_none(self, service):
         assert service.health()["telemetry"]["store_gauges"] is None

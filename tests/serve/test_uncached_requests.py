@@ -2,6 +2,7 @@
 a body is gzipped only for a client that asks for gzip."""
 
 import gzip
+import threading
 
 import pytest
 
@@ -116,3 +117,41 @@ class TestGzipOnFirstUse:
         assert response.status == 404
         assert len(response.body) < 256
         assert response.header("Content-Encoding") is None
+
+    def test_one_bodys_first_compress_never_waits_on_anothers(self, monkeypatch):
+        """A first compress holds no lock shared with other bodies: while one
+        thread compresses one artifact, another's gzip request answers."""
+        service = ArtifactService(CONFIG, store=None)
+        service.warm(["contrast", "obs_availability"])
+        slow_body = service.handle("GET", "/v1/artifact/contrast").body
+        compress, entered, release = gzip.compress, threading.Event(), threading.Event()
+
+        def stalling(data, compresslevel=9, *, mtime=None):
+            if data == slow_body:
+                entered.set()
+                release.wait(10)
+            return compress(data, compresslevel=compresslevel, mtime=mtime)
+
+        monkeypatch.setattr(gzip, "compress", stalling)
+        answers = {}
+
+        def fetch(name):
+            answers[name] = service.handle(
+                "GET", f"/v1/artifact/{name}", {"Accept-Encoding": "gzip"}
+            )
+
+        slow = threading.Thread(target=fetch, args=("contrast",))
+        slow.start()
+        try:
+            assert entered.wait(10)
+            other = threading.Thread(target=fetch, args=("obs_availability",))
+            other.start()
+            other.join(5)
+            assert not other.is_alive()
+            assert "contrast" not in answers
+        finally:
+            release.set()
+            slow.join(10)
+        for name, response in answers.items():
+            assert response.header("Content-Encoding") == "gzip", name
+            assert response.json() == service.handle("GET", f"/v1/artifact/{name}").json()
