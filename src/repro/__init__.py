@@ -3,8 +3,8 @@
 The paper asks *how much* IPv6 is actually used -- by households, by
 websites, by cloud tenants -- instead of the binary "is IPv6 possible?".
 This package implements the full measurement stack over a synthetic
-Internet: the substrates (addresses, BGP, DNS, PSL, CryptoPAN, Happy
-Eyeballs, a conntrack flow monitor, a residential traffic model, a web
+Internet: the substrates (addresses, BGP, DNS, PSL, Happy Eyeballs, a
+conntrack flow monitor, a residential traffic model, a web
 ecosystem with cloud tenancy, an OpenWPM-style crawler) and the paper's
 analyses (Table 1 household statistics, MSTL decomposition, graded website
 readiness, dependency span/contribution, cloud/service adoption and the

@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 from typing import Callable, ContextManager
 
@@ -289,6 +290,20 @@ def _render_list(fmt: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``repro`` command.  A reader that closes stdout early
+    (``repro list | head -1``) ends it with status 1 and no traceback."""
+    try:
+        status = _run(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The interpreter flushes stdout again on exit: point it at
+        # /dev/null so that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] in _SUBCOMMANDS:
         return _SUBCOMMANDS[argv[0]](argv[1:])

@@ -156,10 +156,6 @@ class CloudProvider:
                         f"service {service.name} references unknown org {org!r}"
                     )
 
-    @property
-    def primary_org_id(self) -> str:
-        return self.org_ids[0]
-
     def asn_of_org(self, org_id: str) -> int:
         return self.asns[self.org_ids.index(org_id)]
 

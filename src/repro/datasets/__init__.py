@@ -12,7 +12,6 @@ from repro.datasets.scenarios import (
     build_census,
     build_residence_study,
     census_scenario,
-    residence_scenario,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "build_census",
     "build_residence_study",
     "census_scenario",
-    "residence_scenario",
 ]

@@ -211,15 +211,6 @@ def build_census(
 # no matter which surface asked for it.
 
 
-def residence_scenario(
-    num_days: int = BENCH_TRAFFIC_DAYS, seed: int = 42
-) -> ResidenceStudy:
-    """Cached :func:`build_residence_study` (one build per process)."""
-    from repro.api.session import Study
-
-    return Study(days=num_days, seed=seed).traffic
-
-
 def census_scenario(
     num_sites: int = BENCH_CENSUS_SITES, seed: int = 42, link_clicks: int = 5
 ) -> CensusStudy:

@@ -17,10 +17,10 @@ stored as per-peer lookup arrays (:attr:`FlowFrame.peer_asn`,
 :attr:`FlowFrame.peer_domain`), so the per-flow AS/domain columns are a
 single fancy-indexing expression.
 
-Rows are ordered exactly like ``FlowMonitor.records()`` (days ascending,
-scopes in :class:`FlowScope` declaration order, log order within) so
-positional and first-appearance semantics of the original record loops
-are preserved bit-for-bit by the vectorized analyses.
+Rows are in the canonical order of :meth:`FlowMonitor.layout` (days
+ascending, scopes in :class:`FlowScope` declaration order, log order
+within) so positional and first-appearance semantics of the original
+record loops are preserved bit-for-bit by the vectorized analyses.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class FlowFrame:
 
     Attributes:
         data: the structured array (:data:`FLOW_DTYPE`), one row per
-            finished flow, in canonical ``records()`` order.
+            finished flow, in canonical order.
         peers: interned external peer addresses, in first-appearance
             order; row ``peer`` values index into this tuple.
         peer_asn: per-peer BGP origin AS (-1 unknown); filled by
@@ -93,8 +93,7 @@ class FlowFrame:
     def from_monitor(cls, monitor: "FlowMonitor") -> "FlowFrame":
         """Derive the core columns from a monitor's column log.
 
-        Prefer :meth:`FlowMonitor.frame`, which caches the result and
-        rebuilds it when the log grows.
+        Prefer :meth:`FlowMonitor.frame`, which caches the result.
         """
         order, scope, src_local = monitor.layout()
         rows = monitor.log.rows  # each field read is gathered on its own
@@ -273,8 +272,8 @@ class FlowFrame:
     ) -> "FlowFrame":
         """A filtered view sharing this frame's interning tables.
 
-        Mirrors ``FlowMonitor.records(scope=..., day=...)``: rows keep
-        their canonical order, so first-appearance semantics survive.
+        Rows keep their canonical order, so first-appearance semantics
+        survive.
         """
         mask = self.rows_matching(scope, day)
         return self if mask is None else self.mask(mask)

@@ -1,10 +1,9 @@
 """The router-resident flow monitor.
 
-Logs every finished flow into one column log (:class:`FlowLog`),
+Logs every finished flow into one column log (:class:`FlowLog`) and
 classifies flows by scope (external LAN<->WAN vs. internal LAN<->LAN,
-the split of the paper's Table 1) and address family, and serves the
-log as per-day record batches, mirroring the daily upload cadence of
-section 3.1.
+the split of the paper's Table 1) when it derives the columnar view
+the analyses read by day, scope and address family.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.flowmon.conntrack import FlowKey, FlowRecord, IcmpInfo, Protocol
+from repro.flowmon.conntrack import Protocol
 from repro.net.addr import Family, IpAddress, Prefix
 from repro.util.timeutil import DAY
 
@@ -31,7 +30,6 @@ class FlowScope(enum.Enum):
 
 #: Integer codes for :class:`FlowScope`, in declaration order.
 SCOPE_CODES: dict[FlowScope, int] = {s: i for i, s in enumerate(FlowScope)}
-SCOPES_BY_CODE: tuple[FlowScope, ...] = tuple(FlowScope)
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class FlowLog:
     """The column log every finished flow lands in.
 
     One :data:`LOG_DTYPE` array (:attr:`rows`) with the interned address
-    table (:attr:`addresses`) is the whole log: frames, records, the
+    table (:attr:`addresses`) is the whole log: the frame, the
     warehouse payload and worker transfers derive from it.  Logs are
     made whole (:meth:`from_columns`), never appended to.
     """
@@ -125,8 +123,12 @@ class FlowLog:
 
 
 def _check_columns(columns: dict[str, np.ndarray], family: np.ndarray) -> None:
-    """The checks of ``IcmpInfo``, ``FlowKey``, ``FlowRecord`` and the
-    monitor's day binning, vectorized; raises the same ``ValueError``."""
+    """Refuse a row no finished flow can have, raising ``ValueError``.
+
+    A flow's endpoints share an address family; an ICMP flow carries a
+    type, code and id (each in range) and no ports, any other flow ports
+    in range and no ICMP info; it ends no earlier than it starts, at or
+    after the sim epoch, and its counters are not negative."""
     protocol, src, dst, sport, dport, icmp_type, icmp_code, icmp_id, start, end = (
         columns[name]
         for name in (
@@ -144,9 +146,9 @@ def _check_columns(columns: dict[str, np.ndarray], family: np.ndarray) -> None:
         ),
         (has_info & ((icmp_id < 0) | (icmp_id > 0xFFFF)), "ICMP id must fit in two bytes"),
         (family[src] != family[dst], "flow endpoints must share an address family"),
-        (icmp & ~has_info, "ICMP flows must carry IcmpInfo"),
+        (icmp & ~has_info, "ICMP flows must carry ICMP info"),
         (icmp & ((sport != 0) | (dport != 0)), "ICMP flows have no ports"),
-        (~icmp & has_info, "only ICMP flows carry IcmpInfo"),
+        (~icmp & has_info, "only ICMP flows carry ICMP info"),
         (end < start, "flow cannot end before it starts"),
         (
             (columns["bytes_out"] < 0) | (columns["bytes_in"] < 0)
@@ -176,12 +178,10 @@ class FlowMonitor:
     flow, holding what a conntrack DESTROY event carries.  The traffic
     generator writes its finished flows into the log directly.
 
-    Two views derive from the log, each built on first use and kept (a
-    log is built whole; code that appends to one drops the views
-    itself): the columnar :class:`~repro.flowmon.frame.FlowFrame`
-    (:meth:`frame`) the analyses read, and the :class:`FlowRecord`
-    projection (:meth:`records`, :attr:`daily_logs`) for the exporter
-    and record-level tests.  Both follow the canonical order: days
+    The analyses read one view of the log, the columnar
+    :class:`~repro.flowmon.frame.FlowFrame` (:meth:`frame`), built on
+    first use and kept (a log is built whole; code that appends to one
+    drops the view itself).  Its rows follow the canonical order: days
     ascending, scopes in :class:`FlowScope` declaration order, log order
     within.
     """
@@ -189,22 +189,6 @@ class FlowMonitor:
     config: RouterConfig
     log: FlowLog = field(default_factory=FlowLog, repr=False)
     _frame_cache: object = field(default=None, repr=False, compare=False)
-    _projection: dict[tuple, list[FlowRecord]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __getstate__(self) -> dict:
-        # The record projection is rebuilt on demand, never persisted.
-        return {**self.__dict__, "_projection": {}}
-
-    def classify(self, record: FlowRecord) -> FlowScope:
-        src_local = self.config.is_local(record.key.src)
-        dst_local = self.config.is_local(record.key.dst)
-        if src_local and dst_local:
-            return FlowScope.INTERNAL
-        if src_local or dst_local:
-            return FlowScope.EXTERNAL
-        return FlowScope.TRANSIT
 
     def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """How the log maps onto the canonical order.
@@ -235,66 +219,3 @@ class FlowMonitor:
 
             self._frame_cache = FlowFrame.from_monitor(self)
         return self._frame_cache
-
-    def records(
-        self, scope: FlowScope | None = None, day: int | None = None
-    ) -> list[FlowRecord]:
-        """All logged flows as records, optionally filtered by scope and/or day.
-
-        Records are a projection of the log, built on first use (sharing
-        the log's interned addresses) and kept -- treat the returned list
-        as read-only.
-        """
-        key = (scope, day)
-        found = self._projection.get(key)
-        if found is None:
-            if key == (None, None):
-                found = self._project()
-            else:
-                everything = self.records()
-                rows = np.flatnonzero(self.frame().rows_matching(scope, day))
-                found = [everything[i] for i in rows.tolist()]
-            self._projection[key] = found
-        return found
-
-    def _project(self) -> list[FlowRecord]:
-        order, _, _ = self.layout()
-        rows = self.log.rows[order]
-        addresses = self.log.addresses
-        protocols = {p.value: p for p in Protocol}
-        return [
-            FlowRecord(
-                FlowKey(
-                    protocols[protocol], addresses[src], addresses[dst], sport, dport,
-                    IcmpInfo(icmp_type, icmp_code, icmp_id) if icmp_type >= 0 else None,
-                ),
-                start, end, bytes_out, bytes_in, packets_out, packets_in,
-            )
-            for (
-                protocol, src, dst, sport, dport, icmp_type, icmp_code, icmp_id,
-                start, end, bytes_out, bytes_in, packets_out, packets_in,
-            ) in zip(*(rows[name].tolist() for name in LOG_DTYPE.names))
-        ]
-
-    @property
-    def daily_logs(self) -> dict[int, dict[FlowScope, list[FlowRecord]]]:
-        """``{day: {scope: [records]}}``: the per-day upload batches,
-        projected from the log in canonical order."""
-        frame = self.frame()
-        logs: dict[int, dict[FlowScope, list[FlowRecord]]] = {}
-        for record, day, scope in zip(self.records(), frame.day.tolist(), frame.scope.tolist()):
-            logs.setdefault(day, {}).setdefault(SCOPES_BY_CODE[scope], []).append(record)
-        return logs
-
-    def observed_days(self) -> list[int]:
-        return np.unique(self.frame().day).tolist()
-
-    def external_peer(self, record: FlowRecord) -> IpAddress | None:
-        """The non-local endpoint of an external flow (the "service" side)."""
-        src_local = self.config.is_local(record.key.src)
-        dst_local = self.config.is_local(record.key.dst)
-        if src_local and not dst_local:
-            return record.key.dst
-        if dst_local and not src_local:
-            return record.key.src
-        return None

@@ -1,4 +1,4 @@
-"""Network substrate: addresses, routing, naming, and anonymization.
+"""Network substrate: addresses, routing, and naming.
 
 This package implements the pieces of Internet infrastructure the paper's
 measurement pipelines depend on:
@@ -15,14 +15,15 @@ measurement pipelines depend on:
   analysis (paper section 3.4).
 * :mod:`repro.net.psl` -- the Public Suffix List algorithm and eTLD+1
   extraction (paper sections 4.1 and 5.2).
-* :mod:`repro.net.cryptopan` -- prefix-preserving address anonymization
-  (paper appendix A).
+
+The paper anonymized client addresses with CryptoPAN before upload
+(appendix A).  Nothing downstream reads an anonymized address, so that
+step is not modelled.
 """
 
 from repro.net.addr import AddressPool, Family, IpAddress, Prefix
 from repro.net.asn import AsInfo, AsRegistry, Organization
 from repro.net.bgp import Announcement, RoutingTable
-from repro.net.cryptopan import CryptoPan
 from repro.net.dns import (
     DnsError,
     DnsRecordType,
@@ -45,7 +46,6 @@ __all__ = [
     "Organization",
     "Announcement",
     "RoutingTable",
-    "CryptoPan",
     "DnsError",
     "DnsRecordType",
     "DnsResponse",

@@ -1,9 +1,9 @@
 """IP addresses, prefixes, and allocation pools.
 
 Addresses are held as ``(family, integer)`` pairs rather than stdlib
-``ipaddress`` objects: the integer form is what the BGP trie, CryptoPAN, and
-the anonymization property tests operate on, and one representation shared
-by all of them avoids conversion bugs.  Parsing and formatting round-trip
+``ipaddress`` objects: the integer form is what the BGP trie and prefix
+matching operate on, and one representation shared by all of them avoids
+conversion bugs.  Parsing and formatting round-trip
 through the stdlib so the text forms are always standards-compliant.
 """
 
@@ -120,9 +120,6 @@ class Prefix:
             return 0
         return ((1 << self.length) - 1) << (bits - self.length)
 
-    def _mask(self) -> int:
-        return self._mask_value
-
     @classmethod
     def parse(cls, text: str) -> "Prefix":
         network = ipaddress.ip_network(text, strict=True)
@@ -217,8 +214,3 @@ class AddressPool:
         self._next += 1
         return address
 
-    def allocate_block(self, count: int) -> list[IpAddress]:
-        """Allocate ``count`` consecutive addresses."""
-        if count < 0:
-            raise ValueError("cannot allocate a negative number of addresses")
-        return [self.allocate() for _ in range(count)]

@@ -121,9 +121,6 @@ class AsRegistry:
     def all_ases(self) -> list[AsInfo]:
         return sorted(self._by_asn.values(), key=lambda info: info.asn)
 
-    def all_organizations(self) -> list[Organization]:
-        return sorted(self._orgs.values(), key=lambda org: org.org_id)
-
     def __len__(self) -> int:
         return len(self._by_asn)
 

@@ -3,8 +3,8 @@
 Three instruments land on the shared metrics registry:
 
 * ``process_rss_bytes`` -- resident set size, read from
-  ``/proc/self/status`` (portable fallback: ``resource.getrusage``
-  peak).  Refreshed by :func:`refresh_process_gauges`, which the
+  ``/proc/self/statm`` as resident pages times the page size (portable
+  fallback: ``resource.getrusage`` peak).  Refreshed by :func:`refresh_process_gauges`, which the
   ``/metrics`` scrape path calls so every scrape carries a current
   reading.
 * ``build_peak_bytes{layer}`` -- tracemalloc peak of the last profiled
@@ -58,11 +58,9 @@ _TRACING_STARTED_HERE = False
 def rss_bytes() -> int | None:
     """Current resident set size, or ``None`` when unreadable."""
     try:
-        with open("/proc/self/status", encoding="ascii") as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
+        with open("/proc/self/statm", "rb") as statm:
+            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError):
         pass
     try:
         import resource

@@ -458,8 +458,9 @@ class ArtifactService:
 
         Every completed request runs inside a ``serve:request`` span
         and lands in the request counters/histogram; a ``hot_only``
-        probe that misses discards its span (the executor retry records
-        the real one), so a request is never double-counted.
+        probe that misses discards its span and counts no hot-cache miss
+        (the executor retry records both), so a request is never
+        double-counted.
         """
         headers = {k.lower(): v for k, v in (headers or {}).items()}
         try:
@@ -807,14 +808,16 @@ class ArtifactService:
         renders off-loop and, if fresh, enters the hot cache itself; a
         stale render's view stays marked stale, and uncached."""
         key = (*key, config.result_key)
-        hit = self._hot_get(key)
+        hit = self._hot_lookup(key)
         if hit is not None:
+            _HOT_HITS.inc()
             return hit
         parent_key = ("artifact", artifact, config.result_key)
         parent = self._hot_lookup(parent_key) if derive is not None else None
+        if parent is None and hot_only:
+            return None  # rendering may build; the off-loop retry counts the miss
+        _HOT_MISSES.inc()
         if parent is None:
-            if hot_only:
-                return None  # rendering may build; go off-loop
             parent = self._render_artifact(artifact, config)
             if not parent.stale:
                 self._hot_put(parent_key, parent)

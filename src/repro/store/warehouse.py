@@ -406,10 +406,6 @@ class ArtifactStore:
         _STORE_OP_SECONDS.observe(op_span.duration_s, op="read")
         return value
 
-    def has_layer(self, layer: str, key: tuple) -> bool:
-        digest = digest_key("layer", layer, key)
-        return (self._entry_dir(digest) / "meta.json").is_file()
-
     # -- rendered artifacts -------------------------------------------------
 
     def save_artifact(

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.flowmon.monitor import FlowLog, FlowMonitor, FlowScope, RouterConfig
+from repro.flowmon.monitor import FlowLog, FlowMonitor, RouterConfig
 from repro.traffic.apps import (
     ApplicationKind,
     ServiceProfile,
@@ -146,12 +146,6 @@ class ResidenceDataset:
     devices: list[Device] = field(default_factory=list)
     draws: TrafficDraws | None = field(default=None, repr=False, compare=False)
     _frame: "FlowFrame | None" = field(default=None, repr=False, compare=False)
-
-    def external_records(self):
-        return self.monitor.records(scope=FlowScope.EXTERNAL)
-
-    def internal_records(self):
-        return self.monitor.records(scope=FlowScope.INTERNAL)
 
     def frame(self) -> "FlowFrame":
         """The attributed columnar view of this residence's flow log.

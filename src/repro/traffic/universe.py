@@ -89,8 +89,5 @@ class ServiceUniverse:
     def servers_of(self, service: ServiceProfile) -> list[ServerEndpoint]:
         return self._servers[service.name]
 
-    def service_names(self) -> list[str]:
-        return [service.name for service in self.catalog]
-
     def __len__(self) -> int:
         return len(self.catalog)

@@ -22,7 +22,6 @@ from repro.util.stats import (
     WilcoxonResult,
     box_stats,
     empirical_cdf,
-    holm_bonferroni,
     quantile,
     wilcoxon_signed_rank,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "WilcoxonResult",
     "box_stats",
     "empirical_cdf",
-    "holm_bonferroni",
     "quantile",
     "wilcoxon_signed_rank",
     "TextTable",

@@ -46,8 +46,8 @@ class RngStream:
     """A named, seeded random stream with the distributions the repo needs.
 
     Wraps :class:`numpy.random.Generator` and adds the handful of
-    domain-specific draws (Zipf ranks, heavy-tailed flow sizes, weighted
-    choices over small catalogs) that the substrates share.
+    domain-specific draws (heavy-tailed flow sizes, weighted choices over
+    small catalogs) that the substrates share.
     """
 
     def __init__(self, seed: int, label: str = "root") -> None:
@@ -134,21 +134,6 @@ class RngStream:
             _CDF_CACHE[key] = cdf
         index = int(cdf.searchsorted(self._gen.random(), side="right"))
         return items[min(index, len(items) - 1)]
-
-    def zipf_rank(self, n: int, alpha: float = 1.0) -> int:
-        """Draw a 1-based rank from a truncated Zipf distribution over ``n``.
-
-        Used for popularity: rank 1 is drawn most often.  Uses inverse-CDF
-        sampling over the exact normalized weights, so small ``n`` is exact.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        ranks = np.arange(1, n + 1, dtype=float)
-        weights = ranks ** (-alpha)
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        u = self._gen.random()
-        return int(np.searchsorted(cdf, u) + 1)
 
     def lognormal_bytes(self, median: float, sigma: float) -> int:
         """Heavy-tailed byte count with the given median (>= 1 byte).

@@ -278,7 +278,6 @@ class HolmBonferroni:
         self.p_values.append(p)
         return len(self.p_values) - 1
 
-
     def rejections(self) -> list[bool]:
         """Return, per registered p-value, whether H0 is rejected."""
         m = len(self.p_values)
@@ -294,24 +293,3 @@ class HolmBonferroni:
                 break  # step-down: once one fails, all larger p fail too
         return rejected
 
-    def adjusted_p_values(self) -> list[float]:
-        """Holm step-down adjusted p-values (monotone, capped at 1)."""
-        m = len(self.p_values)
-        if m == 0:
-            return []
-        order = sorted(range(m), key=lambda i: self.p_values[i])
-        adjusted = [0.0] * m
-        running_max = 0.0
-        for step, idx in enumerate(order):
-            candidate = (m - step) * self.p_values[idx]
-            running_max = max(running_max, min(1.0, candidate))
-            adjusted[idx] = running_max
-        return adjusted
-
-
-def holm_bonferroni(p_values: Sequence[float], alpha: float = 0.05) -> list[bool]:
-    """One-shot Holm-Bonferroni: which of ``p_values`` are significant."""
-    corrector = HolmBonferroni(alpha=alpha)
-    for p in p_values:
-        corrector.add(p)
-    return corrector.rejections()

@@ -72,11 +72,3 @@ class Website:
 
     def page(self, path: str) -> Page | None:
         return self.pages.get(path)
-
-    def all_resource_fqdns(self) -> set[str]:
-        """Every FQDN directly referenced by any page (not transitive)."""
-        return {
-            resource.fqdn
-            for page in self.pages.values()
-            for resource in page.resources
-        }

@@ -163,12 +163,6 @@ class WhatifSweep:
     def num_scenarios(self) -> int:
         return len(self.scenarios)
 
-    def scenario_by_spec(self, spec: str) -> Scenario:
-        for scenario in self.scenarios:
-            if scenario.spec() == spec:
-                return scenario
-        raise KeyError(f"no scenario {spec!r} in this sweep")
-
 
 # -- signal extraction -------------------------------------------------------
 

@@ -1,6 +1,10 @@
 """Tests for the registry-backed CLI (``python -m repro``)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,26 @@ class TestListCommand:
     def test_list_rejects_extra_artifacts(self, capsys):
         with pytest.raises(SystemExit):
             main(["list", "fig5"])
+
+    def test_a_closed_stdout_pipe_ends_it_quietly(self):
+        """``repro list --format json | true``: the reader is gone before
+        the first write, so the command exits 1 with nothing on stderr."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(Path(__file__).parents[2] / "src"), env.get("PYTHONPATH"))
+            if part
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "list", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1
 
 
 class TestRunArtifacts:

@@ -3,18 +3,20 @@ record-loop implementations *exactly* -- same ints, same floats, same
 ordering -- on a seeded dataset.
 
 The reference implementations below are the pre-columnar bodies of the
-:mod:`repro.core.client` functions, kept verbatim (record loops over
-``monitor.records()``) so any numerical or ordering drift in the
-vectorized rewrites fails loudly.
+:mod:`repro.core.client` functions, kept verbatim (record loops over the
+reference projection ``records(monitor)`` of ``reference_models.py``)
+so any numerical or ordering drift in the vectorized rewrites fails
+loudly.
 
-Records and frames are both views of one column log, so these tests
-pin the analyses, not generation: the generated frames themselves are
+The records and the frame both derive from one column log, so these
+tests pin the analyses, not generation: the generated frames themselves are
 pinned by digest in ``tests/traffic/test_generate_parallel.py``.
 """
 
 import numpy as np
 import pytest
 
+from reference_models import external_peer, records
 from repro.core.client import (
     as_traffic_breakdown,
     compute_residence_stats,
@@ -48,11 +50,11 @@ def datasets():
 # -- reference (pre-columnar) implementations --------------------------------
 
 
-def ref_scope_stats(records):
+def ref_scope_stats(flows):
     total_bytes = v6_bytes = 0
     total_flows = v6_flows = 0
     per_day: dict[int, list[int]] = {}
-    for record in records:
+    for record in flows:
         volume = record.total_bytes
         total_bytes += volume
         total_flows += 1
@@ -72,7 +74,7 @@ def ref_scope_stats(records):
 
 def ref_daily_fractions(dataset, scope, metric):
     per_day: dict[int, list[float]] = {}
-    for record in dataset.monitor.records(scope=scope):
+    for record in records(dataset.monitor, scope=scope):
         day = day_index(record.start_time)
         bucket = per_day.setdefault(day, [0.0, 0.0])
         amount = float(record.total_bytes) if metric == "bytes" else 1.0
@@ -91,7 +93,7 @@ def ref_hourly_series(dataset, scope, metric, start_day, num_days):
     totals = np.zeros(hours)
     v6 = np.zeros(hours)
     start_time = start_day * 24 * HOUR
-    for record in dataset.monitor.records(scope=scope):
+    for record in records(dataset.monitor, scope=scope):
         offset = record.start_time - start_time
         if offset < 0:
             continue
@@ -118,8 +120,8 @@ def ref_as_breakdown(dataset, min_volume_share=0.0001):
     monitor = dataset.monitor
     per_asn: dict[int, list[int]] = {}
     grand_total = 0
-    for record in dataset.external_records():
-        peer = monitor.external_peer(record)
+    for record in records(dataset.monitor, scope=FlowScope.EXTERNAL):
+        peer = external_peer(monitor.config, record)
         if peer is None:
             continue
         asn = routing.origin_of(peer)
@@ -149,8 +151,8 @@ def ref_domain_breakdown(dataset):
     monitor = dataset.monitor
     psl = default_psl()
     per_domain: dict[str, list[int]] = {}
-    for record in dataset.external_records():
-        peer = monitor.external_peer(record)
+    for record in records(dataset.monitor, scope=FlowScope.EXTERNAL):
+        peer = external_peer(monitor.config, record)
         if peer is None:
             continue
         domain = rdns.lookup_etld1(peer, psl)
@@ -169,14 +171,14 @@ def ref_heavy_hitter_days(dataset, low_quantile=0.10, high_quantile=0.90, top_as
     routing = dataset.universe.routing
     monitor = dataset.monitor
     per_day: dict[int, dict] = {}
-    for record in dataset.external_records():
+    for record in records(dataset.monitor, scope=FlowScope.EXTERNAL):
         day = day_index(record.start_time)
         bucket = per_day.setdefault(day, {"total": 0, "v6": 0, "by_asn": {}})
         volume = record.total_bytes
         bucket["total"] += volume
         if record.key.is_v6:
             bucket["v6"] += volume
-        peer = monitor.external_peer(record)
+        peer = external_peer(monitor.config, record)
         if peer is not None:
             asn = routing.origin_of(peer)
             if asn is not None:
@@ -202,7 +204,7 @@ def ref_heavy_hitter_days(dataset, low_quantile=0.10, high_quantile=0.90, top_as
 def ref_protocol_mix(dataset, scope):
     bytes_by = {"IPv4": {}, "IPv6": {}}
     flows_by = {"IPv4": {}, "IPv6": {}}
-    for record in dataset.monitor.records(scope=scope):
+    for record in records(dataset.monitor, scope=scope):
         family = "IPv6" if record.key.is_v6 else "IPv4"
         protocol = record.key.protocol.name
         bytes_by[family][protocol] = (
@@ -219,11 +221,12 @@ class TestTable1Parity:
     def test_scope_stats_exact(self, datasets):
         for name, dataset in datasets.items():
             stats = compute_residence_stats(dataset)
-            for scope_stats, records in (
-                (stats.external, dataset.external_records()),
-                (stats.internal, dataset.internal_records()),
+            for scope_stats, scope in (
+                (stats.external, FlowScope.EXTERNAL),
+                (stats.internal, FlowScope.INTERNAL),
             ):
-                tb, v6b, tf, v6f, dbf, dff = ref_scope_stats(records)
+                flows = records(dataset.monitor, scope=scope)
+                tb, v6b, tf, v6f, dbf, dff = ref_scope_stats(flows)
                 assert scope_stats.total_bytes == tb
                 assert scope_stats.v6_bytes == v6b
                 assert scope_stats.v4_bytes == tb - v6b

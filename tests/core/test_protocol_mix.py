@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_models import records
 from repro.core import protocol_mix
 from repro.datasets import build_residence_study
 from repro.flowmon.monitor import FlowScope
@@ -21,7 +22,8 @@ class TestProtocolMix:
     def test_totals_match_monitor(self, dataset):
         mix = protocol_mix(dataset)
         total = sum(m.total_bytes for m in mix.values())
-        expected = sum(r.total_bytes for r in dataset.external_records())
+        external = records(dataset.monitor, scope=FlowScope.EXTERNAL)
+        expected = sum(r.total_bytes for r in external)
         assert total == expected
 
     def test_ipv6_is_data_not_control(self, dataset):
@@ -42,7 +44,7 @@ class TestProtocolMix:
     def test_internal_scope(self, dataset):
         mix = protocol_mix(dataset, scope=FlowScope.INTERNAL)
         assert sum(m.total_bytes for m in mix.values()) == sum(
-            r.total_bytes for r in dataset.internal_records()
+            r.total_bytes for r in records(dataset.monitor, scope=FlowScope.INTERNAL)
         )
 
     def test_byte_share_of_missing_protocol_is_zero(self, dataset):

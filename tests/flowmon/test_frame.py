@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_models import observe
-from repro.flowmon.conntrack import FlowKey, Protocol
+from reference_models import FlowKey, FlowRecord, external_peer, observe, records
+from repro.flowmon.conntrack import Protocol
 from repro.flowmon.frame import (
     FLOW_DTYPE,
     SCOPE_CODES,
@@ -40,8 +40,6 @@ def _simple_monitor() -> FlowMonitor:
 
 
 def _flow(src: str, dst: str, sport: int, start: float, bytes_in: int = 1000):
-    from repro.flowmon.conntrack import FlowRecord
-
     key = FlowKey(Protocol.TCP, IpAddress.parse(src), IpAddress.parse(dst), sport, 443)
     return FlowRecord(
         key=key,
@@ -57,20 +55,20 @@ def _flow(src: str, dst: str, sport: int, start: float, bytes_in: int = 1000):
 class TestFrameConstruction:
     def test_row_order_matches_records(self, dataset):
         frame = dataset.monitor.frame()
-        records = dataset.monitor.records()
-        assert len(frame) == len(records)
-        starts = np.array([r.start_time for r in records])
+        flows = records(dataset.monitor)
+        assert len(frame) == len(flows)
+        starts = np.array([r.start_time for r in flows])
         assert np.array_equal(frame.start_time, starts)
-        volumes = np.array([r.total_bytes for r in records])
+        volumes = np.array([r.total_bytes for r in flows])
         assert np.array_equal(frame.total_bytes, volumes)
-        v6 = np.array([r.key.is_v6 for r in records])
+        v6 = np.array([r.key.is_v6 for r in flows])
         assert np.array_equal(frame.is_v6, v6)
 
     def test_scope_split_matches_monitor(self, dataset):
         frame = dataset.monitor.frame()
         for scope in FlowScope:
             sub = frame.select(scope=scope)
-            assert len(sub) == len(dataset.monitor.records(scope=scope))
+            assert len(sub) == len(records(dataset.monitor, scope=scope))
 
     def test_day_and_hour_columns(self, dataset):
         frame = dataset.monitor.frame()
@@ -96,8 +94,8 @@ class TestFrameConstruction:
 
 
 class TestFrameCaching:
-    """A monitor builds each view once and keeps it; the log is built
-    whole, and the tests' appender (``observe``) drops the views itself."""
+    """A monitor builds its frame once and keeps it; the log is built
+    whole, and the tests' appender (``observe``) drops the frame itself."""
 
     def test_frame_cached_until_observe(self):
         monitor = _simple_monitor()
@@ -109,17 +107,6 @@ class TestFrameCaching:
         assert second is not first
         assert len(second) == 2
         assert monitor.frame() is second
-
-    def test_records_cached_until_observe(self):
-        monitor = _simple_monitor()
-        observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1000, 5.0))
-        view = monitor.records(scope=FlowScope.EXTERNAL)
-        assert monitor.records(scope=FlowScope.EXTERNAL) is view
-        observe(monitor, _flow("192.168.0.2", "100.64.0.9", 1001, 6.0))
-        fresh = monitor.records(scope=FlowScope.EXTERNAL)
-        assert fresh is not view
-        assert len(fresh) == 2
-        assert monitor.records(scope=FlowScope.EXTERNAL) is fresh
 
     def test_dataset_frame_cached_and_attributed(self, dataset):
         frame = dataset.frame()
@@ -141,9 +128,9 @@ class TestAttribution:
         monitor = dataset.monitor
         routing = dataset.universe.routing
         external = frame.select(scope=FlowScope.EXTERNAL)
-        records = dataset.external_records()
-        for i, record in enumerate(records[:300]):
-            peer = monitor.external_peer(record)
+        external_records = records(monitor, scope=FlowScope.EXTERNAL)
+        for i, record in enumerate(external_records[:300]):
+            peer = external_peer(monitor.config, record)
             expected = routing.origin_of(peer)
             assert external.flow_asn[i] == (expected if expected is not None else -1)
 
@@ -181,7 +168,7 @@ class TestSelect:
         frame = dataset.monitor.frame()
         sub = frame.select(day=3)
         assert (sub.day == 3).all()
-        assert len(sub) == len(dataset.monitor.records(day=3))
+        assert len(sub) == len(records(dataset.monitor, day=3))
 
     def test_select_no_filter_returns_self(self, dataset):
         frame = dataset.monitor.frame()

@@ -1,12 +1,11 @@
-"""Flow monitor edge cases: observation gaps, transit traffic, ICMP export."""
+"""Flow monitor edge cases: observation gaps, transit traffic, ICMP flows."""
 
-import pytest
+import numpy as np
 
-from reference_models import observe
+from reference_models import FlowKey, FlowRecord, IcmpInfo, observe, records
 from repro.core import daily_fractions
-from repro.flowmon.conntrack import FlowKey, FlowRecord, IcmpInfo, Protocol, default_packets
-from repro.flowmon.export import FlowExporter
-from repro.flowmon.monitor import FlowMonitor, FlowScope, RouterConfig
+from repro.flowmon.conntrack import Protocol, default_packets
+from repro.flowmon.monitor import SCOPE_CODES, FlowMonitor, FlowScope, RouterConfig
 from repro.net.addr import IpAddress, Prefix
 from repro.traffic.apps import build_service_catalog
 from repro.traffic.generate import ResidenceDataset
@@ -53,7 +52,7 @@ class TestObservationGaps:
         monitor = make_monitor()
         observe_tcp(monitor, "192.168.1.5", "8.8.8.8", day=7)
         observe_tcp(monitor, "192.168.1.5", "8.8.8.8", day=2)
-        assert monitor.observed_days() == [2, 7]
+        assert np.unique(monitor.frame().day).tolist() == [2, 7]
 
 
 class TestTransitTraffic:
@@ -62,13 +61,15 @@ class TestTransitTraffic:
         pollute the external/internal splits."""
         monitor = make_monitor()
         observe_tcp(monitor, "1.1.1.1", "8.8.8.8", day=0)
-        assert len(monitor.records(scope=FlowScope.TRANSIT)) == 1
-        assert not monitor.records(scope=FlowScope.EXTERNAL)
-        assert not monitor.records(scope=FlowScope.INTERNAL)
+        assert len(records(monitor, scope=FlowScope.TRANSIT)) == 1
+        assert not records(monitor, scope=FlowScope.EXTERNAL)
+        assert not records(monitor, scope=FlowScope.INTERNAL)
+        assert monitor.frame().scope.tolist() == [SCOPE_CODES[FlowScope.TRANSIT]]
+        assert monitor.frame().peer.tolist() == [-1]
 
 
-class TestIcmpExport:
-    def test_icmp_flow_exports_cleanly(self):
+class TestIcmpFlows:
+    def test_icmp_flow_frames_cleanly(self):
         monitor = make_monitor()
         key = FlowKey(
             Protocol.ICMP,
@@ -77,15 +78,9 @@ class TestIcmpExport:
             icmp=IcmpInfo(icmp_type=8, icmp_code=0, icmp_id=77),
         )
         observe(monitor, FlowRecord(key, 10.0, 12.0, 128, 128, 2, 2))
-        exporter = FlowExporter(monitor, key=b"icmp-export-test-key-0123456789")
-        exported = exporter.export_all()
-        assert len(exported) == 1
-        record = exported[0]
-        assert record.protocol is Protocol.ICMP
-        assert record.bytes_total == 256
-        assert str(record.peer) == "9.9.9.9"
-
-    def test_exporter_requires_real_key(self):
-        monitor = make_monitor()
-        with pytest.raises(ValueError):
-            FlowExporter(monitor, key=b"short")
+        frame = monitor.frame()
+        assert len(frame) == 1
+        assert frame.protocol.tolist() == [Protocol.ICMP.value]
+        assert frame.total_bytes.tolist() == [256]
+        assert [str(peer) for peer in frame.peers] == ["9.9.9.9"]
+        assert records(monitor)[0].key == key

@@ -1,10 +1,19 @@
-"""The column log: its row checks, the record projection, persistence."""
+"""The column log: its row checks, its round trip through the reference
+record projection, persistence."""
 
 import numpy as np
 import pytest
 
-from reference_models import AppendLog, observe
-from repro.flowmon.conntrack import FlowKey, FlowRecord, IcmpInfo, Protocol
+from reference_models import (
+    AppendLog,
+    FlowKey,
+    FlowRecord,
+    IcmpInfo,
+    classify,
+    observe,
+    records,
+)
+from repro.flowmon.conntrack import Protocol
 from repro.flowmon.frame import SCOPE_CODES
 from repro.flowmon.monitor import FlowLog, FlowMonitor, FlowScope, RouterConfig
 from repro.net.addr import IpAddress, Prefix
@@ -29,7 +38,7 @@ def make_monitor() -> FlowMonitor:
 def mixed_records(num_days: int = 3, flows_per_day: int = 40) -> list[FlowRecord]:
     """External, internal and ICMP flows over both families, appended
     out of canonical order (late days and scopes interleaved)."""
-    records = []
+    flows = []
     for day in reversed(range(num_days)):
         base = day * DAY
         for i in range(flows_per_day):
@@ -46,19 +55,19 @@ def mixed_records(num_days: int = 3, flows_per_day: int = 40) -> list[FlowRecord
             else:
                 key = FlowKey(Protocol.TCP if i % 3 else Protocol.UDP, src, dst, 20000 + i, 443)
             start = base + i * 10.5
-            records.append(FlowRecord(key, start, start + 2.25, 100 + i, 9000 + i, 3, 8))
-    return records
+            flows.append(FlowRecord(key, start, start + 2.25, 100 + i, 9000 + i, 3, 8))
+    return flows
 
 
-def logged(records) -> FlowMonitor:
+def logged(flows) -> FlowMonitor:
     monitor = make_monitor()
-    for record in records:
+    for record in flows:
         observe(monitor, record)
     return monitor
 
 
 class TestSealChecks:
-    """Each check the object path makes, raised when the reference
+    """Each check a finished flow must pass, raised when the reference
     appender seals: its int64 columns go through ``FlowLog.from_columns``,
     so a value that a narrowing cast would wrap (``sport=70000``) is still
     refused."""
@@ -74,12 +83,12 @@ class TestSealChecks:
             (dict(dst=IpAddress.parse("2001:db8::1")), "share an address family"),
             (dict(sport=70000), "port 70000 out of range"),
             (dict(dport=-1), "port -1 out of range"),
-            (dict(protocol=ICMP, sport=0, dport=0), "must carry IcmpInfo"),
+            (dict(protocol=ICMP, sport=0, dport=0), "must carry ICMP info"),
             (dict(protocol=ICMP, icmp=(8, 0, 1)), "ICMP flows have no ports"),
             (dict(protocol=ICMP, sport=0, dport=0, icmp=(256, 0, 1)), "fit in one byte"),
             (dict(protocol=ICMP, sport=0, dport=0, icmp=(8, 300, 1)), "fit in one byte"),
             (dict(protocol=ICMP, sport=0, dport=0, icmp=(8, 0, 0x10000)), "fit in two bytes"),
-            (dict(icmp=(8, 0, 1)), "only ICMP flows carry IcmpInfo"),
+            (dict(icmp=(8, 0, 1)), "only ICMP flows carry ICMP info"),
             (dict(end=4.0), "cannot end before it starts"),
             (dict(bytes_in=-1), "counters cannot be negative"),
             (dict(packets_out=-3), "counters cannot be negative"),
@@ -119,50 +128,53 @@ class TestSealChecks:
 
 class TestProjection:
     def test_lossless_and_order_preserving(self):
-        records = mixed_records()
-        monitor = logged(records)
-        scope_code = {record: SCOPE_CODES[monitor.classify(record)] for record in records}
+        flows = mixed_records()
+        monitor = logged(flows)
+        scope_code = {record: SCOPE_CODES[classify(monitor.config, record)] for record in flows}
         canonical = sorted(
-            records, key=lambda r: (int(r.start_time // DAY), scope_code[r])
+            flows, key=lambda r: (int(r.start_time // DAY), scope_code[r])
         )
-        assert monitor.records() == canonical
+        assert records(monitor) == canonical
         for scope in FlowScope:
-            assert monitor.records(scope=scope) == [
-                r for r in canonical if monitor.classify(r) is scope
+            assert records(monitor, scope=scope) == [
+                r for r in canonical if classify(monitor.config, r) is scope
             ]
-        assert monitor.records(day=1) == [
+        assert records(monitor, day=1) == [
             r for r in canonical if int(r.start_time // DAY) == 1
         ]
-        logs = monitor.daily_logs
-        assert list(logs) == [0, 1, 2]
-        assert list(logs[0]) == [FlowScope.EXTERNAL, FlowScope.INTERNAL]
-        assert [r for day in logs.values() for rs in day.values() for r in rs] == canonical
+        frame = monitor.frame()
+        assert np.unique(frame.day).tolist() == [0, 1, 2]
+        day0 = frame.select(day=0).scope.tolist()
+        assert list(dict.fromkeys(day0)) == [
+            SCOPE_CODES[FlowScope.EXTERNAL], SCOPE_CODES[FlowScope.INTERNAL]
+        ]
+        assert list(zip(frame.day.tolist(), frame.scope.tolist())) == [
+            (int(r.start_time // DAY), scope_code[r]) for r in canonical
+        ]
 
     def test_v6_addresses_above_64_bits_survive(self):
         monitor = logged(mixed_records(num_days=1, flows_per_day=4))
-        restored = {r.key.dst for r in monitor.records()}
+        restored = {r.key.dst for r in records(monitor)}
         assert restored == {r.key.dst for r in mixed_records(num_days=1, flows_per_day=4)}
         assert any(a.value >> 64 for a in restored)  # genuinely 128-bit
 
     def test_addresses_are_interned(self):
         monitor = logged(mixed_records(num_days=2))
         interned = {id(address) for address in monitor.log.addresses}
-        for record in monitor.records():
+        for record in records(monitor):
             assert id(record.key.src) in interned
             assert id(record.key.dst) in interned
         assert all(id(peer) in interned for peer in monitor.frame().peers)
 
     def test_empty_log(self):
         monitor = make_monitor()
-        assert monitor.records() == []
-        assert monitor.daily_logs == {}
-        assert monitor.observed_days() == []
+        assert records(monitor) == []
         assert len(monitor.frame()) == 0
 
     def test_frame_from_projected_records_equals_derived_frame(self, generated):
         for dataset in generated.datasets.values():
             rebuilt = FlowMonitor(dataset.monitor.config)
-            for record in dataset.monitor.records():
+            for record in records(dataset.monitor):
                 observe(rebuilt, record)
             want, got = dataset.monitor.frame(), rebuilt.frame()
             assert got.data.tobytes() == want.data.tobytes()
@@ -184,7 +196,6 @@ class TestStoreRoundTrip:
 
         for dataset in generated.datasets.values():
             dataset.frame()  # persisted attributed, as the store does
-            dataset.external_records()  # a projection that must not persist
         files = dump_value(generated)
         payload = files[PAYLOAD_FILE]
         assert b"FlowRecord" not in payload
@@ -201,6 +212,5 @@ class TestStoreRoundTrip:
             assert np.array_equal(got.peer_asn, want.peer_asn)
             assert np.array_equal(got.peer_domain, want.peer_domain)
             assert got.domains == want.domains
-            assert loaded.monitor.records() == dataset.monitor.records()
+            assert records(loaded.monitor) == records(dataset.monitor)
             assert type(loaded.monitor.log) is FlowLog
-            assert type(loaded.monitor.daily_logs) is dict

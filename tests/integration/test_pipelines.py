@@ -4,7 +4,9 @@ against ground truth the analyses never see."""
 import numpy as np
 import pytest
 
+from reference_models import records
 from repro.core import (
+    SiteClass,
     analyze_dependencies,
     as_traffic_breakdown,
     attribute_domains,
@@ -15,11 +17,8 @@ from repro.core import (
     hourly_fraction_series,
     mstl,
     multicloud_tenants,
-    SiteClass,
 )
 from repro.datasets import build_census, build_residence_study
-from repro.flowmon.export import FlowExporter
-from repro.flowmon.monitor import FlowScope
 from repro.web.ecosystem import SiteStatus
 
 
@@ -43,37 +42,12 @@ class TestClientPipeline:
         result = mstl(series, [24, 168])
         assert np.allclose(result.reconstruction(), series)
 
-    def test_anonymized_export_preserves_analysis(self, study):
-        """CryptoPAN export keeps exactly what the analyses need: the
-        server side in cleartext, clients pseudonymous but stable."""
-        dataset = study.dataset("A")
-        exporter = FlowExporter(dataset.monitor, key=b"integration-test-key-0123456789")
-        exported = exporter.export_all()
-        assert len(exported) == len(dataset.monitor.records())
-        config = dataset.monitor.config
-        pseudonyms: dict = {}
-        for record, raw in zip(exported, dataset.monitor.records()):
-            if record.scope is FlowScope.EXTERNAL:
-                # Peer intact: AS attribution still possible post-export.
-                assert dataset.universe.routing.origin_of(record.peer) is not None
-            # Pseudonyms are deterministic per client address and keep the
-            # network prefix (the paper's /24 / /64 policy).
-            for clear, anon in (
-                (raw.key.src, record.anonymized_src),
-                (raw.key.dst, record.anonymized_dst),
-            ):
-                if config.is_local(clear):
-                    assert pseudonyms.setdefault(clear, anon) == anon
-                    protected = 24 if clear.family.bits == 32 else 64
-                    for bit in range(protected):
-                        assert anon.bit(bit) == clear.bit(bit)
-
-    def test_byte_totals_conserved_through_export(self, study):
+    def test_byte_totals_conserved_through_table1(self, study):
+        """Every logged byte lands in Table 1's external or internal total."""
         dataset = study.dataset("C")
-        exporter = FlowExporter(dataset.monitor, key=b"integration-test-key-0123456789")
-        raw_total = sum(r.total_bytes for r in dataset.monitor.records())
-        exported_total = sum(r.bytes_total for r in exporter.export_all())
-        assert raw_total == exported_total
+        stats = compute_residence_stats(dataset)
+        raw_total = sum(r.total_bytes for r in records(dataset.monitor))
+        assert raw_total == stats.external.total_bytes + stats.internal.total_bytes
 
     def test_as_breakdown_consistent_with_stats(self, study):
         """Per-AS byte totals (unfiltered) sum to the external total."""

@@ -136,7 +136,8 @@ class TestAddressPool:
 
     def test_exhaustion(self):
         pool = AddressPool(Prefix.parse("192.0.2.0/30"))
-        pool.allocate_block(3)
+        for _ in range(3):
+            pool.allocate()
         with pytest.raises(RuntimeError):
             pool.allocate()
 
@@ -150,12 +151,7 @@ class TestAddressPool:
         pool.allocate()
         assert pool.remaining == 6
 
-    def test_negative_block(self):
-        pool = AddressPool(Prefix.parse("192.0.2.0/29"))
-        with pytest.raises(ValueError):
-            pool.allocate_block(-1)
-
     def test_unique_addresses(self):
         pool = AddressPool(Prefix.parse("2001:db8::/120"))
-        block = pool.allocate_block(200)
+        block = [pool.allocate() for _ in range(200)]
         assert len(set(block)) == 200

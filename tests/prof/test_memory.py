@@ -1,6 +1,7 @@
 """Memory accounting: RSS/GC gauges, tracemalloc span-peak nesting."""
 
 import gc
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,17 @@ class TestProcessGauges:
         rss = rss_bytes()
         assert rss is not None
         assert rss > 1_000_000  # a Python process is megabytes, not bytes
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").is_file(), reason="no procfs on this platform"
+    )
+    def test_rss_matches_vmrss(self):
+        """Resident pages from ``statm`` times the page size is the
+        kernel's ``VmRSS``, up to what the process maps between reads."""
+        rss = rss_bytes()
+        with open("/proc/self/status", encoding="ascii") as status:
+            [line] = [line for line in status if line.startswith("VmRSS:")]
+        assert abs(rss - int(line.split()[1]) * 1024) <= 1 << 20
 
     def test_gc_counts_cover_all_generations(self):
         counts = gc_counts()

@@ -4,11 +4,16 @@ The program logs flows and probes as columns.  These are the
 record-at-a-time models those columns replaced, kept here because the
 tests compare the column paths against them:
 
-* :func:`observe` logs one finished flow (what a conntrack DESTROY
-  event carries) into a monitor's log, one record at a time, where the
-  traffic generator writes whole columns; :class:`AppendLog` is the
-  log it appends to, which checks its rows through the program's own
+* :func:`observe` logs one finished flow (a :class:`FlowRecord`, what
+  a conntrack DESTROY event carries) into a monitor's log, one record at
+  a time, where the traffic generator writes whole columns;
+  :class:`AppendLog` is the log it appends to, which checks its rows
+  through the program's own
   :meth:`~repro.flowmon.monitor.FlowLog.from_columns`;
+* :func:`records` projects a monitor's log back into records, in the
+  frame's canonical order, and :func:`classify` and
+  :func:`external_peer` read one record's scope and service side -- the
+  record loops the frame's columns are pinned against;
 * :class:`Prober` probes one (vantage, target) pair through its own
   :class:`VantageResolver` and two :class:`~repro.happyeyeballs.
   algorithm.HappyEyeballs` races, and :func:`encode_block` writes its
@@ -24,8 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.flowmon.conntrack import FlowRecord
-from repro.flowmon.monitor import LOG_DTYPE, FlowLog, FlowMonitor, FlowScope
+from repro.flowmon.conntrack import Protocol
+from repro.flowmon.monitor import LOG_DTYPE, FlowLog, FlowMonitor, FlowScope, RouterConfig
 from repro.happyeyeballs.algorithm import HappyEyeballs, HappyEyeballsConfig
 from repro.net.addr import Family, IpAddress
 from repro.net.dns import DnsResponse, DnsStatus, Resolver, ZoneDatabase
@@ -49,6 +54,101 @@ from repro.util.rng import RngStream
 from repro.util.timeutil import day_index
 
 # -- flows -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IcmpInfo:
+    """ICMP flow identity: type, code, and echo id (paper section 3.1)."""
+
+    icmp_type: int
+    icmp_code: int
+    icmp_id: int
+
+
+@dataclass(frozen=True)
+class FlowKey:
+    """A flow's identity: the 5-tuple, or protocol+addresses+ICMP info."""
+
+    protocol: Protocol
+    src: IpAddress
+    dst: IpAddress
+    sport: int = 0
+    dport: int = 0
+    icmp: IcmpInfo | None = None
+
+    @property
+    def is_v6(self) -> bool:
+        return self.src.family is Family.V6
+
+
+@dataclass(frozen=True)
+class FlowRecord:
+    """The final accounting for one finished flow (DESTROY payload).
+    Unchecked: :func:`observe` seals it through
+    :meth:`FlowLog.from_columns`, which refuses what no flow can hold."""
+
+    key: FlowKey
+    start_time: float
+    end_time: float
+    bytes_out: int
+    bytes_in: int
+    packets_out: int
+    packets_in: int
+
+    @property
+    def total_bytes(self) -> int:
+        return self.bytes_out + self.bytes_in
+
+
+def classify(config: RouterConfig, record: FlowRecord) -> FlowScope:
+    """One record's scope, from where its endpoints sit."""
+    src_local = config.is_local(record.key.src)
+    dst_local = config.is_local(record.key.dst)
+    if src_local and dst_local:
+        return FlowScope.INTERNAL
+    if src_local or dst_local:
+        return FlowScope.EXTERNAL
+    return FlowScope.TRANSIT
+
+
+def external_peer(config: RouterConfig, record: FlowRecord) -> IpAddress | None:
+    """The non-local endpoint of an external flow (the "service" side)."""
+    src_local = config.is_local(record.key.src)
+    dst_local = config.is_local(record.key.dst)
+    if src_local and not dst_local:
+        return record.key.dst
+    if dst_local and not src_local:
+        return record.key.src
+    return None
+
+
+def records(
+    monitor: FlowMonitor, scope: FlowScope | None = None, day: int | None = None
+) -> list[FlowRecord]:
+    """A monitor's logged flows as records, optionally filtered by scope
+    and/or day, in the canonical order of its frame (sharing the log's
+    interned addresses)."""
+    order, _, _ = monitor.layout()
+    rows = monitor.log.rows[order]
+    addresses = monitor.log.addresses
+    projected = [
+        FlowRecord(
+            FlowKey(
+                Protocol(protocol), addresses[src], addresses[dst], sport, dport,
+                IcmpInfo(icmp_type, icmp_code, icmp_id) if icmp_type >= 0 else None,
+            ),
+            start, end, bytes_out, bytes_in, packets_out, packets_in,
+        )
+        for (
+            protocol, src, dst, sport, dport, icmp_type, icmp_code, icmp_id,
+            start, end, bytes_out, bytes_in, packets_out, packets_in,
+        ) in zip(*(rows[name].tolist() for name in LOG_DTYPE.names))
+    ]
+    return [
+        record for record in projected
+        if (scope is None or classify(monitor.config, record) is scope)
+        and (day is None or day_index(record.start_time) == day)
+    ]
 
 
 #: The integer fields, in the order :meth:`AppendLog.append` buffers them.
@@ -139,8 +239,8 @@ class AppendLog(FlowLog):
 def observe(monitor: FlowMonitor, record: FlowRecord) -> FlowScope:
     """Log one finished flow into ``monitor``; returns its scope.  A
     monitor's sealed log is reopened as an :class:`AppendLog` first, and
-    the views derived from the log are dropped (the monitor keeps them
-    once built: in ``src/`` a log is built whole)."""
+    the frame derived from the log is dropped (the monitor keeps it once
+    built: in ``src/`` a log is built whole)."""
     day_index(record.start_time)  # refuse pre-epoch flows up front
     if not isinstance(monitor.log, AppendLog):
         monitor.log = AppendLog(monitor.log.addresses, monitor.log.rows)
@@ -153,8 +253,7 @@ def observe(monitor: FlowMonitor, record: FlowRecord) -> FlowScope:
         None if icmp is None else (icmp.icmp_type, icmp.icmp_code, icmp.icmp_id),
     )
     monitor._frame_cache = None
-    monitor._projection = {}
-    return monitor.classify(record)
+    return classify(monitor.config, record)
 
 
 # -- probes ------------------------------------------------------------------

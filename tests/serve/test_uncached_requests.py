@@ -81,6 +81,18 @@ class TestViewsDeriveFromTheHotParent:
             assert service.handle("GET", target).status == 200
             assert hits.value() + misses.value() - before == 1, target
 
+    def test_an_off_loop_request_counts_one_hot_cache_probe(self):
+        """The front end's ``hot_only`` probe, then its off-loop retry, is
+        one request: one hit or one miss between them."""
+        hits = registry().get("serve_hot_cache_hits_total")
+        misses = registry().get("serve_hot_cache_misses_total")
+        service = ArtifactService(CONFIG, store=None)
+        for target in ("/v1/artifact/table1", "/v1/events?since=1", "/v1/contrast/DE"):
+            before = hits.value() + misses.value()
+            assert service.handle("GET", target, hot_only=True) is None
+            assert service.handle("GET", target).status == 200
+            assert hits.value() + misses.value() - before == 1, target
+
 
 class TestGzipOnFirstUse:
     def test_identity_never_compresses_and_gzip_compresses_once(self, monkeypatch):

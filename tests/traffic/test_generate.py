@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_models import external_peer, records
 from repro.flowmon.monitor import FlowScope
 from repro.traffic.apps import build_service_catalog, catalog_by_name
 from repro.traffic.generate import ResidenceDataset, TrafficGenerator
@@ -27,9 +28,17 @@ def dataset_c(universe) -> ResidenceDataset:
     return TrafficGenerator(universe, seed=7).generate(profile, num_days=14)
 
 
-def byte_fraction_v6(records) -> float:
-    total = sum(r.total_bytes for r in records)
-    v6 = sum(r.total_bytes for r in records if r.key.is_v6)
+def external(dataset: ResidenceDataset):
+    return records(dataset.monitor, scope=FlowScope.EXTERNAL)
+
+
+def internal(dataset: ResidenceDataset):
+    return records(dataset.monitor, scope=FlowScope.INTERNAL)
+
+
+def byte_fraction_v6(flows) -> float:
+    total = sum(r.total_bytes for r in flows)
+    v6 = sum(r.total_bytes for r in flows if r.key.is_v6)
     return v6 / total if total else 0.0
 
 
@@ -43,33 +52,31 @@ class TestGeneratorBasics:
         profile = residences_by_name()["E"]
         d1 = TrafficGenerator(universe, seed=3).generate(profile, num_days=3)
         d2 = TrafficGenerator(universe, seed=3).generate(profile, num_days=3)
-        r1 = [(r.start_time, r.total_bytes) for r in d1.external_records()]
-        r2 = [(r.start_time, r.total_bytes) for r in d2.external_records()]
+        r1 = [(r.start_time, r.total_bytes) for r in external(d1)]
+        r2 = [(r.start_time, r.total_bytes) for r in external(d2)]
         assert r1 == r2
 
     def test_seed_changes_traffic(self, universe):
         profile = residences_by_name()["E"]
         d1 = TrafficGenerator(universe, seed=3).generate(profile, num_days=3)
         d2 = TrafficGenerator(universe, seed=4).generate(profile, num_days=3)
-        assert len(d1.external_records()) != len(d2.external_records()) or (
-            byte_fraction_v6(d1.external_records())
-            != byte_fraction_v6(d2.external_records())
-        )
+        e1, e2 = external(d1), external(d2)
+        assert len(e1) != len(e2) or byte_fraction_v6(e1) != byte_fraction_v6(e2)
 
     def test_all_days_covered(self, dataset_a):
-        days = {day_index(r.start_time) for r in dataset_a.external_records()}
+        days = {day_index(r.start_time) for r in external(dataset_a)}
         assert days.issuperset(set(range(13)))  # last day may spill over
 
     def test_internal_and_external_present(self, dataset_a):
-        assert dataset_a.external_records()
-        assert dataset_a.internal_records()
+        assert external(dataset_a)
+        assert internal(dataset_a)
 
     def test_flows_attributable_to_ases(self, dataset_a):
         """Every external peer must resolve through the BGP table."""
         monitor = dataset_a.monitor
         routing = dataset_a.universe.routing
-        for record in dataset_a.external_records()[:500]:
-            peer = monitor.external_peer(record)
+        for record in external(dataset_a)[:500]:
+            peer = external_peer(monitor.config, record)
             assert peer is not None
             assert routing.origin_of(peer) is not None
 
@@ -83,8 +90,8 @@ class TestEmergentProtocolChoice:
         monitor = dataset_a.monitor
         google_records = [
             r
-            for r in dataset_a.external_records()
-            if routing.origin_of(monitor.external_peer(r)) == google.asn
+            for r in external(dataset_a)
+            if routing.origin_of(external_peer(monitor.config, r)) == google.asn
         ]
         assert google_records
         v6 = sum(1 for r in google_records if r.key.is_v6)
@@ -95,15 +102,15 @@ class TestEmergentProtocolChoice:
         laggard_asns = {by_name[n].asn for n in ("Zoom", "Twitch", "GitHub", "USC Campus")}
         routing = dataset_a.universe.routing
         monitor = dataset_a.monitor
-        for record in dataset_a.external_records():
-            peer = monitor.external_peer(record)
+        for record in external(dataset_a):
+            peer = external_peer(monitor.config, record)
             if routing.origin_of(peer) in laggard_asns:
                 assert not record.key.is_v6
 
     def test_broken_devices_depress_v6(self, dataset_a, dataset_c):
         """Residence C (broken CPE) shows far less IPv6 than A."""
-        frac_a = byte_fraction_v6(dataset_a.external_records())
-        frac_c = byte_fraction_v6(dataset_c.external_records())
+        frac_a = byte_fraction_v6(external(dataset_a))
+        frac_c = byte_fraction_v6(external(dataset_c))
         assert frac_a > 0.45
         assert frac_c < 0.30
         assert frac_a > frac_c + 0.2
@@ -111,25 +118,18 @@ class TestEmergentProtocolChoice:
     def test_happy_eyeballs_inflates_v4_flows(self, dataset_a):
         """Byte fraction exceeds flow fraction at the v6-heavy residence
         (section 3.2: extra IPv4 SYNs make flows overstate IPv4)."""
-        records = dataset_a.external_records()
-        bytes_frac = byte_fraction_v6(records)
-        flow_frac = sum(1 for r in records if r.key.is_v6) / len(records)
+        flows = external(dataset_a)
+        bytes_frac = byte_fraction_v6(flows)
+        flow_frac = sum(1 for r in flows if r.key.is_v6) / len(flows)
         assert bytes_frac > flow_frac
 
     def test_vacation_gap_visible(self, universe):
         """Residence A's spring break produces near-zero human traffic."""
         profile = residences_by_name()["A"]
         dataset = TrafficGenerator(universe, seed=5).generate(profile, num_days=140)
-        on_break = [
-            r
-            for r in dataset.external_records()
-            if 135 <= day_index(r.start_time) <= 138
-        ]
-        before_break = [
-            r
-            for r in dataset.external_records()
-            if 128 <= day_index(r.start_time) <= 131
-        ]
+        flows = external(dataset)
+        on_break = [r for r in flows if 135 <= day_index(r.start_time) <= 138]
+        before_break = [r for r in flows if 128 <= day_index(r.start_time) <= 131]
         assert len(on_break) < len(before_break) / 3
         # What remains during the break is background -> IPv4-leaning.
         assert byte_fraction_v6(on_break) < byte_fraction_v6(before_break)
@@ -138,7 +138,7 @@ class TestEmergentProtocolChoice:
 class TestInternalTraffic:
     def test_internal_stays_on_lan(self, dataset_a):
         config = dataset_a.monitor.config
-        for record in dataset_a.internal_records():
+        for record in internal(dataset_a):
             assert config.is_local(record.key.src)
             assert config.is_local(record.key.dst)
 
@@ -146,17 +146,17 @@ class TestInternalTraffic:
         """Residence D: NAS syncs dominate; internal flows > external."""
         profile = residences_by_name()["D"]
         dataset = TrafficGenerator(universe, seed=7).generate(profile, num_days=14)
-        assert len(dataset.internal_records()) > len(dataset.external_records())
+        assert len(internal(dataset)) > len(external(dataset))
 
     def test_d_internal_is_v6_heavy(self, universe):
         profile = residences_by_name()["D"]
         dataset = TrafficGenerator(universe, seed=7).generate(profile, num_days=14)
-        internal = dataset.internal_records()
-        v6 = sum(1 for r in internal if r.key.is_v6)
-        assert v6 / len(internal) > 0.8
+        flows = internal(dataset)
+        v6 = sum(1 for r in flows if r.key.is_v6)
+        assert v6 / len(flows) > 0.8
 
     def test_no_transit_flows(self, dataset_a):
-        assert not dataset_a.monitor.records(scope=FlowScope.TRANSIT)
+        assert not records(dataset_a.monitor, scope=FlowScope.TRANSIT)
 
 
 class TestIcmp:
@@ -167,7 +167,7 @@ class TestIcmp:
 
         icmp = [
             r
-            for r in dataset.monitor.records()
+            for r in records(dataset.monitor)
             if r.key.protocol is Protocol.ICMP
         ]
         assert icmp, "expected at least one ICMP probe in 10 days"

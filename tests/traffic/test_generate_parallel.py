@@ -14,7 +14,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.flowmon.monitor import FlowLog, FlowMonitor
+from reference_models import records
+from repro.flowmon.monitor import FlowLog, FlowMonitor, FlowScope
 from repro.traffic.apps import build_service_catalog
 from repro.traffic.draws import TrafficDraws
 from repro.traffic.generate import TrafficGenerator, _generate_residence
@@ -320,5 +321,6 @@ class TestWorkerResolution:
         )
         for dataset in datasets.values():
             stats = compute_residence_stats(dataset)
-            assert stats.external.total_flows == len(dataset.external_records())
+            external = records(dataset.monitor, scope=FlowScope.EXTERNAL)
+            assert stats.external.total_flows == len(external)
             assert np.isfinite(stats.external.byte_fraction_overall)

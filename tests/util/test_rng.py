@@ -109,21 +109,6 @@ class TestRngStream:
         draws = {stream.weighted_choice(["a", "b"], [1.0, 0.0]) for _ in range(50)}
         assert draws == {"a"}
 
-    def test_zipf_rank_bounds(self):
-        stream = RngStream(3)
-        ranks = [stream.zipf_rank(50, alpha=1.0) for _ in range(500)]
-        assert all(1 <= r <= 50 for r in ranks)
-
-    def test_zipf_rank_skew(self):
-        """Rank 1 should be drawn far more often than rank 50."""
-        stream = RngStream(3)
-        ranks = [stream.zipf_rank(50, alpha=1.0) for _ in range(5000)]
-        assert ranks.count(1) > ranks.count(50) * 3
-
-    def test_zipf_rank_invalid(self):
-        with pytest.raises(ValueError):
-            RngStream(1).zipf_rank(0)
-
     def test_lognormal_bytes_positive_and_median(self):
         stream = RngStream(5)
         draws = sorted(stream.lognormal_bytes(10_000, 1.0) for _ in range(2001))

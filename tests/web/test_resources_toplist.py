@@ -118,14 +118,6 @@ class TestSiteModel:
         with pytest.raises(ValueError):
             Website(etld1="x.com", rank=0, main_host="www.x.com")
 
-    def test_all_resource_fqdns(self):
-        site = Website(etld1="x.com", rank=1, main_host="www.x.com")
-        page = Page(path="/")
-        page.resources.append(EmbeddedResource("static.x.com", ResourceType.IMAGE))
-        page.resources.append(EmbeddedResource("ads.example.com", ResourceType.SCRIPT))
-        site.pages["/"] = page
-        assert site.all_resource_fqdns() == {"static.x.com", "ads.example.com"}
-
 
 class TestTopList:
     def test_generate(self):
