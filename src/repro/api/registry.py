@@ -125,23 +125,29 @@ def artifact(
 ) -> Callable[[Callable[..., ArtifactResult]], Callable[..., ArtifactResult]]:
     """Register ``fn`` as the renderer for artifact ``name``.
 
+    The declaration is checked here, when the renderer's module is
+    imported: a repeated ``name``, an empty ``needs`` or a layer that is
+    not a row of :data:`~repro.api.session.LAYER_GRAPH` raises
+    ``ValueError``.
+
     Args:
         name: CLI-facing artifact name (``table1``, ``fig5``, ...).
-        needs: which session layers the renderer reads, rows of
-            :data:`~repro.api.session.LAYER_GRAPH`.  Purely declarative --
-            layers build lazily on first access either way -- but drives
-            ``repro list`` and the memoization tests.
+        needs: which session layers the renderer reads (at least one),
+            rows of :data:`~repro.api.session.LAYER_GRAPH`.  Purely
+            declarative -- layers build lazily on first access either
+            way -- but drives ``repro list`` and the memoization tests.
         title: display title; defaults into results that leave it empty.
         paper: the paper figure/table this reproduces, e.g. ``"Figure 5"``.
     """
+    if name in _REGISTRY:
+        raise ValueError(f"artifact {name!r} is already registered")
     needs_set = frozenset(needs)
     unknown = needs_set - LAYER_GRAPH.keys()
-    if unknown:
-        raise ValueError(f"unknown layers {sorted(unknown)}; expected {sorted(LAYER_GRAPH)}")
+    if not needs_set or unknown:
+        problem = f"needs unknown layers {sorted(unknown)}" if unknown else "declares no layers"
+        raise ValueError(f"artifact {name!r} {problem}; expected some of {sorted(LAYER_GRAPH)}")
 
     def register(fn: Callable[..., ArtifactResult]) -> Callable[..., ArtifactResult]:
-        if name in _REGISTRY:
-            raise ValueError(f"artifact {name!r} is already registered")
         doc_lines = (fn.__doc__ or "").strip().splitlines()
         description = doc_lines[0] if doc_lines else ""
         _REGISTRY[name] = ArtifactSpec(

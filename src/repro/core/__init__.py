@@ -68,8 +68,8 @@ from repro.core.readiness import (
     SiteClass,
     TopNRow,
     browser_used_ipv4,
-    classify_site,
     census_breakdown,
+    classify_site,
     top_n_breakdown,
 )
 

@@ -13,6 +13,7 @@ provided:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from repro.crawler.crawl import CensusConfig, WebCensus
@@ -160,13 +161,15 @@ def realize_residence_study(
     timings (the what-if overlays' common random numbers).  A universe
     is a function of its catalog, so a ``catalog`` equal to the
     baseline's (an unpickled copy in a sweep worker included) shares
-    the baseline's universe; any other builds its own.  The realized
+    the baseline's universe, and the baseline's overlays share one
+    universe per other catalog (``dualstack:Amazon`` and
+    ``dualstack:Amazon+ispv6`` re-race over the same one).  The realized
     datasets carry no draws of their own.
     """
     if catalog == baseline.universe.catalog:
         universe = baseline.universe
     else:
-        universe = ServiceUniverse(catalog)
+        universe = _overlay_universe(baseline.universe, tuple(catalog))
     by_name = {profile.name: profile for profile in profiles}
     datasets: dict[str, ResidenceDataset] = {}
     for name, base in baseline.datasets.items():
@@ -183,6 +186,15 @@ def realize_residence_study(
             devices=devices,
         )
     return ResidenceStudy(universe=universe, datasets=datasets, num_days=baseline.num_days)
+
+
+@functools.lru_cache(maxsize=4)
+def _overlay_universe(
+    baseline: ServiceUniverse, catalog: tuple[ServiceProfile, ...]
+) -> ServiceUniverse:
+    """The universe of ``catalog``, built once per baseline universe (a
+    new baseline's overlays build their own) and kept for the last few."""
+    return ServiceUniverse(list(catalog))
 
 
 def build_census(

@@ -10,8 +10,7 @@ Public surface::
 and on the command line::
 
     python -m repro lint
-    python -m repro lint --format json --rule REP004
-    python -m repro lint --baseline replint-baseline.json
+    python -m repro lint --format json --rule REP001
 
 See :mod:`repro.devtools.lint.engine` for the rule framework and
 :mod:`repro.devtools.lint.rules` for the invariants it checks.
@@ -24,7 +23,6 @@ from pathlib import Path
 from repro.devtools.lint.engine import (
     WAIVER_RULE_ID,
     ModuleContext,
-    Project,
     Rule,
     Violation,
     lint_paths,
@@ -34,7 +32,6 @@ from repro.devtools.lint.rules import RULE_CLASSES, default_rules, rule_ids
 __all__ = [
     "WAIVER_RULE_ID",
     "ModuleContext",
-    "Project",
     "Rule",
     "RULE_CLASSES",
     "Violation",
@@ -50,7 +47,7 @@ def default_lint_root() -> Path:
     """The source tree to lint by default: the parent of ``repro``.
 
     Linting ``src/`` (not ``src/repro/``) keeps every relpath prefixed
-    ``repro/...``, which the baselines and waiver docs rely on.
+    ``repro/...``, so reports name files as the package does.
     """
     import repro
 

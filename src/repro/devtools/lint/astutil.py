@@ -74,26 +74,6 @@ def walk_calls(tree: ast.Module) -> Iterator[ast.Call]:
             yield node
 
 
-def string_elements(node: ast.AST) -> list[str] | None:
-    """The string constants of a literal tuple/list/set (or a
-    ``set(...)``/``frozenset(...)`` call over one); ``None`` when the
-    node is not a fully-literal string collection."""
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name in ("set", "frozenset") and len(node.args) == 1 and not node.keywords:
-            return string_elements(node.args[0])
-        return None
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        elements: list[str] = []
-        for element in node.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                elements.append(element.value)
-            else:
-                return None
-        return elements
-    return None
-
-
 def iter_comprehension_iters(tree: ast.Module) -> Iterator[tuple[ast.AST, ast.AST]]:
     """Every iteration site: ``for`` statements and comprehension clauses.
 

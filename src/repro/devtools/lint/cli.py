@@ -1,10 +1,8 @@
 """``python -m repro lint`` -- the replint command line.
 
-Exit codes follow the ratchet contract: 0 when the tree is clean (or
-every violation is covered by ``--baseline``), 1 when any new violation
-exists, 2 for usage errors.  ``--write-baseline`` accepts the current
-state as the new floor; ``--rule`` narrows a run to specific invariants
-while ``--list-rules`` documents them all.
+Exit codes: 0 when the tree is clean, 1 when any violation exists, 2
+for usage errors.  ``--rule`` narrows a run to specific invariants while
+``--list-rules`` documents them all.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.devtools.lint import default_lint_root, default_rules, lint_paths
-from repro.devtools.lint.baseline import load_baseline, new_violations, write_baseline
 from repro.devtools.lint.engine import WAIVER_RULE_ID
 from repro.devtools.lint.rules import RULE_CLASSES, rule_ids
 
@@ -49,21 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="REPNNN",
         help="run only this rule id (repeatable; waiver hygiene REP000 "
         "always runs)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="accepted-violations file: only violations beyond it fail "
-        "the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="accept the current violations as the new baseline and exit 0",
     )
     parser.add_argument(
         "--fix-hints",
@@ -116,46 +98,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise AssertionError("unreachable")  # pragma: no cover
     elapsed = time.perf_counter() - started
 
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, violations)
-        print(
-            f"replint: wrote {len(violations)} accepted violation(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
-
-    fresh = violations
-    accepted = 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            parser.error(f"could not read baseline {args.baseline}: {exc}")
-            raise AssertionError("unreachable")  # pragma: no cover
-        fresh = new_violations(violations, baseline)
-        accepted = len(violations) - len(fresh)
-
     if args.format == "json":
         document = {
             "rules": sorted(known),
             "checked_paths": [str(path) for path in paths],
             "elapsed_s": round(elapsed, 3),
             "total": len(violations),
-            "baselined": accepted,
-            "new": len(fresh),
-            "violations": [violation.to_dict() for violation in fresh],
+            "violations": [violation.to_dict() for violation in violations],
         }
         print(json.dumps(document, indent=2))
     else:
-        for violation in fresh:
+        for violation in violations:
             print(violation.format(fix_hints=args.fix_hints))
-        summary = (
-            f"replint: {len(fresh)} new violation(s)"
-            + (f", {accepted} baselined" if args.baseline is not None else "")
-            + f" ({elapsed:.2f}s)"
-        )
-        print(summary, file=sys.stderr)
-    return 1 if fresh else 0
+        print(f"replint: {len(violations)} new violation(s) ({elapsed:.2f}s)", file=sys.stderr)
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

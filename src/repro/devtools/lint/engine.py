@@ -2,12 +2,12 @@
 
 ``replint`` is a self-contained :mod:`ast`-based checker for the
 repo-specific invariants the test suite can only police after the fact
-(determinism, serialization discipline, registry contracts).  A
-:class:`Rule` sees each parsed module once (:meth:`Rule.check`) and the
-whole project at the end (:meth:`Rule.finalize`), which is how
-cross-module rules -- "every ``@artifact(needs=...)`` names a row of
-``LAYER_GRAPH``" -- are expressed in the same framework as per-file
-ones.
+(determinism, serialization discipline, hot-path and error-handling
+shape).  A :class:`Rule` sees each parsed module once, on its own
+(:meth:`Rule.check`): no rule reads a second module.  Contracts that
+need the running code -- the artifact registry's layers, an
+intervention's ``LAYERS`` -- are checked where they are declared, at
+import, not here.
 
 Suppression is explicit and justified: a violation may be waived with
 
@@ -21,12 +21,11 @@ the tree can never accumulate silent exemptions.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 #: Matches one waiver comment:  ``# replint: allow[REP001,REP008] reason``.
 _WAIVER_RE = re.compile(
@@ -39,7 +38,7 @@ WAIVER_RULE_ID = "REP000"
 
 @dataclass(frozen=True)
 class Violation:
-    """One rule hit, pinned to a file:line with a stable fingerprint."""
+    """One rule hit, pinned to a file:line."""
 
     rule: str
     path: str  # posix-style, relative to the lint root
@@ -47,18 +46,6 @@ class Violation:
     col: int
     message: str
     hint: str = ""
-    snippet: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-free identity, so baselines survive edits above.
-
-        Built from the rule, the file, and the *text* of the flagged
-        line: inserting code elsewhere in the file does not invalidate a
-        baseline entry, while touching the flagged line itself does.
-        """
-        basis = f"{self.rule}:{self.path}:{self.snippet.strip()}"
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 
     def format(self, fix_hints: bool = False) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -74,7 +61,6 @@ class Violation:
             "col": self.col,
             "message": self.message,
             "hint": self.hint,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -127,7 +113,6 @@ class ModuleContext:
             col=col,
             message=message,
             hint=hint if hint is not None else default_hint,
-            snippet=self.line_text(line),
         )
 
 
@@ -160,10 +145,7 @@ def _parse_waivers(source: str) -> list[Waiver]:
 class Rule:
     """Base class: one invariant, one id, one fix hint.
 
-    Subclasses override :meth:`check` (per file) and/or :meth:`finalize`
-    (once, after every file was seen -- the cross-module pass).  Rules
-    are instantiated fresh for every lint run, so ``check`` may collect
-    state on ``self`` for ``finalize`` to consume.
+    Subclasses override :meth:`check`, which sees one module at a time.
     """
 
     id: str = "REP???"
@@ -176,23 +158,6 @@ class Rule:
 
     def check(self, ctx: ModuleContext) -> Iterable[Violation]:
         return ()
-
-    def finalize(self, project: "Project") -> Iterable[Violation]:
-        return ()
-
-
-@dataclass
-class Project:
-    """Everything a finalize pass may want: all contexts, keyed lookups."""
-
-    root: Path
-    contexts: list[ModuleContext] = field(default_factory=list)
-
-    def find(self, *suffixes: str) -> Iterator[ModuleContext]:
-        """Contexts whose relpath ends with any of ``suffixes``."""
-        for ctx in self.contexts:
-            if any(ctx.relpath.endswith(suffix) for suffix in suffixes):
-                yield ctx
 
 
 def collect_python_files(paths: Sequence[Path]) -> list[tuple[Path, Path]]:
@@ -279,9 +244,7 @@ def lint_paths(
         rules = [rule for rule in rules if rule.id in wanted]
     contexts: dict[str, ModuleContext] = {}
     violations: list[Violation] = []
-    pairs = collect_python_files(paths)
-    project = Project(root=pairs[0][0] if pairs else Path.cwd())
-    for root, file in pairs:
+    for root, file in collect_python_files(paths):
         relpath = file.relative_to(root).as_posix()
         try:
             source = file.read_text(encoding="utf-8")
@@ -298,12 +261,9 @@ def lint_paths(
             )
             continue
         contexts[relpath] = ctx
-        project.contexts.append(ctx)
         for rule in rules:
             if rule.want(ctx):
                 violations.extend(rule.check(ctx))
-    for rule in rules:
-        violations.extend(rule.finalize(project))
     violations = _apply_waivers(violations, contexts)
     if select:
         wanted = set(select) | {WAIVER_RULE_ID, "REP999"}

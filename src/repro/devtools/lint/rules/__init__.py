@@ -1,9 +1,9 @@
-"""The replint rule set: REP001, REP003..REP009, REP011 and REP012, one
-invariant per rule.
+"""The replint rule set: REP001, REP003, REP006..REP009, REP011 and
+REP012, one invariant per rule, each checked one module at a time.
 
-``default_rules()`` returns fresh instances (rules accumulate per-run
-state for their cross-module passes, so instances must not be shared
-between runs).
+The registry contracts (an artifact's ``needs``, an intervention's
+``LAYERS``) are not lint rules: ``repro.api.registry.artifact`` and
+``repro.whatif.spec.Intervention`` reject a bad declaration at import.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from repro.devtools.lint.rules.errors import SwallowedErrorRule
 from repro.devtools.lint.rules.hotpaths import HotPathVectorizationRule
 from repro.devtools.lint.rules.ordering import SetOrderingRule
 from repro.devtools.lint.rules.profiling import ProfilerConfinementRule
-from repro.devtools.lint.rules.registry_contracts import (
-    ArtifactContractRule,
-    InterventionContractRule,
-)
 from repro.devtools.lint.rules.retries import AdHocRetryRule
 from repro.devtools.lint.rules.serialization import SerializationRule
 from repro.devtools.lint.rules.thresholds import ThresholdLocalityRule
@@ -25,8 +21,6 @@ from repro.devtools.lint.rules.thresholds import ThresholdLocalityRule
 RULE_CLASSES: tuple[type[Rule], ...] = (
     NondeterminismRule,
     SerializationRule,
-    ArtifactContractRule,
-    InterventionContractRule,
     HotPathVectorizationRule,
     SwallowedErrorRule,
     SetOrderingRule,

@@ -78,12 +78,6 @@ class IpAddress:
     def is_v6(self) -> bool:
         return self.family is Family.V6
 
-    def bit(self, index: int) -> int:
-        """The ``index``-th most-significant bit (0-based)."""
-        if not 0 <= index < self.family.bits:
-            raise ValueError(f"bit index {index} out of range for {self.family}")
-        return (self.value >> (self.family.bits - 1 - index)) & 1
-
     def __str__(self) -> str:
         if self.family is Family.V4:
             return str(ipaddress.IPv4Address(self.value))
@@ -148,14 +142,6 @@ class Prefix:
             return False
         return (address.value & self._mask_value) == self.address.value
 
-    def covers(self, other: "Prefix") -> bool:
-        """True if every address in ``other`` is inside this prefix."""
-        return (
-            other.family is self.family
-            and other.length >= self.length
-            and self.contains(other.address)
-        )
-
     def nth(self, offset: int) -> IpAddress:
         """The ``offset``-th address inside the prefix (0 = network address)."""
         if not 0 <= offset < self.num_addresses:
@@ -189,14 +175,6 @@ class AddressPool:
     def __init__(self, prefix: Prefix, skip_network_address: bool = True) -> None:
         self.prefix = prefix
         self._next = 1 if skip_network_address else 0
-
-    @property
-    def allocated(self) -> int:
-        return self._next - (1 if self._next > 0 else 0)
-
-    @property
-    def remaining(self) -> int:
-        return self.prefix.num_addresses - self._next
 
     def peek(self) -> IpAddress:
         """The address :meth:`allocate` hands out next, left unallocated.

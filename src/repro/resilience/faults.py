@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.util.rng import RngStream
 

@@ -36,15 +36,13 @@ import shutil
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
+from repro.api.session import LAYER_GRAPH, Study, StudyConfig, prime_caches
 from repro.resilience.faults import corrupt_hook, fault_hook
 from repro.resilience.retry import STORE_POLICY, call_with_retry
 from repro.store.serialize import dump_value, load_value
 from repro.telemetry import registry as _metrics_registry, span
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.session import Study, StudyConfig
 
 #: Bump when the on-disk layout or the key derivation changes; entries
 #: stamped with another schema are invisible to this code (and ``gc``
@@ -64,17 +62,10 @@ STORE_SCHEMA = 6
 #: The payload filename of rendered-artifact entries.
 ARTIFACT_FILE = "artifact.json"
 
-#: The layers :func:`snapshot_study` persists by default -- everything
-#: except ``whatif`` (sweeps are opt-in: their default grid is the most
-#: expensive object in the session).
-DEFAULT_SNAPSHOT_LAYERS = (
-    "traffic",
-    "census",
-    "cloud",
-    "dependencies",
-    "observatory",
-    "sentinel",
-)
+#: The layers :func:`snapshot_study` persists by default -- every row of
+#: the layer graph except ``whatif`` (sweeps are opt-in: their default
+#: grid is the most expensive object in the session).
+DEFAULT_SNAPSHOT_LAYERS = tuple(layer for layer in LAYER_GRAPH if layer != "whatif")
 
 
 #: Warehouse IO latency (spans carry the per-entry detail; the
@@ -658,7 +649,7 @@ def reset_store() -> None:
 
 def snapshot_study(
     store: ArtifactStore,
-    study: "Study",
+    study: Study,
     layers: Iterable[str] = DEFAULT_SNAPSHOT_LAYERS,
 ) -> dict[str, StoreEntry]:
     """Persist the given layers of ``study`` (building missing ones).
@@ -676,7 +667,7 @@ def snapshot_study(
 
 def warm_start(
     store: ArtifactStore,
-    config: "StudyConfig",
+    config: StudyConfig,
     layers: Iterable[str] | None = None,
 ) -> list[str]:
     """Prime a cold process's session caches from disk.
@@ -686,8 +677,6 @@ def warm_start(
     seeds them through :func:`repro.api.session.prime_caches`.  Returns
     the layers primed.
     """
-    from repro.api.session import LAYER_GRAPH, Study, prime_caches
-
     study = Study(config)  # builds nothing; only derives the keys
     primed: list[str] = []
     for layer in layers if layers is not None else LAYER_GRAPH:
@@ -712,7 +701,7 @@ def _dataclass_key(value: Any) -> Any:
     return value
 
 
-def artifact_key(config: "StudyConfig", name: str, params: dict | None = None) -> tuple:
+def artifact_key(config: StudyConfig, name: str, params: dict | None = None) -> tuple:
     """The store key of one rendered artifact.
 
     Built from the config's :attr:`~repro.api.session.StudyConfig.

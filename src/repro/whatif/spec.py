@@ -51,10 +51,22 @@ class Intervention:
     for the census, the records to publish) and never mutate their
     input, so they run identically in the parent process and in sweep
     workers, over universes shared with the baseline.
+
+    ``LAYERS`` is what the overlay forks caches by, so it is checked
+    when a subclass is created: an empty set, or one naming a layer
+    outside :data:`PERTURBABLE_LAYERS`, raises ``TypeError``.
     """
 
     KIND: ClassVar[str] = ""
     LAYERS: ClassVar[frozenset[str]] = frozenset()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if not cls.LAYERS or not cls.LAYERS <= PERTURBABLE_LAYERS:
+            raise TypeError(
+                f"intervention {cls.__name__} must declare a non-empty LAYERS "
+                f"within {sorted(PERTURBABLE_LAYERS)}, not {sorted(cls.LAYERS)}"
+            )
 
     # -- serialization -----------------------------------------------------
 

@@ -32,6 +32,7 @@ class TestRegistryContents:
         for spec in registry.specs():
             assert spec.description, spec.name
             assert spec.paper, spec.name
+            assert spec.needs, spec.name
             assert spec.needs <= LAYER_GRAPH.keys(), spec.name
 
     def test_get_unknown_raises_with_names(self):
@@ -45,6 +46,12 @@ class TestRegistryContents:
     def test_unknown_layer_rejected(self):
         with pytest.raises(ValueError, match="unknown layers"):
             artifact("bogus-layer-artifact", needs=("warp",))
+
+    @pytest.mark.parametrize("declaration", [{}, {"needs": ()}], ids=["omitted", "empty"])
+    def test_undeclared_layers_rejected(self, declaration):
+        with pytest.raises(ValueError, match="'no-layer-artifact' declares no layers"):
+            artifact("no-layer-artifact", **declaration)
+        assert "no-layer-artifact" not in registry.names()
 
 
 class TestEveryArtifactRenders:

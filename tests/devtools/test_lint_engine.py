@@ -1,4 +1,4 @@
-"""Engine mechanics: waivers, fingerprints, parse failures, selection."""
+"""Engine mechanics: waivers, parse failures, selection."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.lint import WAIVER_RULE_ID, default_rules, lint_paths
-from repro.devtools.lint.engine import Violation, collect_python_files
+from repro.devtools.lint.engine import collect_python_files
 
 
 def lint_source(tmp_path: Path, source: str, *, name: str = "mod.py", select=None):
@@ -77,24 +77,6 @@ class TestWaivers:
             """,
         )
         assert violations == []
-
-
-class TestFingerprints:
-    def test_fingerprint_survives_line_shift(self):
-        a = Violation("REP001", "repro/x.py", 10, 4, "m", snippet="    t = time.time()")
-        b = Violation("REP001", "repro/x.py", 99, 4, "m", snippet="t = time.time()")
-        assert a.fingerprint == b.fingerprint
-
-    def test_fingerprint_changes_with_line_text(self):
-        a = Violation("REP001", "repro/x.py", 10, 4, "m", snippet="t = time.time()")
-        b = Violation("REP001", "repro/x.py", 10, 4, "m", snippet="u = time.time()")
-        assert a.fingerprint != b.fingerprint
-
-    def test_fingerprint_changes_with_rule_and_path(self):
-        a = Violation("REP001", "repro/x.py", 10, 4, "m", snippet="s")
-        b = Violation("REP008", "repro/x.py", 10, 4, "m", snippet="s")
-        c = Violation("REP001", "repro/y.py", 10, 4, "m", snippet="s")
-        assert len({a.fingerprint, b.fingerprint, c.fingerprint}) == 3
 
 
 class TestParseFailures:

@@ -12,14 +12,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.api.session as session_module
-from repro.api.session import LAYER_GRAPH
 from repro.devtools.lint import WAIVER_RULE_ID, default_rules, lint_paths
-from repro.devtools.lint.rules.registry_contracts import (
-    DEFAULT_PERTURBABLE_LAYERS,
-    DEFAULT_REGISTRY_LAYERS,
-)
-from repro.whatif.spec import PERTURBABLE_LAYERS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,8 +20,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 FLAG_CASES = [
     ("REP001", "rep001_flag.py", 10),
     ("REP003", "rep003_flag.py", 6),
-    ("REP004", "rep004_flag.py", 4),
-    ("REP005", "rep005_flag.py", 3),
     ("REP006", "rep006_flag", 4),
     ("REP007", "rep007_flag", 3),
     ("REP008", "rep008_flag.py", 3),
@@ -40,8 +31,6 @@ FLAG_CASES = [
 PASS_CASES = [
     ("REP001", "rep001_pass.py"),
     ("REP003", "rep003_pass"),
-    ("REP004", "rep004_pass.py"),
-    ("REP005", "rep005_pass.py"),
     ("REP006", "rep006_pass"),
     ("REP007", "rep007_pass"),
     ("REP008", "rep008_pass.py"),
@@ -86,41 +75,3 @@ def test_every_rule_carries_a_fix_hint():
 def test_rules_are_fresh_instances_per_run():
     first, second = default_rules(), default_rules()
     assert all(a is not b for a, b in zip(first, second))
-
-
-def test_fallback_vocabularies_match_the_source():
-    """REP004/REP005 lint fixture trees against these copies."""
-    assert DEFAULT_REGISTRY_LAYERS == frozenset(LAYER_GRAPH)
-    assert DEFAULT_PERTURBABLE_LAYERS == PERTURBABLE_LAYERS
-
-
-EXTRA_ARTIFACT = '''
-from repro.api.registry import ArtifactResult, artifact
-
-
-@artifact("extra_table", needs=("extra",), title="Extra", paper="Table 0")
-def render_extra_table(study) -> ArtifactResult:
-    """Reads a layer only the session's layer rows declare."""
-    return ArtifactResult()
-'''
-
-
-def test_rep004_reads_the_layer_rows_of_the_session(tmp_path):
-    """A layer is one ``Layer(...)`` row of ``api/session.py``: an
-    artifact may need it with no second list to update."""
-    source = Path(session_module.__file__).read_text()
-    row = 'Layer("sentinel",'
-    assert source.count(row) == 1
-    extra_row = 'Layer("extra", (), lambda c: (), _build_sentinel, lambda c: ""),\n        '
-
-    def lint_tree(name, session_source):
-        root = tmp_path / name
-        (root / "api").mkdir(parents=True)
-        (root / "api" / "session.py").write_text(session_source)
-        (root / "artifacts.py").write_text(EXTRA_ARTIFACT)
-        return lint_paths([root], default_rules(), select=["REP004"])
-
-    assert lint_tree("with_row", source.replace(row, extra_row + row)) == []
-    violations = lint_tree("without_row", source)
-    assert [v.rule for v in violations] == ["REP004"]
-    assert "'extra'" in violations[0].message

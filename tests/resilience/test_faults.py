@@ -5,9 +5,9 @@ same specs + same seed => the same operations fail, replayably, with
 zero cost (one global ``None``-check) while no plan is installed.
 """
 
-import pytest
-
 from concurrent.futures.process import BrokenProcessPool
+
+import pytest
 
 from repro.resilience.faults import (
     FAULT_KINDS,

@@ -403,3 +403,14 @@ class TestUniverseSharing:
         assert traffic.universe is not warm.traffic.universe
         for dataset in traffic.datasets.values():
             assert dataset.universe is traffic.universe
+
+    def test_sweep_builds_one_universe_per_catalog(self, universes):
+        """A sequential default sweep from a fresh baseline builds the
+        baseline's universe and ``dualstack:Amazon``'s, which
+        ``dualstack:Amazon+ispv6`` shares."""
+        from repro.whatif import run_sweep
+
+        config = StudyConfig(days=3, sites=60, seed=2208, probe_targets=30, parallel=False)
+        sweep = run_sweep(config, parallel=False)
+        assert "dualstack:Amazon+ispv6" in sweep.frame.scenarios
+        assert len(universes) == len({tuple(catalog) for catalog in universes}) == 2

@@ -1,5 +1,7 @@
 """Intervention specs: parsing, round-trips, validation, layers."""
 
+from typing import ClassVar
+
 import pytest
 
 from repro.whatif.spec import (
@@ -9,6 +11,7 @@ from repro.whatif.spec import (
     DualStackProvider,
     EnableISPv6,
     HappyEyeballsTimerChange,
+    Intervention,
     PolicyBlockCountry,
     Scenario,
     as_scenario,
@@ -99,6 +102,21 @@ class TestLayers:
         )
         assert DeployNAT64(country="JP").LAYERS == frozenset({"observatory"})
         assert HappyEyeballsTimerChange().LAYERS == frozenset({"traffic"})
+
+    def test_undeclared_layers_rejected_at_class_creation(self):
+        with pytest.raises(TypeError, match="ForgotLayers must declare a non-empty LAYERS"):
+            class ForgotLayers(Intervention):
+                KIND = "forgot"
+
+    @pytest.mark.parametrize(
+        "layers", [frozenset(), frozenset({"warp_drive"}), frozenset({"traffic", "cloud"})],
+        ids=["empty", "unknown", "not-perturbable"],
+    )
+    def test_bad_layers_rejected_at_class_creation(self, layers):
+        with pytest.raises(TypeError, match="BadLayers must declare a non-empty LAYERS"):
+            class BadLayers(Intervention):
+                KIND = "bad"
+                LAYERS: ClassVar[frozenset[str]] = layers
 
     def test_as_scenario_coercions(self):
         single = as_scenario("nat64:DE")
