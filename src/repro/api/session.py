@@ -152,7 +152,11 @@ _CACHE: dict[tuple[str, tuple], Any] = {}
 
 
 def clear_caches() -> None:
-    """Drop every cached layer (``builds_total`` is left intact)."""
+    """Drop every cached layer (``builds_total`` is left intact).
+
+    Memos keyed by content alone, such as the LOESS terms of
+    :mod:`repro.core.mstl`, hold no layer and are kept.
+    """
     _CACHE.clear()
 
 

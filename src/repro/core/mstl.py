@@ -29,17 +29,41 @@ call -- explicit ``x`` or ``x_eval`` (the integer ``seasonal_window``
 path), degree 0, an even window -- fits one point per iteration in
 :func:`_fit_point`, the reference the kernel's output matches byte for
 byte.
+
+The kernel's terms that read only positions (the tricube weights, their
+sums, the weighted position offsets and variances) depend on nothing
+but ``(n, window)``, and ``mstl(y, [24, 168])`` smooths 16 times, four
+times with each of four windows.  They are kept, read-only, in a
+process-wide memo of at most :data:`TERM_MEMO_BYTES`, least recently
+used first out; a call does only the work that reads ``y``, with the
+same operations on the same operands in the same order.  A key larger
+than the budget is streamed chunk by chunk and not kept.  The memo is
+pure in its key, so :func:`repro.api.clear_caches` leaves it alone:
+dropping it would only cost recomputation.
+
+With ``seasonal_window="periodic"``, each cycle-subseries is its mean,
+so :func:`stl` smooths all of them at once: one sum over the last axis
+of a phase-major block (:func:`_periodic_field`), byte-identical to the
+per-phase means.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 #: Byte budget of one temporary array in the LOESS row kernel.
 ROW_CHUNK_BYTES = 1 << 20
+
+#: Byte budget of the row kernel's memo of position-only terms: the four
+#: MSTL windows (25, 37, 169, 253) take 2.6 MB at n = 336 and 5.9 MB at
+#: n = 744, and the budget holds both at once.
+TERM_MEMO_BYTES = 16 << 20
 
 
 def _tricube(u: np.ndarray) -> np.ndarray:
@@ -143,30 +167,109 @@ def _loess_rows(y: np.ndarray, window: int) -> np.ndarray:
     sum over the last axis of a C-contiguous array, which is the same
     pairwise summation as its 1-D sums, so the result is byte-identical.
     With ``window >= 3`` distinct positions, ``max_dist`` and ``wsum`` are
-    positive, so its two mean fallbacks never apply here.
+    positive, so its two mean fallbacks never apply here.  The steps that
+    read only positions come from :data:`_MEMO`; this does the rest.
     """
-    n = y.size
-    xs = np.arange(n, dtype=float)
-    starts = np.clip(np.arange(n) - window // 2, 0, n - window)
-    x_rows = sliding_window_view(xs, window)
     y_rows = sliding_window_view(y, window)
-    step = max(1, ROW_CHUNK_BYTES // (8 * window))
-    smoothed = np.empty(n)
-    for lo in range(0, n, step):
-        t = xs[lo : lo + step, None]
-        segment_x = x_rows[starts[lo : lo + step]]
-        segment_y = y_rows[starts[lo : lo + step]]
-        dist = np.abs(segment_x - t)
-        weights = _tricube(dist / (dist.max(axis=1, keepdims=True) * 1.0001))
-        wsum = weights.sum(axis=1, keepdims=True)
-        wx = (weights * segment_x).sum(axis=1, keepdims=True) / wsum
-        wy = (weights * segment_y).sum(axis=1, keepdims=True) / wsum
-        cov = (weights * (segment_x - wx) * (segment_y - wy)).sum(axis=1, keepdims=True)
-        var = (weights * (segment_x - wx) ** 2).sum(axis=1, keepdims=True)
-        sloped = var > 1e-12
-        slope = np.where(sloped, cov / np.where(sloped, var, 1.0), 0.0)
-        smoothed[lo : lo + step] = (wy + slope * (t - wx))[:, 0]
+    smoothed = np.empty(y.size)
+    for terms in _MEMO.terms(y.size, window):
+        segment_y = y_rows[terms.starts]
+        wy = (terms.weights * segment_y).sum(axis=1, keepdims=True) / terms.wsum
+        cov = (terms.wdx * (segment_y - wy)).sum(axis=1, keepdims=True)
+        slope = np.where(terms.sloped, cov / terms.var, 0.0)
+        smoothed[terms.lo : terms.lo + terms.starts.size] = (wy + slope * terms.dt)[:, 0]
     return smoothed
+
+
+class _RowTerms(NamedTuple):
+    """The position-only terms of the kernel's rows ``lo .. lo + starts.size``.
+
+    ``starts`` holds each row's first observation; ``weights`` and ``wdx``
+    are ``(rows, window)`` and the rest ``(rows, 1)``.  Each is
+    :func:`_fit_point`'s value of the same name, except that ``wdx`` is
+    ``weights * (segment_x - wx)``, ``var`` is 1.0 where ``sloped`` is
+    False, and ``dt`` is ``t - wx``.
+    """
+
+    lo: int
+    starts: np.ndarray
+    weights: np.ndarray
+    wsum: np.ndarray
+    wdx: np.ndarray
+    sloped: np.ndarray
+    var: np.ndarray
+    dt: np.ndarray
+
+
+def _terms_nbytes(n: int, window: int) -> int:
+    """Bytes of every :class:`_RowTerms` array of ``(n, window)``."""
+    return n * (16 * window + 33)
+
+
+def _row_terms(n: int, window: int, lo: int, hi: int) -> _RowTerms:
+    """The read-only position-only terms of rows ``lo .. hi``."""
+    t = np.arange(lo, hi, dtype=float)[:, None]
+    starts = np.clip(np.arange(lo, hi) - window // 2, 0, n - window)
+    segment_x = sliding_window_view(np.arange(n, dtype=float), window)[starts]
+    dist = np.abs(segment_x - t)
+    weights = _tricube(dist / (dist.max(axis=1, keepdims=True) * 1.0001))
+    wsum = weights.sum(axis=1, keepdims=True)
+    wx = (weights * segment_x).sum(axis=1, keepdims=True) / wsum
+    var = (weights * (segment_x - wx) ** 2).sum(axis=1, keepdims=True)
+    sloped = var > 1e-12
+    terms = _RowTerms(
+        lo, starts, weights, wsum, weights * (segment_x - wx),
+        sloped, np.where(sloped, var, 1.0), t - wx,
+    )
+    for array in terms[1:]:
+        array.flags.writeable = False
+    return terms
+
+
+def _stream_terms(n: int, window: int) -> Iterator[_RowTerms]:
+    """Every row's terms, in chunks whose temporaries fit :data:`ROW_CHUNK_BYTES`."""
+    step = max(1, ROW_CHUNK_BYTES // (8 * window))
+    return (_row_terms(n, window, lo, min(n, lo + step)) for lo in range(0, n, step))
+
+
+class _TermMemo:
+    """The kernel's position-only terms per ``(n, window)``, within a byte budget.
+
+    A key larger than ``budget`` is streamed chunk by chunk and not kept;
+    otherwise the least recently used keys are dropped to make room.  The
+    terms are built outside the lock and inserted under it, so threads
+    that render at once may build a key twice but keep it once.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self.entries: OrderedDict[tuple[int, int], tuple[_RowTerms, ...]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def terms(self, n: int, window: int) -> Iterable[_RowTerms]:
+        key = (n, window)
+        with self._lock:
+            chunks = self.entries.get(key)
+            if chunks is not None:
+                self.entries.move_to_end(key)
+                return chunks
+        if _terms_nbytes(n, window) > self.budget:
+            return _stream_terms(n, window)
+        chunks = tuple(_stream_terms(n, window))
+        with self._lock:
+            if key not in self.entries:
+                self.entries[key] = chunks
+                self.nbytes += _terms_nbytes(n, window)
+                while self.nbytes > self.budget:
+                    dropped, _ = self.entries.popitem(last=False)
+                    self.nbytes -= _terms_nbytes(*dropped)
+        return chunks
+
+
+#: The process's memo; :func:`repro.api.clear_caches` leaves it alone,
+#: since its terms are a function of ``(n, window)`` alone.
+_MEMO = _TermMemo(TERM_MEMO_BYTES)
 
 
 def _moving_average(values: np.ndarray, length: int) -> np.ndarray:
@@ -244,19 +347,18 @@ def stl(
     seasonal = np.zeros(n)
     for _ in range(inner_iterations):
         detrended = y - trend
-        extended = np.empty(n + 2 * period)
-        # Smooth each cycle-subseries, extended one period both ways.
-        for phase in range(period):
-            sub = detrended[phase::period]
-            if seasonal_window == "periodic":
-                values = np.full(sub.size + 2, float(sub.mean()))
-            else:
+        if seasonal_window == "periodic":
+            extended = _periodic_field(detrended, period)
+        else:
+            # Smooth each cycle-subseries, extended one period both ways:
+            # phase k has ceil((n - k) / period) + 2 == sub.size + 2 slots.
+            extended = np.empty(n + 2 * period)
+            for phase in range(period):
+                sub = detrended[phase::period]
                 eval_positions = np.arange(-1, sub.size + 1, dtype=float)
-                values = loess_smooth(
+                extended[phase::period] = loess_smooth(
                     sub, int(seasonal_window), x_eval=eval_positions
                 )
-            # values[0] is the pre-extension, values[-1] the post-extension.
-            extended[phase::period] = _place_subseries(values, n, period, phase)
         # Low-pass filter the extended cycle field.
         low_pass = _moving_average(extended, period)
         low_pass = _moving_average(low_pass, period)
@@ -271,23 +373,26 @@ def stl(
     )
 
 
-def _place_subseries(values: np.ndarray, n: int, period: int, phase: int) -> np.ndarray:
-    """Arrange an extended subseries into its slots of the extended field.
+def _periodic_field(detrended: np.ndarray, period: int) -> np.ndarray:
+    """Each phase's mean, tiled over the extended field of ``n + 2 * period``.
 
-    The extended field has length ``n + 2 * period``; subseries ``phase``
-    occupies positions ``phase, phase + period, ...`` of it.  ``values``
-    holds the subseries' smoothed values including one pre- and one
-    post-extension sample.
+    Rows of a phase-major C-contiguous block sum by the same pairwise
+    summation as the strided subseries ``detrended[phase::period]``, so
+    each mean is byte-identical to ``sub.mean()``.  When ``period`` does
+    not divide ``n``, the first ``n % period`` phases have one more
+    sample and form a block of their own.
     """
-    slots = np.arange(phase, n + 2 * period, period)
-    if slots.size != values.size:
-        # The extension always yields sub.size + 2 values; slot count can
-        # exceed that by one when n is not a multiple of period.
-        if slots.size == values.size + 1:
-            values = np.append(values, values[-1])
-        else:  # pragma: no cover - defensive
-            raise AssertionError("subseries extension mismatch")
-    return values
+    n = detrended.size
+    count, ragged = divmod(n, period)
+    phases = detrended[: count * period].reshape(count, period).T
+    means = np.empty(period)
+    if ragged:
+        longer = np.empty((ragged, count + 1))
+        longer[:, :count] = phases[:ragged]
+        longer[:, count] = detrended[count * period :]
+        means[:ragged] = longer.sum(axis=1) / (count + 1)
+    means[ragged:] = np.ascontiguousarray(phases[ragged:]).sum(axis=1) / count
+    return np.resize(means, n + 2 * period)
 
 
 @dataclass(frozen=True)

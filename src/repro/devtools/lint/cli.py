@@ -110,7 +110,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         for violation in violations:
             print(violation.format(fix_hints=args.fix_hints))
-        print(f"replint: {len(violations)} new violation(s) ({elapsed:.2f}s)", file=sys.stderr)
+        print(f"replint: {len(violations)} violation(s) ({elapsed:.2f}s)", file=sys.stderr)
     return 1 if violations else 0
 
 

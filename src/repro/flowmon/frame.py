@@ -279,14 +279,29 @@ class FlowFrame:
         return self if mask is None else self.mask(mask)
 
     def mask(self, mask: np.ndarray) -> "FlowFrame":
-        """A boolean-mask view sharing this frame's interning tables."""
+        """A boolean-mask view sharing this frame's interning tables.
+
+        The rows are gathered by :func:`take_rows`.
+        """
         return FlowFrame(
-            data=self.data[mask],
+            data=take_rows(self.data, mask),
             peers=self.peers,
             peer_asn=self.peer_asn,
             peer_domain=self.peer_domain,
             domains=self.domains,
         )
+
+
+def take_rows(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``data[mask]`` for a boolean row mask, gathered by index.
+
+    Boolean indexing copies a packed (unaligned) structured dtype such as
+    :data:`FLOW_DTYPE` field by field, several times slower than ``take``,
+    which copies the same bytes: these dtypes have no padding.
+    """
+    if mask.shape != data.shape:
+        raise IndexError(f"a mask of shape {mask.shape} for {data.size} rows")
+    return data.take(np.flatnonzero(mask))
 
 
 def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

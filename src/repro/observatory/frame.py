@@ -20,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.flowmon.frame import take_rows
 from repro.net.addr import Family
 from repro.observatory.probe import ProbeVerdict
 
@@ -166,17 +167,15 @@ class ProbeFrame:
             mask &= self.data["country"] == self.countries.index(country)
         if vantage is not None:
             mask &= self.data["vantage"] == self.vantages.index(vantage)
-        return ProbeFrame(
-            data=self.data[mask],
-            vantages=self.vantages,
-            countries=self.countries,
-            targets=self.targets,
-        )
+        return self.mask(mask)
 
     def mask(self, mask: np.ndarray) -> "ProbeFrame":
-        """A boolean-mask view sharing this frame's interning tables."""
+        """A boolean-mask view sharing this frame's interning tables.
+
+        The rows are gathered by :func:`~repro.flowmon.frame.take_rows`.
+        """
         return ProbeFrame(
-            data=self.data[mask],
+            data=take_rows(self.data, mask),
             vantages=self.vantages,
             countries=self.countries,
             targets=self.targets,

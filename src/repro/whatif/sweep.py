@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.api.session import Study, StudyConfig, prime_caches
+from repro.flowmon.frame import take_rows
 from repro.telemetry import span
 from repro.util.procpool import map_in_pool, resolve_worker_count
 from repro.whatif.overlay import OverlayStudy
@@ -123,14 +124,17 @@ class DeltaFrame:
     def select(
         self, scenario: str | None = None, country: str | None = None
     ) -> "DeltaFrame":
-        """A filtered view sharing this frame's interning tables."""
+        """A filtered view sharing this frame's interning tables.
+
+        The rows are gathered by :func:`~repro.flowmon.frame.take_rows`.
+        """
         mask = np.ones(self.data.size, dtype=bool)
         if scenario is not None:
             mask &= self.data["scenario"] == self.scenarios.index(scenario)
         if country is not None:
             mask &= self.data["country"] == self.countries.index(country)
         return DeltaFrame(
-            data=self.data[mask],
+            data=take_rows(self.data, mask),
             scenarios=self.scenarios,
             countries=self.countries,
         )

@@ -1,14 +1,27 @@
 """Tests for LOESS, STL, and MSTL."""
 
+import contextlib
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mstl import ROW_CHUNK_BYTES, _moving_average, loess_smooth, mstl, stl
+from reference_models import mstl_by_phase, stl_by_phase
+from repro.api import Study, StudyConfig
+from repro.core.mstl import (
+    ROW_CHUNK_BYTES,
+    TERM_MEMO_BYTES,
+    _moving_average,
+    loess_smooth,
+    mstl,
+    stl,
+)
+from repro.serve import artifact_document
 
 # ``repro.core.mstl`` the attribute is the re-exported function.
 MSTL_MODULE = sys.modules["repro.core.mstl"]
@@ -134,6 +147,106 @@ class TestRowKernel:
         assert peak - before <= 10 * ROW_CHUNK_BYTES
 
 
+@pytest.fixture()
+def cold_memo(monkeypatch):
+    """An empty term memo with the module's budget, in place of the process's."""
+    memo = MSTL_MODULE._TermMemo(TERM_MEMO_BYTES)
+    monkeypatch.setattr(MSTL_MODULE, "_MEMO", memo)
+    return memo
+
+
+@contextlib.contextmanager
+def switching_often():
+    """Make the interpreter switch threads every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def held_bytes(memo) -> int:
+    return sum(a.nbytes for chunks in memo.entries.values() for t in chunks for a in t[1:])
+
+
+class TestTermMemo:
+    """The memo changes no byte, keeps its budget, and is safe to share."""
+
+    @pytest.mark.parametrize("n, window", [(336, 25), (336, 253), (744, 169), (1000, 37)])
+    def test_warm_equals_cold(self, cold_memo, n, window):
+        y = random_walk(n, seed=window)
+        cold = loess_smooth(y, window)
+        assert (n, window) in cold_memo.entries
+        assert loess_smooth(y, window).tobytes() == cold.tobytes() == per_point(y, window).tobytes()
+        other = random_walk(n, seed=window + 1)
+        assert loess_smooth(other, window).tobytes() == per_point(other, window).tobytes()
+
+    def test_holds_the_mstl_windows_at_smoke_and_bench_lengths(self, cold_memo):
+        for n in (336, 744):
+            mstl(synthetic_series(n)["observed"], [24, 168])
+        assert set(cold_memo.entries) == {
+            (n, window) for n in (336, 744) for window in (25, 37, 169, 253)
+        }
+        assert cold_memo.nbytes == held_bytes(cold_memo) <= TERM_MEMO_BYTES
+
+    def test_drops_least_recently_used_keys_within_its_budget(self):
+        budget = 2 * MSTL_MODULE._terms_nbytes(744, 253)
+        memo = MSTL_MODULE._TermMemo(budget)
+        for n in (744, 700, 744, 600, 1400, 700):
+            memo.terms(n, 253)
+            assert memo.nbytes == held_bytes(memo) <= budget
+        assert list(memo.entries) == [(700, 253)]
+        assert not isinstance(memo.terms(1500, 253), tuple)  # over budget: streamed
+        assert list(memo.entries) == [(700, 253)]
+
+    def test_paper_scale_key_is_streamed_not_kept(self, cold_memo):
+        assert MSTL_MODULE._terms_nbytes(6552, 253) > TERM_MEMO_BYTES
+        y = random_walk(6552, seed=2)
+        assert loess_smooth(y, 253).tobytes() == per_point(y, 253).tobytes()
+        assert cold_memo.entries == {} and cold_memo.nbytes == 0
+
+    def test_cached_terms_are_read_only(self, cold_memo):
+        loess_smooth(random_walk(744, seed=3), 253)
+        (chunks,) = cold_memo.entries.values()
+        assert len(chunks) > 1
+        for terms in chunks:
+            assert not any(array.flags.writeable for array in terms[1:])
+        with pytest.raises(ValueError):
+            chunks[0].weights[0, 0] = 0.0
+
+    def test_concurrent_renders_from_a_cold_memo_agree(self, monkeypatch):
+        """Serve threads render at once; each keeps the memo consistent."""
+        study = Study(StudyConfig(days=14, sites=120, residences=("A", "B"), parallel=False))
+        names = ("fig2", "fig14", "fig2", "fig14")
+        expected = {name: artifact_document(study, name) for name in set(names)}
+        memo = MSTL_MODULE._TermMemo(TERM_MEMO_BYTES)
+        monkeypatch.setattr(MSTL_MODULE, "_MEMO", memo)
+        start = threading.Barrier(len(names))
+
+        def render(name):
+            start.wait(timeout=60)
+            return artifact_document(study, name)
+
+        with switching_often(), ThreadPoolExecutor(len(names)) as pool:
+            futures = [pool.submit(render, name) for name in names]
+            documents = [future.result(timeout=120) for future in futures]
+        assert documents == [expected[name] for name in names]
+        assert set(memo.entries) == {(336, window) for window in (25, 37, 169, 253)}
+        assert memo.nbytes == held_bytes(memo)
+
+    def test_racing_inserts_and_evictions_keep_the_byte_total_exact(self):
+        """Tiny keys, so that threads insert and evict at once, often."""
+        keys = [(n, 3) for n in range(20, 100, 3)] * 10
+        with switching_often(), ThreadPoolExecutor(8) as pool:
+            for _ in range(20):
+                memo = MSTL_MODULE._TermMemo(8 * MSTL_MODULE._terms_nbytes(60, 3))
+                futures = [pool.submit(memo.terms, n, window) for n, window in keys]
+                for future in futures:
+                    future.result(timeout=60)
+                assert memo.nbytes == held_bytes(memo) <= memo.budget
+
+
 class TestMovingAverage:
     def test_basic(self):
         out = _moving_average(np.array([1.0, 2.0, 3.0, 4.0]), 2)
@@ -257,3 +370,58 @@ class TestMstl:
         y = rng.random(24 * 8)
         result = mstl(y, [24])
         assert np.allclose(result.reconstruction(), y, atol=1e-9)
+
+
+#: Series lengths around whole cycles of every swept period, ragged ones
+#: (``n % period != 0``) included.
+LENGTHS = (48, 49, 60, 71, 100, 167, 200, 335, 336, 337, 351, 500, 743, 744, 1000)
+
+
+def sweep_series(n: int) -> list[np.ndarray]:
+    return [synthetic_series(n)["observed"], random_walk(n, seed=n), np.full(n, 0.37)]
+
+
+def component_bytes(result) -> list[bytes]:
+    seasonals = getattr(result, "seasonals", None) or {0: result.seasonal}
+    parts = [result.trend, result.residual, *seasonals.values()]
+    return [part.tobytes() for part in parts]
+
+
+class TestPeriodicField:
+    """The one-block cycle field is pinned byte for byte to the per-phase loop."""
+
+    @pytest.mark.parametrize("periods", [[24], [24, 168], [7, 30], [12]], ids=str)
+    def test_mstl_matches_the_per_phase_loop(self, periods):
+        for n in LENGTHS:
+            if n < 2 * max(periods):
+                continue
+            for y in sweep_series(n):
+                assert component_bytes(mstl(y, periods)) == component_bytes(
+                    mstl_by_phase(y, periods)
+                ), (n, periods)
+
+    @pytest.mark.parametrize("period", [2, 7, 12, 24, 30, 168])
+    def test_stl_matches_the_per_phase_loop(self, period):
+        for n in LENGTHS:
+            if n < 2 * period:
+                continue
+            for y in sweep_series(n):
+                assert component_bytes(stl(y, period)) == component_bytes(
+                    stl_by_phase(y, period)
+                ), n
+
+    @pytest.mark.parametrize("period, window", [(7, 3), (12, 5), (24, 7)])
+    def test_integer_seasonal_window_matches_the_per_phase_loop(self, period, window):
+        for n in (2 * period, 2 * period + 1, 5 * period - 1, 100):
+            y = random_walk(n, seed=period)
+            assert component_bytes(stl(y, period, seasonal_window=window)) == component_bytes(
+                stl_by_phase(y, period, seasonal_window=window)
+            ), n
+
+    @pytest.mark.parametrize("period", [2, 3, 7, 24, 168])
+    def test_every_phase_has_two_more_slots_than_samples(self, period):
+        """Why the integer path stores each extended subseries as it is."""
+        for n in range(2 * period, 4 * period + 1):
+            for phase in range(period):
+                slots = len(range(phase, n + 2 * period, period))
+                assert slots == len(range(phase, n, period)) + 2, (n, phase)

@@ -29,7 +29,7 @@ def make_dirty_tree(tmp_path: Path) -> Path:
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         assert main([str(make_clean_tree(tmp_path))]) == 0
-        assert "0 new violation(s)" in capsys.readouterr().err
+        assert "replint: 0 violation(s)" in capsys.readouterr().err
 
     def test_violations_exit_one(self, tmp_path, capsys):
         assert main([str(make_dirty_tree(tmp_path))]) == 1

@@ -10,6 +10,7 @@ from repro.flowmon.conntrack import Protocol
 from repro.flowmon.frame import (
     FLOW_DTYPE,
     SCOPE_CODES,
+    FlowFrame,
     day_sums,
     first_appearance,
     group_sums,
@@ -179,6 +180,40 @@ class TestSelect:
         sub = frame.mask(frame.is_v6)
         assert sub.is_v6.all()
         assert sub.peers is frame.peers
+
+    @pytest.mark.parametrize("kind", ["all", "none", "v6", "random"])
+    def test_mask_gathers_what_boolean_indexing_does(self, dataset, kind):
+        frame = dataset.monitor.frame()
+        mask = {
+            "all": np.ones(len(frame), dtype=bool),
+            "none": np.zeros(len(frame), dtype=bool),
+            "v6": frame.is_v6,
+            "random": np.random.default_rng(5).random(len(frame)) < 0.5,
+        }[kind]
+        sub = frame.mask(mask)
+        assert sub.data.dtype == FLOW_DTYPE
+        assert sub.data.tobytes() == frame.data[mask].tobytes()
+        assert sub.peers is frame.peers and sub.domains is frame.domains
+        assert sub.peer_asn is frame.peer_asn and sub.peer_domain is frame.peer_domain
+
+    def test_select_gathers_what_boolean_indexing_does(self, dataset):
+        frame = dataset.monitor.frame()
+        for scope in (None, *FlowScope):
+            for day in (None, 0, 3, 99):
+                mask = frame.rows_matching(scope, day)
+                expected = frame.data if mask is None else frame.data[mask]
+                assert frame.select(scope, day).data.tobytes() == expected.tobytes()
+
+    def test_mask_of_another_length_is_refused(self, dataset):
+        frame = dataset.monitor.frame()
+        for size in (len(frame) - 1, len(frame) + 1):
+            with pytest.raises(IndexError):
+                frame.mask(np.ones(size, dtype=bool))
+
+    def test_empty_frame(self):
+        frame = FlowFrame(data=np.empty(0, dtype=FLOW_DTYPE))
+        for sub in (frame.mask(np.zeros(0, dtype=bool)), frame.select(day=0)):
+            assert len(sub) == 0 and sub.data.dtype == FLOW_DTYPE
 
 
 class TestGroupHelpers:

@@ -127,6 +127,40 @@ class TestSelection:
         assert len(sub) == int(frame.aaaa.sum())
         assert sub.targets == frame.targets
 
+    @pytest.mark.parametrize("kind", ["all", "none", "aaaa", "random"])
+    def test_mask_gathers_what_boolean_indexing_does(self, frame, kind):
+        mask = {
+            "all": np.ones(len(frame), dtype=bool),
+            "none": np.zeros(len(frame), dtype=bool),
+            "aaaa": frame.aaaa,
+            "random": np.random.default_rng(6).random(len(frame)) < 0.5,
+        }[kind]
+        sub = frame.mask(mask)
+        assert sub.data.dtype == PROBE_DTYPE
+        assert sub.data.tobytes() == frame.data[mask].tobytes()
+        assert sub.vantages is frame.vantages
+        assert sub.countries is frame.countries and sub.targets is frame.targets
+
+    @pytest.mark.parametrize(
+        "filters, mask_of",
+        [
+            ({}, lambda f: np.ones(len(f), dtype=bool)),
+            ({"round_index": 1}, lambda f: f.round == 1),
+            ({"round_index": 5}, lambda f: f.round == 5),
+            ({"country": "AA", "vantage": "a-2"}, lambda f: (f.country == 0) & (f.vantage == 2)),
+        ],
+    )
+    def test_select_gathers_what_boolean_indexing_does(self, frame, filters, mask_of):
+        sub = frame.select(**filters)
+        assert sub.data.tobytes() == frame.data[mask_of(frame)].tobytes()
+        assert sub.countries is frame.countries and sub.targets is frame.targets
+
+    def test_empty_frame(self):
+        _, countries = fleet_country_codes(FLEET)
+        frame = ProbeFrame.assemble(tuple(v.name for v in FLEET), countries, (), [])
+        for sub in (frame.mask(np.zeros(0, dtype=bool)), frame.select(country="AA")):
+            assert len(sub) == 0 and sub.data.dtype == PROBE_DTYPE
+
     def test_availability_is_v6_ok_only(self, frame):
         assert int(frame.available.sum()) == int(
             (frame.verdict == ProbeVerdict.V6_OK.value).sum()

@@ -19,7 +19,10 @@ tests compare the column paths against them:
   algorithm.HappyEyeballs` races, and :func:`encode_block` writes its
   :class:`ProbeResult` objects as frame rows -- the reference the
   observatory's column kernel must equal (``probe_frame_by_probe`` in
-  ``conftest.py``).
+  ``conftest.py``);
+* :func:`stl_by_phase` and :func:`mstl_by_phase` smooth the STL cycle
+  field one subseries at a time, the loop whose periodic case
+  :func:`repro.core.mstl.stl` sums as one phase-major block.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.mstl import MstlResult, StlResult, _moving_average, _odd, loess_smooth
 from repro.flowmon.conntrack import Protocol
 from repro.flowmon.monitor import LOG_DTYPE, FlowLog, FlowMonitor, FlowScope, RouterConfig
 from repro.happyeyeballs.algorithm import HappyEyeballs, HappyEyeballsConfig
@@ -515,3 +519,60 @@ def encode_block(
         time = result.v6_connect_time
         row["connect_ms"] = np.nan if time is None else time * 1000.0
     return block
+
+
+# -- seasonal decomposition ---------------------------------------------------
+
+
+def stl_by_phase(
+    y: np.ndarray, period: int, seasonal_window: int | str = "periodic"
+) -> StlResult:
+    """STL with two inner iterations, the cycle field one phase at a time.
+
+    Each subseries ``detrended[phase::period]`` is smoothed on its own --
+    to its mean when ``seasonal_window`` is ``"periodic"`` -- with one
+    extra value before and after, and stored into the phase's slots of
+    the field extended one period both ways.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    trend_window = _odd(int(np.ceil(1.5 * period)))
+    trend = np.zeros(n)
+    seasonal = np.zeros(n)
+    for _ in range(2):
+        detrended = y - trend
+        extended = np.empty(n + 2 * period)
+        for phase in range(period):
+            sub = detrended[phase::period]
+            if seasonal_window == "periodic":
+                values = np.full(sub.size + 2, float(sub.mean()))
+            else:
+                eval_positions = np.arange(-1, sub.size + 1, dtype=float)
+                values = loess_smooth(sub, int(seasonal_window), x_eval=eval_positions)
+            extended[phase::period] = values
+        low_pass = _moving_average(extended, period)
+        low_pass = _moving_average(low_pass, period)
+        low_pass = _moving_average(low_pass, 3)
+        low_pass = loess_smooth(low_pass, _odd(period))
+        seasonal = extended[period : period + n] - low_pass
+        trend = loess_smooth(y - seasonal, trend_window)
+    return StlResult(
+        observed=y, trend=trend, seasonal=seasonal, residual=y - trend - seasonal,
+        period=period,
+    )
+
+
+def mstl_by_phase(y: np.ndarray, periods: Sequence[int]) -> MstlResult:
+    """MSTL's two rounds over :func:`stl_by_phase`, shortest period first."""
+    y = np.asarray(y, dtype=float)
+    seasonals = {p: np.zeros(y.size) for p in sorted(set(periods))}
+    for _ in range(2):
+        for period in seasonals:
+            others = sum(
+                (component for p, component in seasonals.items() if p != period),
+                start=np.zeros(y.size),
+            )
+            last = stl_by_phase(y - others, period)
+            seasonals[period] = last.seasonal
+    residual = y - last.trend - sum(seasonals.values())
+    return MstlResult(observed=y, trend=last.trend, seasonals=seasonals, residual=residual)

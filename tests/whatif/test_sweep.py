@@ -183,9 +183,34 @@ class TestDeltaFrame:
         assert len(one) == 1
         assert one.d_availability[0] > 0.0
 
+    @pytest.mark.parametrize(
+        "filters, mask_of",
+        [
+            ({}, lambda data: np.ones(data.size, dtype=bool)),
+            ({"scenario": "b"}, lambda data: data["scenario"] == 1),
+            ({"scenario": "c"}, lambda data: data["scenario"] == 2),  # no row
+            (
+                {"scenario": "a", "country": "Y"},
+                lambda data: (data["scenario"] == 0) & (data["country"] == 1),
+            ),
+        ],
+    )
+    def test_select_gathers_what_boolean_indexing_does(self, filters, mask_of):
+        rng = np.random.default_rng(8)
+        data = np.empty(12, dtype=DELTA_DTYPE)
+        data.view(np.uint8)[:] = rng.integers(0, 256, data.nbytes, dtype=np.uint8)
+        data["scenario"] = [0, 1] * 6
+        data["country"] = np.repeat([0, 1, 2], 4)
+        frame = DeltaFrame.assemble(("a", "b", "c"), ("X", "Y", "Z"), [data])
+        sub = frame.select(**filters)
+        assert sub.data.dtype == DELTA_DTYPE
+        assert sub.data.tobytes() == data[mask_of(data)].tobytes()
+        assert sub.scenarios is frame.scenarios and sub.countries is frame.countries
+
     def test_empty_assemble(self):
         frame = DeltaFrame.assemble((), (), [])
         assert len(frame) == 0
+        assert len(frame.select()) == 0 and frame.select().data.dtype == DELTA_DTYPE
 
     def test_empty_grid_rejected(self, baseline):
         with pytest.raises(ValueError):
