@@ -267,8 +267,7 @@ class _TermMemo:
         return chunks
 
 
-#: The process's memo; :func:`repro.api.clear_caches` leaves it alone,
-#: since its terms are a function of ``(n, window)`` alone.
+#: The process's memo (see the module docstring).
 _MEMO = _TermMemo(TERM_MEMO_BYTES)
 
 

@@ -281,7 +281,8 @@ class FlowFrame:
     def mask(self, mask: np.ndarray) -> "FlowFrame":
         """A boolean-mask view sharing this frame's interning tables.
 
-        The rows are gathered by :func:`take_rows`.
+        The rows are gathered by index (:func:`take_rows`): boolean
+        indexing copies this packed dtype field by field.
         """
         return FlowFrame(
             data=take_rows(self.data, mask),

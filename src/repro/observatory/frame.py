@@ -172,7 +172,8 @@ class ProbeFrame:
     def mask(self, mask: np.ndarray) -> "ProbeFrame":
         """A boolean-mask view sharing this frame's interning tables.
 
-        The rows are gathered by :func:`~repro.flowmon.frame.take_rows`.
+        The rows are gathered by index (:func:`~repro.flowmon.frame.take_rows`):
+        boolean indexing copies this packed dtype field by field.
         """
         return ProbeFrame(
             data=take_rows(self.data, mask),

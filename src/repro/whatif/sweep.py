@@ -126,7 +126,8 @@ class DeltaFrame:
     ) -> "DeltaFrame":
         """A filtered view sharing this frame's interning tables.
 
-        The rows are gathered by :func:`~repro.flowmon.frame.take_rows`.
+        The rows are gathered by index (:func:`~repro.flowmon.frame.take_rows`):
+        boolean indexing copies this packed dtype field by field.
         """
         mask = np.ones(self.data.size, dtype=bool)
         if scenario is not None:
